@@ -7,7 +7,7 @@ normalization). Output is byte-deterministic for fixed input and flags; the
 only nondeterministic field, wall-clock time, appears only under --timing.
 
 Exit codes: 0 for success (true/coherent), 1 for a negative answer
-(false/incoherent), 2 for any error.
+(false/incoherent), 2 for any error, unexpected exceptions included.
 """
 
 from __future__ import annotations
@@ -281,6 +281,11 @@ def main(argv=None) -> int:
         return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except Exception as err:  # a crash must not read as exit 1, "false"
+        detail = " ".join(str(err).split())
+        name = type(err).__name__
+        print(f"error: internal {name}{': ' + detail if detail else ''}", file=sys.stderr)
         return 2
 
 

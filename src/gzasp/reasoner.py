@@ -5,10 +5,22 @@ than looping over interpretations, every expression is evaluated once for
 the whole space: a column is a 2**n-bit integer whose bit s holds the truth
 value under the interpretation encoded by the bits of s. Conjunction is &,
 negation is xor against the all-ones mask, and an aggregate becomes a mux
-tree over its domain columns driven by its truth table. Candidate models
-drop out as the set bits of the program column, and each one's minimality
-is decided the same way on the subspace of its own subsets, or through the
-least-fixpoint shortcut whenever the reduct is Horn.
+tree over its domain columns driven by its truth table, built once per
+distinct aggregate and solve. Candidate models drop out as the set bits of
+the program column, read 64 bits at a time.
+
+No reduct is built as a Program. Each rule is compiled once into bitmasks
+over the sorted universe (head atoms, atoms its body needs true, atoms it
+needs false, positive atoms) plus its aggregates, so the reduct at
+candidate s is the list of rules whose body holds at s; under G each kept
+aggregate turns into the mask of its domain atoms true at s. One check then
+decides minimality: a least fixpoint over integers when every kept rule has
+at most one head atom and no aggregate, otherwise the column of the kept
+rules over the subspace of the candidate's own subsets. A coherence test
+stops at the first stable model; brave and cautious queries first restrict
+the candidates to those with, or without, the queried atom. is_stable
+keeps the reference path of semantics.py: a reduct Program and
+is_minimal_model.
 
 A polynomial fast path covers the monotone fragment, where the single
 candidate G-stable model is the least fixpoint itself.
@@ -16,6 +28,7 @@ candidate G-stable model is the least fixpoint itself.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -37,7 +50,6 @@ from .semantics import (
     f_reduct,
     g_reduct,
     is_asp_m,
-    is_horn,
     is_minimal_model,
     satisfies,
     tp_least_fixpoint,
@@ -113,16 +125,23 @@ def _pattern(position: int, dimension: int) -> int:
 class _Space:
     """Truth-table evaluator over all subsets of a fixed atom tuple."""
 
-    def __init__(self, universe: Iterable[Atom]):
+    def __init__(self, universe: Iterable[Atom], tables: dict | None = None):
         self.universe = tuple(universe)
         self.position = {atom: i for i, atom in enumerate(self.universe)}
         self.width = 1 << len(self.universe)
         self.full = (1 << self.width) - 1
+        # aggregate truth tables, shared with every subspace of one solve
+        self.tables = {} if tables is None else tables
 
     def interpretation(self, index: int) -> Interpretation:
         return frozenset(
             atom for i, atom in enumerate(self.universe) if index >> i & 1
         )
+
+    def subspace(self, index: int) -> _Space:
+        """The space over the atoms true at `index`, in the same order."""
+        members = (atom for i, atom in enumerate(self.universe) if index >> i & 1)
+        return _Space(members, self.tables)
 
     def atom_column(self, atom: Atom) -> int:
         position = self.position.get(atom)
@@ -138,15 +157,25 @@ class _Space:
         domain = spec.domain
         if (1 << len(domain)) * self.width > _MUX_BUDGET_BITS:
             return self._aggregate_column_scalar(spec)
-        table = aggregate_truth_table(spec, max_domain=len(domain))
-        layer = [self.full if truth else 0 for truth in table]
-        for atom in domain:
-            chosen = self.atom_column(atom)
-            dropped = chosen ^ self.full
-            layer = [
-                low if low is high else (low & dropped) | (high & chosen)
-                for low, high in zip(layer[::2], layer[1::2])
-            ]
+        table = self.tables.get(spec)
+        if table is None:
+            table = self.tables[spec] = aggregate_truth_table(spec, max_domain=len(domain))
+        # a domain atom outside the space is false everywhere: keep only the
+        # table entries with its bit clear, and branch on the others alone
+        columns = [self.atom_column(atom) for atom in domain]
+        absent = 0
+        for position, column in enumerate(columns):
+            if not column:
+                absent |= 1 << position
+        full = self.full
+        layer = [full if truth else 0 for i, truth in enumerate(table) if not i & absent]
+        for chosen in columns:
+            if chosen:
+                dropped = chosen ^ full
+                layer = [
+                    low if low is high else (low & dropped) | (high & chosen)
+                    for low, high in zip(layer[::2], layer[1::2])
+                ]
         return layer[0]
 
     def _aggregate_column_scalar(self, spec: AggregateSpec) -> int:
@@ -183,24 +212,188 @@ class _Space:
         return column
 
 
-def _iter_bits(value: int) -> Iterator[int]:
-    while value:
-        low = value & -value
-        yield low.bit_length() - 1
-        value ^= low
+def _set_bits(column: int, width: int) -> Iterator[int]:
+    """Indices of the set bits of a `width`-bit column, lowest first. The
+    column is copied once into native 64-bit words, so a set bit costs a few
+    word operations instead of a copy of the whole column."""
+    words = memoryview(column.to_bytes(max(8, width >> 3), sys.byteorder)).cast("Q")
+    del column  # the words are all the scan needs; free the 2**n-bit int
+    if sys.byteorder == "big":
+        words = words[::-1]  # lowest word first
+    for offset, word in enumerate(words):
+        if word:
+            base = offset << 6
+            while word:
+                low = word & -word
+                yield base + low.bit_length() - 1
+                word ^= low
 
 
-def _reduct(program: Program, interp: Interpretation, sem: Semantics) -> Program:
-    return f_reduct(program, interp) if sem is Semantics.F else g_reduct(program, interp)
+def _compile(program: Program, position: dict) -> list[tuple]:
+    """Each rule as (head, must_true, must_false, positive, aggregates): atom
+    bitmasks over the universe (a literal at even negation depth needs its
+    atom true, at odd depth false; positive holds the depth-0 atoms, the
+    only literals either reduct keeps) and the body aggregates in body
+    order, each as (spec, domain mask, domain bits in domain order, memo).
+    The memo, shared by equal aggregates, maps the candidate's domain bits
+    to the aggregate's truth there."""
+    compiled = []
+    memos: dict = {}
+    for rule in program:
+        head = must_true = must_false = positive = 0
+        for atom in rule.head:
+            head |= 1 << position[atom]
+        aggregates = []
+        for lit in rule.body:
+            if isinstance(lit, AggregateSpec):
+                bits = tuple(1 << position[atom] for atom in lit.domain)
+                aggregates.append((lit, sum(bits), bits, memos.setdefault(lit, {})))
+                continue
+            bit = 1 << position[lit.atom]
+            if lit.negation_depth % 2:
+                must_false |= bit
+            else:
+                must_true |= bit
+            if not lit.negation_depth:
+                positive |= bit
+        compiled.append((head, must_true, must_false, positive, tuple(aggregates)))
+    return compiled
 
 
-def _minimal_for_reduct(interp: Interpretation, reduct: Program) -> bool:
-    if is_horn(reduct):
-        return is_minimal_model(interp, reduct)
-    # interp models the reduct whenever it models the program, so stability
-    # is exactly "no other subset satisfies it": only the top bit may be set
-    space = _Space(sorted(interp))
-    return space.program_column(reduct) == 1 << (space.width - 1)
+def _aggregates_hold(aggregates: tuple, index: int) -> bool:
+    """Whether every aggregate holds at candidate `index`, evaluated in body
+    order up to the first false one.
+
+    The caller has already checked the rule's atom literals, so each
+    aggregate reached sits behind a body prefix that is true at the
+    candidate. The program column therefore evaluated it on every subset of
+    its domain, with the 64-bit overflow check, and nothing here can raise.
+    That is why stopping at the first stable model never skips an error
+    that full enumeration would raise.
+    """
+    for spec, domain, bits, memo in aggregates:
+        key = index & domain
+        truth = memo.get(key)
+        if truth is None:
+            chosen = frozenset(atom for atom, bit in zip(spec.domain, bits) if key & bit)
+            truth = memo[key] = eval_aggregate(spec, chosen)
+        if not truth:
+            return False
+    return True
+
+
+def _reduct_rules(rules: list[tuple], index: int, grounding: bool) -> tuple:
+    """The reduct at candidate `index`: (head, positive, aggregates) per
+    kept rule, and whether every kept rule is Horn (at most one head atom,
+    no aggregate). Under G (grounding) each aggregate is replaced by its
+    domain atoms true at the candidate; under F it stays."""
+    kept = []
+    horn = True
+    for head, must_true, must_false, positive, aggregates in rules:
+        if index & must_true != must_true or index & must_false:
+            continue
+        if aggregates:
+            if not _aggregates_hold(aggregates, index):
+                continue
+            if grounding:
+                for _, domain, _, _ in aggregates:
+                    positive |= domain & index
+                aggregates = ()
+        kept.append((head, positive, aggregates))
+        horn = horn and not aggregates and not head & (head - 1)
+    return kept, horn
+
+
+def _is_least_model(index: int, kept: list[tuple]) -> bool:
+    """Horn minimality: the candidate is the least model of the kept rules.
+    That model lies inside the candidate, which models every kept rule, so
+    the fixpoint stops as soon as it reaches the candidate."""
+    derived = 0
+    while derived != index:
+        grown = derived
+        for head, positive, _ in kept:
+            if positive & grown == positive:
+                grown |= head
+        if grown == derived:
+            return False
+        derived = grown
+    return True
+
+
+def _no_smaller_model(index: int, kept: list[tuple], space: _Space) -> bool:
+    """Minimality in general: the column of the kept rules over every subset
+    of the candidate has only the candidate's own (top) bit set."""
+    # an atom's position in the subspace is the number of candidate atoms
+    # below it in the universe
+    dimension = index.bit_count()
+    width = 1 << dimension
+    full = (1 << width) - 1
+    column = full
+    subspace = None  # for aggregates, built on first need
+    for head, positive, aggregates in kept:
+        body = full
+        while positive:
+            low = positive & -positive
+            body &= _pattern((index & (low - 1)).bit_count(), dimension)
+            positive ^= low
+        for spec, _, _, _ in aggregates:
+            if subspace is None:
+                subspace = space.subspace(index)
+            body &= subspace.aggregate_column(spec)
+        heads = 0
+        head &= index
+        while head:
+            low = head & -head
+            heads |= _pattern((index & (low - 1)).bit_count(), dimension)
+            head ^= low
+        column &= (body ^ full) | heads
+        if column.bit_count() == 1:  # the top bit stays set
+            return True
+    return column.bit_count() == 1
+
+
+def _stable(
+    program: Program,
+    sem: Semantics,
+    max_atoms: int,
+    atom: Atom | None = None,
+    holds: bool = True,
+) -> Iterator[Interpretation]:
+    """Stable models in candidate order; with `atom`, only those where it
+    holds (or, with holds=False, where it does not)."""
+    universe = sorted(atoms_of(program))
+    if len(universe) > max_atoms:
+        raise TooManyAtomsError(
+            f"program has {len(universe)} atoms; "
+            f"the enumeration guard allows {max_atoms}"
+        )
+    space = _Space(universe)
+    column = space.program_column(program)
+    if atom is not None:
+        restrict = space.atom_column(atom)
+        column &= restrict if holds else restrict ^ space.full
+    rules = _compile(program, space.position)
+    grounding = sem is Semantics.G
+    candidates = _set_bits(column, space.width)
+    del column  # only the scan's word copy stays alive
+    for index in candidates:
+        kept, horn = _reduct_rules(rules, index, grounding)
+        if horn:
+            minimal = _is_least_model(index, kept)
+        else:
+            minimal = _no_smaller_model(index, kept, space)
+        if minimal:
+            yield space.interpretation(index)
+
+
+def _has_stable(
+    program: Program,
+    sem: Semantics,
+    max_atoms: int,
+    atom: Atom | None = None,
+    holds: bool = True,
+) -> bool:
+    return next(_stable(program, sem, max_atoms, atom, holds), None) is not None
 
 
 def is_stable(program: Program, interp: Interpretation, sem: Semantics) -> bool:
@@ -214,7 +407,8 @@ def is_stable(program: Program, interp: Interpretation, sem: Semantics) -> bool:
         )
     if not satisfies(interp, program):
         return False
-    return is_minimal_model(interp, _reduct(program, interp, sem))
+    reduct = f_reduct if sem is Semantics.F else g_reduct
+    return is_minimal_model(interp, reduct(program, interp))
 
 
 def stable_models(
@@ -225,19 +419,7 @@ def stable_models(
     Enumeration is exact over the subsets of At(program); programs with
     more than max_atoms atoms are refused rather than answered partially.
     """
-    universe = sorted(atoms_of(program))
-    if len(universe) > max_atoms:
-        raise TooManyAtomsError(
-            f"program has {len(universe)} atoms; "
-            f"the enumeration guard allows {max_atoms}"
-        )
-    space = _Space(universe)
-    found = []
-    for index in _iter_bits(space.program_column(program)):
-        interp = space.interpretation(index)
-        if _minimal_for_reduct(interp, _reduct(program, interp, sem)):
-            found.append(interp)
-    return ModelSet(found)
+    return ModelSet(_stable(program, sem, max_atoms))
 
 
 def gsm_asp_m(program: Program) -> ModelSet:
@@ -253,10 +435,11 @@ def check_coherence(
     program: Program, sem: Semantics, *, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> bool:
     """Does at least one stable model exist? Monotone programs under G skip
-    enumeration entirely."""
+    enumeration entirely; otherwise the search stops at the first stable
+    model."""
     if sem is Semantics.G and is_asp_m(program):
         return bool(gsm_asp_m(program))
-    return bool(stable_models(program, sem, max_atoms=max_atoms))
+    return _has_stable(program, sem, max_atoms)
 
 
 def cautious(
@@ -267,10 +450,9 @@ def cautious(
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> bool:
     """True iff every stable model contains the atom; vacuously true for
-    incoherent programs."""
-    return all(
-        atom in model for model in stable_models(program, sem, max_atoms=max_atoms)
-    )
+    incoherent programs. Searches only the candidates without the atom and
+    stops at the first stable one."""
+    return not _has_stable(program, sem, max_atoms, atom, holds=False)
 
 
 def brave(
@@ -281,10 +463,9 @@ def brave(
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> bool:
     """True iff some stable model contains the atom; false for incoherent
-    programs."""
-    return any(
-        atom in model for model in stable_models(program, sem, max_atoms=max_atoms)
-    )
+    programs. Searches only the candidates with the atom and stops at the
+    first stable one."""
+    return _has_stable(program, sem, max_atoms, atom)
 
 
 _REWRITINGS = {"rew": rewrite_rew, "str": rewrite_str}

@@ -9,12 +9,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import gzasp
+import gzasp.cli
 from gzasp.cli import main
 from helpers import GOLDEN_REW_TEXT, GOLDEN_STR_TEXT, GOLDEN_TEXT
 
@@ -357,12 +361,47 @@ class TestDeterminism:
         assert first == second
 
 
+class TestCrashes:
+    """Exit 1 means false/incoherent, so an unexpected exception must exit
+    2 with one diagnostic line instead of a traceback."""
+
+    @pytest.mark.parametrize(
+        "error", [RuntimeError("engine broke\nsecond line"), MemoryError()]
+    )
+    def test_unexpected_exception_exits_two(self, golden_file, monkeypatch, capsys, error):
+        def crash(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(gzasp.cli, "stable_models", crash)
+        code = main(["models", golden_file])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert type(error).__name__ in err
+        assert "Traceback" not in err
+
+    def test_keyboard_interrupt_propagates(self, golden_file, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(gzasp.cli, "stable_models", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["models", golden_file])
+
+
 class TestEntryPoint:
     def test_module_invocation(self, golden_file):
+        # the child imports gzasp from wherever this process did
+        source = str(Path(gzasp.__file__).resolve().parent.parent)
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (source, inherited))))
         proc = subprocess.run(
             [sys.executable, "-m", "gzasp.cli", "models", golden_file],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == "{}\n{a,c}\n"

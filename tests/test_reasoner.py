@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gzasp.core import Atom, Program, atoms_of
-from gzasp.errors import NotAspMError, PreconditionError, TooManyAtomsError
+from gzasp import reasoner
+from gzasp.errors import (
+    AggregateOverflowError,
+    NotAspMError,
+    PreconditionError,
+    TooManyAtomsError,
+)
 from gzasp.parser import parse
 from gzasp.reasoner import (
     ModelSet,
@@ -226,6 +232,87 @@ class TestCautiousBrave:
                     brave(program, atom, sem) for atom in sorted(atoms_of(program))
                 ):
                     assert check_coherence(program, sem)
+
+
+class TestQueriesAgainstOracle:
+    """The queries stop at the first stable model of a restricted candidate
+    set; each answer must still match the full oracle model set."""
+
+    @pytest.mark.parametrize("sem", [Semantics.G, Semantics.F])
+    def test_every_atom_on_seeded_corpus(self, sem):
+        incoherent = 0
+        for index in range(150):
+            rng = random.Random(index)
+            if index % 2:
+                program = gen.random_program(rng, max_atoms=5, max_rules=6)
+            else:
+                program = gen.random_mixed_program(rng, index)
+            models = oracles.naive_stable_models(program, sem.value)
+            incoherent += not models
+            assert check_coherence(program, sem) is bool(models)
+            for atom in sorted(atoms_of(program)):
+                assert brave(program, atom, sem) is any(atom in m for m in models)
+                assert cautious(program, atom, sem) is all(atom in m for m in models)
+        # incoherent programs occur, so the conventions above were exercised:
+        # there every atom is cautious and none is brave
+        assert incoherent >= 10
+
+    OVERFLOW = (
+        "a :- not b. b :- not a.\n"
+        "p :- a, sum{9223372036854775807 : a, 1 : b} >= 0.\n"
+    )
+    # the overflowing sum sits behind a prefix that no interpretation
+    # satisfies, so no evaluation ever reaches it
+    GUARDED = (
+        "a :- not not a. b :- not not b. c :- not not c.\n"
+        "p :- count{a} >= 1, not a, sum{9223372036854775807 : b, 1 : c} >= 0.\n"
+    )
+
+    @pytest.mark.parametrize("sem", [Semantics.G, Semantics.F])
+    def test_overflow_is_not_skipped_by_early_exit(self, sem):
+        program = parse(self.OVERFLOW)
+        a = Atom("a")
+        with pytest.raises(AggregateOverflowError):
+            stable_models(program, sem)
+        with pytest.raises(AggregateOverflowError):
+            check_coherence(program, sem)
+        with pytest.raises(AggregateOverflowError):
+            brave(program, a, sem)
+        with pytest.raises(AggregateOverflowError):
+            cautious(program, a, sem)
+
+    @pytest.mark.parametrize("sem", [Semantics.G, Semantics.F])
+    def test_unreachable_overflow_never_raises(self, sem):
+        program = parse(self.GUARDED)
+        models = stable_models(program, sem)
+        assert set(models) == oracles.naive_stable_models(program, sem.value)
+        assert check_coherence(program, sem)
+        for atom in sorted(atoms_of(program)):
+            assert brave(program, atom, sem) is any(atom in m for m in models)
+            assert cautious(program, atom, sem) is all(atom in m for m in models)
+
+
+class TestTruthTableReuse:
+    def test_one_table_per_distinct_aggregate(self, monkeypatch):
+        program = parse(
+            "a :- not not a. b :- not not b. c :- not not c. d :- not not d.\n"
+            "p :- count{a, b, c, d} >= 1.\n"
+            "q :- count{a, b, c, d} >= 1.\n"
+            "r :- sum{1 : a, 2 : b, -1 : c} != 0.\n"
+        )
+        built = []
+        original = reasoner.aggregate_truth_table
+
+        def counting(spec, **kwargs):
+            built.append(spec)
+            return original(spec, **kwargs)
+
+        monkeypatch.setattr(reasoner, "aggregate_truth_table", counting)
+        models = stable_models(program, Semantics.F)
+        # under F the count stays in the reduct of every model with p, and
+        # each such reduct needs the subspace check
+        assert sum(Atom("p") in model for model in models) == 15
+        assert len(built) == len(set(built)) <= 2
 
 
 class TestSolveViaRewriting:
