@@ -150,16 +150,9 @@ def _cmd_query(args) -> int:
     return 0 if answer else 1
 
 
-def _aggregates(program: Program):
-    for rule in program:
-        for lit in rule.body:
-            if isinstance(lit, AggregateSpec):
-                yield lit
-
-
-def _fragment_label(program: Program) -> str:
+def _fragment_label(program: Program, classes: list) -> str:
     """Syntactic fragment of the program: negation and disjunction use,
-    plus the strongest aggregate class that occurs."""
+    plus the strongest of the aggregate classes that occur."""
     constructs = []
     if any(
         getattr(lit, "negation_depth", 0) for rule in program for lit in rule.body
@@ -167,7 +160,6 @@ def _fragment_label(program: Program) -> str:
         constructs.append("~")
     if any(len(rule.head) > 1 for rule in program):
         constructs.append("∨")
-    classes = [classify_aggregate(spec) for spec in _aggregates(program)]
     if not classes:
         aggregate_part = "∅"
     elif AggregateClass.NONCONVEX in classes:
@@ -182,14 +174,15 @@ def _fragment_label(program: Program) -> str:
 def _cmd_stats(args) -> int:
     program, _ = _read_input(args.file)
     report = check_size_bounds(program)
+    specs = [lit for rule in program for lit in rule.body if isinstance(lit, AggregateSpec)]
+    classes = [classify_aggregate(spec) for spec in specs]
     lines = [
         f"atoms {report.atoms}",
         f"size {report.size_in}",
-        f"fragment {_fragment_label(program)}",
+        f"fragment {_fragment_label(program, classes)}",
     ]
-    for spec in _aggregates(program):
-        tag = classify_aggregate(spec).name
-        lines.append(f"aggregate {render_literal(spec)} {tag}")
+    for spec, found in zip(specs, classes):
+        lines.append(f"aggregate {render_literal(spec)} {found.name}")
     rew_bound = 4 * report.atoms + 2 * report.size_in
     str_bound = 10 * report.atoms + 2 * report.size_in
     lines.append(f"size_rew {report.size_rew}")

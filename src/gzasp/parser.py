@@ -234,9 +234,10 @@ def render_literal(lit) -> str:
     return f"{lit.func.value}{{{_render_elements(lit)}}}{suffix}"
 
 
-def render_rule(rule: Rule) -> str:
+def render_rule(rule: Rule, literal=render_literal) -> str:
+    """One rule in the canonical layout, with `literal` writing each body literal."""
     head = " | ".join(atom.name for atom in sorted(rule.head))
-    body = ", ".join(render_literal(lit) for lit in rule.body)
+    body = ", ".join(literal(lit) for lit in rule.body)
     if not body:
         return f"{head}." if head else ":-."
     if not head:
@@ -275,14 +276,4 @@ def emit_core2(program: Program) -> str:
     """ASP-Core-2 text for programs using only count/sum aggregates and
     negation nested at most twice; each aggregate element becomes a distinct
     (weight, atom) term tuple so set semantics cannot merge elements."""
-    lines = []
-    for rule in program.rules:
-        head = " | ".join(atom.name for atom in sorted(rule.head))
-        body = ", ".join(_core2_literal(lit) for lit in rule.body)
-        if not body:
-            lines.append(f"{head}." if head else ":-.")
-        elif not head:
-            lines.append(f":- {body}.")
-        else:
-            lines.append(f"{head} :- {body}.")
-    return "".join(line + "\n" for line in lines)
+    return "".join(render_rule(rule, _core2_literal) + "\n" for rule in program.rules)

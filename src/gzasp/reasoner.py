@@ -4,10 +4,12 @@ The search space over n atoms is all 2**n subsets of At(program). Rather
 than looping over interpretations, every expression is evaluated once for
 the whole space: a column is a 2**n-bit integer whose bit s holds the truth
 value under the interpretation encoded by the bits of s. Conjunction is &,
-negation is xor against the all-ones mask, and an aggregate becomes a mux
-tree over its domain columns driven by its truth table, built once per
-distinct aggregate and solve. Candidate models drop out as the set bits of
-the program column, read 64 bits at a time.
+negation is xor against the all-ones mask, and an aggregate becomes a
+circuit over its domain columns: an XOR fold for parity, ORs for min and
+max, and for count, sum and avg an adder network whose bit-planes are
+compared with the bound, so a column costs O(|dom| log W) column operations
+for weights up to W. Candidate models drop out as the set bits of the
+program column, read 64 bits at a time.
 
 No reduct is built as a Program. Each rule is compiled once into bitmasks
 over the sorted universe (head atoms, atoms its body needs true, atoms it
@@ -30,10 +32,15 @@ from __future__ import annotations
 
 import sys
 from enum import Enum
-from functools import lru_cache
+from functools import cache, reduce
+from operator import or_, xor
 from typing import Iterable, Iterator
 
 from .core import (
+    INT64_MAX,
+    INT64_MIN,
+    PARITY_FUNCS,
+    AggregateFunc,
     AggregateSpec,
     Atom,
     AtomLiteral,
@@ -42,24 +49,21 @@ from .core import (
     Rule,
     atoms_of,
 )
-from .errors import PreconditionError, TooManyAtomsError
+from .errors import NotAspMError, PreconditionError, TooManyAtomsError
 from .rewriter import rewrite_rew, rewrite_str
 from .semantics import (
+    _COMPARE,
     aggregate_truth_table,
     eval_aggregate,
     f_reduct,
     g_reduct,
-    is_asp_m,
+    is_asp_m,  # noqa: F401  (perfbench/tracing.py wraps reasoner.is_asp_m by name)
     is_minimal_model,
     satisfies,
     tp_least_fixpoint,
 )
 
 DEFAULT_MAX_ATOMS = 24
-
-# above this many (table entries x space width) bits, the mux tree for an
-# aggregate is built per interpretation instead of per domain subset
-_MUX_BUDGET_BITS = 1 << 28
 
 
 class Semantics(Enum):
@@ -109,7 +113,6 @@ class ModelSet:
         return f"ModelSet([{shown}])"
 
 
-@lru_cache(maxsize=128)
 def _pattern(position: int, dimension: int) -> int:
     """Column of the atom at `position` over a 2**dimension space: bit s is
     (s >> position) & 1. Built by doubling, so cost is linear in the width."""
@@ -125,72 +128,36 @@ def _pattern(position: int, dimension: int) -> int:
 class _Space:
     """Truth-table evaluator over all subsets of a fixed atom tuple."""
 
-    def __init__(self, universe: Iterable[Atom], tables: dict | None = None):
+    def __init__(self, universe: Iterable[Atom]):
         self.universe = tuple(universe)
         self.position = {atom: i for i, atom in enumerate(self.universe)}
         self.width = 1 << len(self.universe)
         self.full = (1 << self.width) - 1
-        # aggregate truth tables, shared with every subspace of one solve
-        self.tables = {} if tables is None else tables
+        # atom columns by (position, dimension), also for the subspaces of
+        # the minimality check; freed with the space when the solve ends
+        self.pattern = cache(_pattern)
 
     def interpretation(self, index: int) -> Interpretation:
         return frozenset(
             atom for i, atom in enumerate(self.universe) if index >> i & 1
         )
 
-    def subspace(self, index: int) -> _Space:
-        """The space over the atoms true at `index`, in the same order."""
-        members = (atom for i, atom in enumerate(self.universe) if index >> i & 1)
-        return _Space(members, self.tables)
-
     def atom_column(self, atom: Atom) -> int:
         position = self.position.get(atom)
         if position is None:
             return 0  # an atom outside the space is false everywhere
-        return _pattern(position, len(self.universe))
+        return self.pattern(position, len(self.universe))
 
     def literal_column(self, lit: AtomLiteral) -> int:
         column = self.atom_column(lit.atom)
         return column ^ self.full if lit.negation_depth % 2 else column
 
-    def aggregate_column(self, spec: AggregateSpec) -> int:
-        domain = spec.domain
-        if (1 << len(domain)) * self.width > _MUX_BUDGET_BITS:
-            return self._aggregate_column_scalar(spec)
-        table = self.tables.get(spec)
-        if table is None:
-            table = self.tables[spec] = aggregate_truth_table(spec, max_domain=len(domain))
-        # a domain atom outside the space is false everywhere: keep only the
-        # table entries with its bit clear, and branch on the others alone
-        columns = [self.atom_column(atom) for atom in domain]
-        absent = 0
-        for position, column in enumerate(columns):
-            if not column:
-                absent |= 1 << position
-        full = self.full
-        layer = [full if truth else 0 for i, truth in enumerate(table) if not i & absent]
-        for chosen in columns:
-            if chosen:
-                dropped = chosen ^ full
-                layer = [
-                    low if low is high else (low & dropped) | (high & chosen)
-                    for low, high in zip(layer[::2], layer[1::2])
-                ]
-        return layer[0]
-
-    def _aggregate_column_scalar(self, spec: AggregateSpec) -> int:
-        bits = [
-            "1" if eval_aggregate(spec, self.interpretation(index)) else "0"
-            for index in range(self.width)
-        ]
-        bits.reverse()
-        return int("".join(bits), 2)
-
     def body_column(self, body) -> int:
         column = self.full
         for lit in body:
             if isinstance(lit, AggregateSpec):
-                column &= self.aggregate_column(lit)
+                columns = [self.atom_column(atom) for atom in lit.domain]
+                column &= _aggregate_column(lit, columns, self.full)
             else:
                 column &= self.literal_column(lit)
             if not column:
@@ -210,6 +177,98 @@ class _Space:
             if not column:
                 break
         return column
+
+
+def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int:
+    """The aggregate's column over a space, from the columns of its domain
+    atoms there in domain order (0 for an atom outside the space)."""
+    func, bound = spec.func, spec.bound
+    if func in (AggregateFunc.SUM, AggregateFunc.AVG):
+        weights = [weight for weight, _ in spec.elements]
+        scaled = bound * len(weights) if func is AggregateFunc.AVG else 0
+        extremes = (sum(w for w in weights if w < 0), sum(w for w in weights if w > 0), scaled)
+        if min(extremes) < INT64_MIN or max(extremes) > INT64_MAX:
+            # some subset overflows; the table raises for the first one
+            aggregate_truth_table(spec, max_domain=len(weights))
+    terms = [(w, column) for (w, _), column in zip(spec.elements, columns) if column]
+    if func in PARITY_FUNCS:
+        odd = reduce(xor, (column for _, column in terms), 0)
+        return odd if func is AggregateFunc.ODD else odd ^ full
+    if func in (AggregateFunc.MIN, AggregateFunc.MAX):
+        below = at = above = 0  # the columns of the weights below, at, above the bound
+        for weight, column in terms:
+            if weight < bound:
+                below |= column
+            elif weight == bound:
+                at |= column
+            else:
+                above |= column
+        if func is AggregateFunc.MIN:
+            less, equal = below, at & ~below
+        else:
+            less, equal = (at | above) ^ full, at & ~above
+    elif func is AggregateFunc.AVG:  # sum >= bound * count: sum(w - bound) >= 0
+        less, equal = _compare_sum([(w - bound, c) for w, c in terms], 0, full)
+    else:
+        less, equal = _compare_sum(terms, bound, full)
+    # each comparator holds below, at and/or above the bound: the column is
+    # the parts it takes, or the complement of those it leaves out
+    compare = _COMPARE[spec.comparator]
+    if compare(1, 0):
+        column = full ^ (0 if compare(-1, 0) else less) ^ (0 if compare(0, 0) else equal)
+    else:
+        column = (less if compare(-1, 0) else 0) | (equal if compare(0, 0) else 0)
+    if func in (AggregateFunc.AVG, AggregateFunc.MIN, AggregateFunc.MAX):
+        column &= reduce(or_, (column for _, column in terms), 0)  # false on no selection
+    return column
+
+
+def _compare_sum(terms: list, bound: int, full: int) -> tuple[int, int]:
+    """(less, equal): where sum(weight * column) is below, and at, bound. A
+    negative weight w counts |w| on the complement column and adds |w| to
+    the bound. Full adders compress the columns, bucketed by the set bits of
+    their weights, into one bit-plane per bucket (the adder network of Een
+    and Soerensson, "Translating Pseudo-Boolean Constraints into SAT", JSAT
+    2006), and the planes are compared with the bound from the most
+    significant down."""
+    total = 0
+    for weight, _ in terms:
+        total += abs(weight)
+        if weight < 0:
+            bound -= weight
+    if bound < 0:
+        return 0, 0
+    # the sum never exceeds the weight total, so no carry leaves the top bucket
+    size = max(total, bound).bit_length()
+    buckets: list[list[int]] = [[] for _ in range(size)]
+    for weight, column in terms:
+        if weight < 0:
+            weight, column = -weight, column ^ full
+        while weight:
+            low = weight & -weight
+            buckets[low.bit_length() - 1].append(column)
+            weight ^= low
+    for plane, bucket in enumerate(buckets):
+        while len(bucket) > 1:
+            first, second = bucket.pop(), bucket.pop()
+            half, carry = first ^ second, first & second
+            if bucket:
+                third = bucket.pop()
+                half, carry = half ^ third, carry | half & third
+            bucket.append(half)
+            if carry:
+                buckets[plane + 1].append(carry)
+    less, equal = 0, full
+    for plane in reversed(range(size)):
+        if not equal:
+            break
+        kept = equal & buckets[plane][0] if buckets[plane] else 0
+        if bound >> plane & 1:
+            less |= equal ^ kept
+            equal = kept
+        else:
+            equal ^= kept
+    return less, equal
 
 
 def _set_bits(column: int, width: int) -> Iterator[int]:
@@ -266,8 +325,8 @@ def _aggregates_hold(aggregates: tuple, index: int) -> bool:
 
     The caller has already checked the rule's atom literals, so each
     aggregate reached sits behind a body prefix that is true at the
-    candidate. The program column therefore evaluated it on every subset of
-    its domain, with the 64-bit overflow check, and nothing here can raise.
+    candidate. The program column therefore built its column, checking
+    every subset of its domain for 64-bit overflow, so nothing here raises.
     That is why stopping at the first stable model never skips an error
     that full enumeration would raise.
     """
@@ -320,31 +379,31 @@ def _is_least_model(index: int, kept: list[tuple]) -> bool:
     return True
 
 
-def _no_smaller_model(index: int, kept: list[tuple], space: _Space) -> bool:
+def _no_smaller_model(index: int, kept: list[tuple], pattern) -> bool:
     """Minimality in general: the column of the kept rules over every subset
     of the candidate has only the candidate's own (top) bit set."""
     # an atom's position in the subspace is the number of candidate atoms
-    # below it in the universe
+    # below it in the universe; an atom outside the candidate is false
     dimension = index.bit_count()
-    width = 1 << dimension
-    full = (1 << width) - 1
+    full = (1 << (1 << dimension)) - 1
     column = full
-    subspace = None  # for aggregates, built on first need
     for head, positive, aggregates in kept:
         body = full
         while positive:
             low = positive & -positive
-            body &= _pattern((index & (low - 1)).bit_count(), dimension)
+            body &= pattern((index & (low - 1)).bit_count(), dimension)
             positive ^= low
-        for spec, _, _, _ in aggregates:
-            if subspace is None:
-                subspace = space.subspace(index)
-            body &= subspace.aggregate_column(spec)
+        for spec, _, bits, _ in aggregates:
+            columns = [
+                pattern((index & (bit - 1)).bit_count(), dimension) if index & bit else 0
+                for bit in bits
+            ]
+            body &= _aggregate_column(spec, columns, full)
         heads = 0
         head &= index
         while head:
             low = head & -head
-            heads |= _pattern((index & (low - 1)).bit_count(), dimension)
+            heads |= pattern((index & (low - 1)).bit_count(), dimension)
             head ^= low
         column &= (body ^ full) | heads
         if column.bit_count() == 1:  # the top bit stays set
@@ -381,7 +440,7 @@ def _stable(
         if horn:
             minimal = _is_least_model(index, kept)
         else:
-            minimal = _no_smaller_model(index, kept, space)
+            minimal = _no_smaller_model(index, kept, space.pattern)
         if minimal:
             yield space.interpretation(index)
 
@@ -437,8 +496,11 @@ def check_coherence(
     """Does at least one stable model exist? Monotone programs under G skip
     enumeration entirely; otherwise the search stops at the first stable
     model."""
-    if sem is Semantics.G and is_asp_m(program):
-        return bool(gsm_asp_m(program))
+    if sem is Semantics.G:
+        try:
+            return bool(gsm_asp_m(program))
+        except NotAspMError:
+            pass  # outside the monotone fragment: enumerate
     return _has_stable(program, sem, max_atoms)
 
 

@@ -7,16 +7,30 @@ against the subset-walking oracles on random programs.
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gzasp.core import Atom, Program, atoms_of
-from gzasp import reasoner
+from gzasp.core import (
+    COMPARATORS,
+    INT64_MAX,
+    INT64_MIN,
+    PARITY_FUNCS,
+    AggregateFunc,
+    AggregateSpec,
+    Atom,
+    Program,
+    Rule,
+    atoms_of,
+)
+from gzasp import reasoner, semantics
 from gzasp.errors import (
     AggregateOverflowError,
+    DomainTooLargeError,
     NotAspMError,
     PreconditionError,
     TooManyAtomsError,
@@ -34,6 +48,7 @@ from gzasp.reasoner import (
     stable_models,
 )
 from gzasp.rewriter import rewrite_rew, rewrite_str
+from gzasp.semantics import aggregate_truth_table
 
 import gen
 import oracles
@@ -200,6 +215,20 @@ class TestCheckCoherence:
     def test_empty_program(self):
         assert check_coherence(Program(), Semantics.F)
 
+    def test_fast_path_errors_propagate_under_g(self):
+        # classification refuses domains over 20 atoms; the fast path must
+        # not turn that, or an overflow, into a fall-back to enumeration
+        wide = ", ".join(f"a{i}" for i in range(21))
+        with pytest.raises(DomainTooLargeError):
+            check_coherence(parse(f"p :- count{{{wide}}} >= 1."), Semantics.G)
+        overflow = "p :- sum{9223372036854775807 : a, 1 : p} >= 0. a."
+        with pytest.raises(AggregateOverflowError):
+            check_coherence(parse(overflow), Semantics.G)
+
+    def test_outside_the_fragment_enumerates(self):
+        assert check_coherence(parse("a :- not b. b :- not a."), Semantics.G)
+        assert not check_coherence(parse("a :- not a."), Semantics.G)
+
 
 class TestCautiousBrave:
     def test_golden(self):
@@ -292,8 +321,99 @@ class TestQueriesAgainstOracle:
             assert cautious(program, atom, sem) is all(atom in m for m in models)
 
 
-class TestTruthTableReuse:
-    def test_one_table_per_distinct_aggregate(self, monkeypatch):
+def table_column(spec: AggregateSpec, universe: list) -> int:
+    """The aggregate's column over the subsets of `universe`, read from its
+    truth table: bit s is the entry for the domain atoms true at s."""
+    table = aggregate_truth_table(spec, max_domain=len(spec.domain))
+    column = 0
+    for index in range(1 << len(universe)):
+        entry = sum(
+            1 << i
+            for i, atom in enumerate(spec.domain)
+            if atom in universe and index >> universe.index(atom) & 1
+        )
+        column |= table[entry] << index
+    return column
+
+
+def circuit_column(spec: AggregateSpec, universe: list) -> int:
+    space = reasoner._Space(universe)
+    columns = [space.atom_column(atom) for atom in spec.domain]
+    return reasoner._aggregate_column(spec, columns, space.full)
+
+
+def outcome(build, spec, universe):
+    try:
+        return build(spec, universe)
+    except AggregateOverflowError as err:
+        return type(err), str(err)
+
+
+_WEIGHTS = (
+    lambda rng: 0,
+    lambda rng: rng.randint(1, 6),
+    lambda rng: rng.randint(-6, -1),
+    lambda rng: rng.randint(-2**40, 2**40),
+    lambda rng: rng.choice((INT64_MAX, INT64_MIN, 2**62, -(2**62), 3 * 2**61)),
+)
+
+
+def random_spec(rng: random.Random, func: AggregateFunc, comparator) -> AggregateSpec:
+    low = 0 if func in (AggregateFunc.COUNT, AggregateFunc.SUM) else 1
+    domain = rng.sample(POOL, rng.randint(low, 5))
+    kinds = rng.sample(_WEIGHTS, rng.randint(1, 3))  # one kind, or a mix
+    elements = tuple((rng.choice(kinds)(rng), atom) for atom in domain)
+    if comparator is None:
+        return AggregateSpec(func, elements)
+    bound = rng.choice((0, rng.randint(-8, 12), rng.choice(kinds)(rng)))
+    return AggregateSpec(func, elements, comparator, bound)
+
+
+POOL = tuple(Atom(name) for name in ("d0", "d1", "d2", "d3", "d4"))
+EXTRA = tuple(Atom(name) for name in ("e0", "e1"))
+CASES = [
+    (func, comparator)
+    for func in AggregateFunc
+    for comparator in ((None,) if func in PARITY_FUNCS else COMPARATORS)
+]
+
+
+class TestAggregateColumn:
+    """The circuit column against the truth table, on the full space and on
+    spaces that leave some domain atoms out (the subspace check)."""
+
+    @pytest.mark.parametrize("func,comparator", CASES)
+    def test_matches_truth_table(self, func, comparator):
+        rng = random.Random(f"{func.value}{comparator}")
+        overflowing = 0
+        for _ in range(120):
+            spec = random_spec(rng, func, comparator)
+            universe = sorted(set(spec.domain) | set(rng.sample(EXTRA, rng.randint(0, 2))))
+            expected = outcome(table_column, spec, universe)
+            overflowing += isinstance(expected, tuple)
+            assert outcome(circuit_column, spec, universe) == expected, spec
+            if isinstance(expected, tuple):
+                continue  # the subspace check never meets an overflowing aggregate
+            subspace = [atom for atom in universe if rng.random() < 0.6]
+            assert circuit_column(spec, subspace) == table_column(spec, subspace), spec
+        if func in (AggregateFunc.SUM, AggregateFunc.AVG):
+            assert overflowing  # the error path was exercised
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "count{} >= 0", "count{} > 0", "sum{} = 0", "sum{} != 0", "sum{} < -1",
+            "sum{0 : a, 0 : b} = 0", "sum{-2 : a, 3 : b, -1 : c} = 0",
+            "sum{-5 : a, -7 : b} > -6", "avg{0 : a, 4 : b} = 2", "avg{-3 : a, 3 : b} >= 0",
+            "min{2 : a, -1 : b} <= -1", "max{2 : a, 2 : b} != 2", "sum{1 : a, 2 : b} <= 99",
+        ],
+    )
+    def test_edge_cases(self, text):
+        spec = parse(f":- {text}.").rules[0].body[0]
+        for universe in (sorted(spec.domain), sorted(set(spec.domain) | {Atom("z")}), []):
+            assert circuit_column(spec, universe) == table_column(spec, universe)
+
+    def test_no_truth_table_under_f(self, monkeypatch):
         program = parse(
             "a :- not not a. b :- not not b. c :- not not c. d :- not not d.\n"
             "p :- count{a, b, c, d} >= 1.\n"
@@ -312,7 +432,43 @@ class TestTruthTableReuse:
         # under F the count stays in the reduct of every model with p, and
         # each such reduct needs the subspace check
         assert sum(Atom("p") in model for model in models) == 15
-        assert len(built) == len(set(built)) <= 2
+        assert built == []
+
+    def test_wide_sum_makes_no_scalar_evaluations(self, monkeypatch):
+        domain = [Atom(f"w{i:02}") for i in range(16)]
+        spec = AggregateSpec(
+            AggregateFunc.SUM, tuple((i - 5, atom) for i, atom in enumerate(domain)), ">=", 7
+        )
+        program = Program((Rule({domain[0]}, (spec,)),))
+        evaluated = []
+        for module in (reasoner, semantics):
+            original = module.eval_aggregate
+            monkeypatch.setattr(
+                module, "eval_aggregate", lambda *args, f=original: evaluated.append(1) or f(*args)
+            )
+        space = reasoner._Space(domain)
+        column = space.program_column(program)
+        assert evaluated == []
+        monkeypatch.undo()
+        rule_column = (table_column(spec, domain) ^ space.full) | space.atom_column(domain[0])
+        assert column == rule_column
+
+    def test_no_column_outlives_a_solve(self):
+        # 20 atoms: one column, and one cached atom pattern, is 128 KiB
+        chain = "".join(f"x{i} :- x{i - 1}.\n" for i in range(1, 19))
+        program = parse("x0 :- not not x0.\n" + chain + "x19 :- count{x0, x18} >= 1.\n")
+        assert len(atoms_of(program)) == 20
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            models = stable_models(program, Semantics.F)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(models) == 2
+        assert kept < 512 * 1024
 
 
 class TestSolveViaRewriting:
