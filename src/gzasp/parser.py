@@ -21,7 +21,6 @@ that every program the toolkit can produce parses back to itself.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import (
     AggregateFunc,
@@ -54,159 +53,150 @@ _TOKEN_RE = re.compile(
     | (?P<arrow>:-)
     | (?P<cmp><=|>=|!=|<|>|=)
     | (?P<punct>[.{},|:])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | int | arrow | cmp | punct | eof
-    text: str
-    line: int
-    column: int
+def _position(text: str, start: int) -> tuple[int, int]:
+    """1-based line and column of offset `start`."""
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Kinds (ident | int | arrow | cmp | punct | eof), texts and start
+    offsets of the tokens, ending in an empty eof token at len(text)."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        chunk = match.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, pos - line_start + 1))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + chunk.rindex("\n") + 1
-        pos = match.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+        if kind == "ws" or kind == "comment":
+            continue
+        if kind == "bad":
+            raise ParseError(
+                f"unexpected character {match.group()!r}", *_position(text, match.start())
+            )
+        kinds.append(kind)
+        texts.append(match.group())
+        starts.append(match.start())
+    kinds.append("eof")
+    texts.append("")
+    starts.append(len(text))
+    return kinds, texts, starts
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over the token lists; `pos` indexes the current
+    token. Punctuation, the arrow and `not` are recognised by their text
+    alone, which no token of another kind can have."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds, self.texts, self.starts = _tokenize(text)
         self.pos = 0
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, expected: str, pos: int | None = None) -> ParseError:
+        pos = self.pos if pos is None else pos
+        shown = repr(self.texts[pos]) if self.kinds[pos] != "eof" else "end of input"
+        return ParseError(f"unexpected {shown}", *self.position(pos), expected)
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def fail(self, expected: str) -> ParseError:
-        token = self.current
-        shown = repr(token.text) if token.kind != "eof" else "end of input"
-        return ParseError(f"unexpected {shown}", token.line, token.column, expected)
-
-    def expect(self, kind: str, text: str | None = None, expected: str | None = None) -> _Token:
-        token = self.current
-        if token.kind != kind or (text is not None and token.text != text):
-            raise self.fail(expected or (text or kind))
-        return self.advance()
-
-    def at_punct(self, text: str) -> bool:
-        return self.current.kind == "punct" and self.current.text == text
+    def position(self, pos: int) -> tuple[int, int]:
+        return _position(self.text, self.starts[pos])
 
     def program(self) -> Program:
         rules = []
-        while self.current.kind != "eof":
+        kinds = self.kinds
+        while kinds[self.pos] != "eof":
             rules.append(self.rule())
         return Program(tuple(rules))
 
     def rule(self) -> Rule:
+        texts = self.texts
         head: list[Atom] = []
-        if not (self.current.kind == "arrow" or self.at_punct(".")):
+        if texts[self.pos] != ":-" and texts[self.pos] != ".":
             head.append(self.atom())
-            while self.at_punct("|"):
-                self.advance()
+            while texts[self.pos] == "|":
+                self.pos += 1
                 head.append(self.atom())
         body: list = []
-        if self.current.kind == "arrow":
-            self.advance()
-            if not self.at_punct("."):
+        if texts[self.pos] == ":-":
+            self.pos += 1
+            if texts[self.pos] != ".":
                 body.append(self.literal())
-                while self.at_punct(","):
-                    self.advance()
+                while texts[self.pos] == ",":
+                    self.pos += 1
                     body.append(self.literal())
         elif not head:
             raise self.fail("atom or ':-'")
-        self.expect("punct", ".", "'.'")
+        if texts[self.pos] != ".":
+            raise self.fail("'.'")
+        self.pos += 1
         return Rule(frozenset(head), tuple(body))
 
     def atom(self) -> Atom:
-        token = self.current
-        if token.kind != "ident" or token.text == "not":
+        pos = self.pos
+        name = self.texts[pos]
+        if self.kinds[pos] != "ident" or name == "not":
             raise self.fail("atom")
-        return Atom(self._atom_name(self.advance()))
-
-    def _atom_name(self, token: _Token) -> str:
-        name = token.text
-        if name.startswith(RESERVED_PREFIX) and name != _BOTTOM_NAME:
-            raise ReservedNameError(
-                f"atom '{name}' uses the reserved '__' prefix", token.line, token.column
-            )
-        if name != _BOTTOM_NAME and not re.fullmatch(r"[a-z][A-Za-z0-9_]*", name):
-            raise ParseError(f"invalid atom '{name}'", token.line, token.column, "atom")
-        return name
+        # the ident token fixes the rest of the name; __bot is the one
+        # reserved name the input may use
+        if not "a" <= name[0] <= "z" and name != _BOTTOM_NAME:
+            if name.startswith(RESERVED_PREFIX):
+                raise ReservedNameError(
+                    f"atom '{name}' uses the reserved '__' prefix", *self.position(pos)
+                )
+            raise ParseError(f"invalid atom '{name}'", *self.position(pos), "atom")
+        self.pos = pos + 1
+        return Atom(name)
 
     def literal(self):
-        depth = 0
-        while self.current.kind == "ident" and self.current.text == "not":
-            self.advance()
-            depth += 1
-        token = self.current
-        is_aggregate = (
-            token.kind == "ident"
-            and token.text in _AGG_NAMES
-            and self.tokens[self.pos + 1].kind == "punct"
-            and self.tokens[self.pos + 1].text == "{"
-        )
-        if is_aggregate:
-            if depth:
+        texts = self.texts
+        pos = first = self.pos
+        while texts[pos] == "not":
+            pos += 1
+        self.pos = pos
+        if texts[pos] in _AGG_NAMES and texts[pos + 1] == "{":
+            if pos != first:
                 raise NegatedAggregateError(
-                    "aggregates cannot be negated", token.line, token.column
+                    "aggregates cannot be negated", *self.position(pos)
                 )
             return self.aggregate()
-        return AtomLiteral(self.atom(), depth)
+        return AtomLiteral(self.atom(), pos - first)
 
     def aggregate(self) -> AggregateSpec:
-        func = _AGG_NAMES[self.advance().text]
-        self.expect("punct", "{", "'{'")
+        kinds, texts = self.kinds, self.texts
+        func = _AGG_NAMES[texts[self.pos]]
+        self.pos += 2  # the name and '{'
         elements: list[tuple[int, Atom]] = []
-        if not self.at_punct("}"):
+        if texts[self.pos] != "}":
             elements.append(self.element())
-            while self.at_punct(","):
-                self.advance()
+            while texts[self.pos] == ",":
+                self.pos += 1
                 elements.append(self.element())
-        self.expect("punct", "}", "'}'")
+        pos = self.pos
+        if texts[pos] != "}":
+            raise self.fail("'}'")
+        self.pos = pos + 1
         if func in PARITY_FUNCS:
             return AggregateSpec(func, tuple(elements))
-        if self.current.kind != "cmp":
+        if kinds[pos + 1] != "cmp":
             raise self.fail("comparator")
-        comparator = self.advance().text
-        if self.current.kind != "int":
-            raise self.fail("integer bound")
-        bound = int(self.advance().text)
-        return AggregateSpec(func, tuple(elements), comparator, bound)
+        if kinds[pos + 2] != "int":
+            raise self.fail("integer bound", pos + 2)
+        self.pos = pos + 3
+        return AggregateSpec(func, tuple(elements), texts[pos + 1], int(texts[pos + 2]))
 
     def element(self) -> tuple[int, Atom]:
-        if self.current.kind == "int":
-            weight = int(self.advance().text)
-            self.expect("punct", ":", "':'")
-            return (weight, self.atom())
-        return (1, self.atom())
+        pos = self.pos
+        if self.kinds[pos] != "int":
+            return (1, self.atom())
+        weight = int(self.texts[pos])
+        if self.texts[pos + 1] != ":":
+            raise self.fail("':'", pos + 1)
+        self.pos = pos + 2
+        return (weight, self.atom())
 
 
 def parse(text: str | bytes) -> Program:
@@ -217,7 +207,7 @@ def parse(text: str | bytes) -> Program:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8 ({exc.reason})", 1, exc.start + 1)
-    return _Parser(_tokenize(text)).program()
+    return _Parser(text).program()
 
 
 def _render_elements(spec: AggregateSpec) -> str:

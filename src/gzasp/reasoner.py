@@ -5,7 +5,8 @@ than looping over interpretations, every expression is evaluated once for
 the whole space: a column is a 2**n-bit integer whose bit s holds the truth
 value under the interpretation encoded by the bits of s. Conjunction is &,
 negation is xor against the all-ones mask, and an aggregate becomes a
-circuit over its domain columns: an XOR fold for parity, ORs for min and
+circuit over its domain columns (semantics._aggregate_column, which also
+classifies aggregates): an XOR fold for parity, ORs for min and
 max, and for count, sum and avg an adder network whose bit-planes are
 compared with the bound, so a column costs O(|dom| log W) column operations
 for weights up to W. Candidate models drop out as the set bits of the
@@ -32,15 +33,10 @@ from __future__ import annotations
 
 import sys
 from enum import Enum
-from functools import cache, reduce
-from operator import or_, xor
+from functools import cache
 from typing import Iterable, Iterator
 
 from .core import (
-    INT64_MAX,
-    INT64_MIN,
-    PARITY_FUNCS,
-    AggregateFunc,
     AggregateSpec,
     Atom,
     AtomLiteral,
@@ -52,8 +48,9 @@ from .core import (
 from .errors import NotAspMError, PreconditionError, TooManyAtomsError
 from .rewriter import rewrite_rew, rewrite_str
 from .semantics import (
-    _COMPARE,
-    aggregate_truth_table,
+    _aggregate_column,
+    _pattern,
+    aggregate_truth_table,  # noqa: F401  (perfbench/tracing.py wraps it by name)
     eval_aggregate,
     f_reduct,
     g_reduct,
@@ -113,18 +110,6 @@ class ModelSet:
         return f"ModelSet([{shown}])"
 
 
-def _pattern(position: int, dimension: int) -> int:
-    """Column of the atom at `position` over a 2**dimension space: bit s is
-    (s >> position) & 1. Built by doubling, so cost is linear in the width."""
-    pattern = ((1 << (1 << position)) - 1) << (1 << position)
-    span = 1 << (position + 1)
-    width = 1 << dimension
-    while span < width:
-        pattern |= pattern << span
-        span <<= 1
-    return pattern
-
-
 class _Space:
     """Truth-table evaluator over all subsets of a fixed atom tuple."""
 
@@ -177,98 +162,6 @@ class _Space:
             if not column:
                 break
         return column
-
-
-def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int:
-    """The aggregate's column over a space, from the columns of its domain
-    atoms there in domain order (0 for an atom outside the space)."""
-    func, bound = spec.func, spec.bound
-    if func in (AggregateFunc.SUM, AggregateFunc.AVG):
-        weights = [weight for weight, _ in spec.elements]
-        scaled = bound * len(weights) if func is AggregateFunc.AVG else 0
-        extremes = (sum(w for w in weights if w < 0), sum(w for w in weights if w > 0), scaled)
-        if min(extremes) < INT64_MIN or max(extremes) > INT64_MAX:
-            # some subset overflows; the table raises for the first one
-            aggregate_truth_table(spec, max_domain=len(weights))
-    terms = [(w, column) for (w, _), column in zip(spec.elements, columns) if column]
-    if func in PARITY_FUNCS:
-        odd = reduce(xor, (column for _, column in terms), 0)
-        return odd if func is AggregateFunc.ODD else odd ^ full
-    if func in (AggregateFunc.MIN, AggregateFunc.MAX):
-        below = at = above = 0  # the columns of the weights below, at, above the bound
-        for weight, column in terms:
-            if weight < bound:
-                below |= column
-            elif weight == bound:
-                at |= column
-            else:
-                above |= column
-        if func is AggregateFunc.MIN:
-            less, equal = below, at & ~below
-        else:
-            less, equal = (at | above) ^ full, at & ~above
-    elif func is AggregateFunc.AVG:  # sum >= bound * count: sum(w - bound) >= 0
-        less, equal = _compare_sum([(w - bound, c) for w, c in terms], 0, full)
-    else:
-        less, equal = _compare_sum(terms, bound, full)
-    # each comparator holds below, at and/or above the bound: the column is
-    # the parts it takes, or the complement of those it leaves out
-    compare = _COMPARE[spec.comparator]
-    if compare(1, 0):
-        column = full ^ (0 if compare(-1, 0) else less) ^ (0 if compare(0, 0) else equal)
-    else:
-        column = (less if compare(-1, 0) else 0) | (equal if compare(0, 0) else 0)
-    if func in (AggregateFunc.AVG, AggregateFunc.MIN, AggregateFunc.MAX):
-        column &= reduce(or_, (column for _, column in terms), 0)  # false on no selection
-    return column
-
-
-def _compare_sum(terms: list, bound: int, full: int) -> tuple[int, int]:
-    """(less, equal): where sum(weight * column) is below, and at, bound. A
-    negative weight w counts |w| on the complement column and adds |w| to
-    the bound. Full adders compress the columns, bucketed by the set bits of
-    their weights, into one bit-plane per bucket (the adder network of Een
-    and Soerensson, "Translating Pseudo-Boolean Constraints into SAT", JSAT
-    2006), and the planes are compared with the bound from the most
-    significant down."""
-    total = 0
-    for weight, _ in terms:
-        total += abs(weight)
-        if weight < 0:
-            bound -= weight
-    if bound < 0:
-        return 0, 0
-    # the sum never exceeds the weight total, so no carry leaves the top bucket
-    size = max(total, bound).bit_length()
-    buckets: list[list[int]] = [[] for _ in range(size)]
-    for weight, column in terms:
-        if weight < 0:
-            weight, column = -weight, column ^ full
-        while weight:
-            low = weight & -weight
-            buckets[low.bit_length() - 1].append(column)
-            weight ^= low
-    for plane, bucket in enumerate(buckets):
-        while len(bucket) > 1:
-            first, second = bucket.pop(), bucket.pop()
-            half, carry = first ^ second, first & second
-            if bucket:
-                third = bucket.pop()
-                half, carry = half ^ third, carry | half & third
-            bucket.append(half)
-            if carry:
-                buckets[plane + 1].append(carry)
-    less, equal = 0, full
-    for plane in reversed(range(size)):
-        if not equal:
-            break
-        kept = equal & buckets[plane][0] if buckets[plane] else 0
-        if bound >> plane & 1:
-            less |= equal ^ kept
-            equal = kept
-        else:
-            equal ^= kept
-    return less, equal
 
 
 def _set_bits(column: int, width: int) -> Iterator[int]:

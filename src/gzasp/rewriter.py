@@ -291,7 +291,8 @@ def is_aggregate_stratified(program: Program) -> bool:
 @dataclass(frozen=True)
 class SizeBounds:
     """Symbol counts of a program and its two aggregate-guarding rewritings,
-    with the linear-growth checks 4a + 2s and 10a + 2s."""
+    with the linear-growth bounds 4a + 2s (rew) and 10a + 2s (str) and
+    whether each rewriting stays within its bound."""
 
     size_in: int
     size_rew: int
@@ -299,6 +300,8 @@ class SizeBounds:
     atoms: int
     rew_ok: bool
     str_ok: bool
+    rew_bound: int
+    str_bound: int
 
 
 def check_size_bounds(program: Program) -> SizeBounds:
@@ -306,11 +309,15 @@ def check_size_bounds(program: Program) -> SizeBounds:
     atom_count = len(atoms_of(program))
     size_rew = program_size(rewrite_rew(program))
     size_str = program_size(rewrite_str(program))
+    rew_bound = 4 * atom_count + 2 * size_in
+    str_bound = 10 * atom_count + 2 * size_in
     return SizeBounds(
         size_in=size_in,
         size_rew=size_rew,
         size_str=size_str,
         atoms=atom_count,
-        rew_ok=size_rew <= 4 * atom_count + 2 * size_in,
-        str_ok=size_str <= 10 * atom_count + 2 * size_in,
+        rew_ok=size_rew <= rew_bound,
+        str_ok=size_str <= str_bound,
+        rew_bound=rew_bound,
+        str_bound=str_bound,
     )

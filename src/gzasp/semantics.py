@@ -3,19 +3,25 @@ minimal-model checking, and aggregate classification.
 
 Everything here is written for clarity over speed; it is the reference
 layer the enumeration engine in reasoner.py is checked against. The one
-exception is classify_aggregate, which packs the truth table into a big
-integer so the closure tests are cheap even for wide domains.
+exception is the aggregate circuit, _aggregate_column, which builds an
+aggregate's column over a space of subsets from its domain atoms' columns
+in O(|dom| log W) big-integer operations. The enumerator builds every
+aggregate column with it, and classify_aggregate takes its packed truth
+table from it, over the space of the domain atoms alone, so the closure
+tests stay cheap even for wide domains.
 """
 
 from __future__ import annotations
 
 import operator
 from enum import Enum
+from functools import reduce
 from itertools import combinations
 
 from .core import (
     INT64_MAX,
     INT64_MIN,
+    PARITY_FUNCS,
     AggregateFunc,
     AggregateSpec,
     AtomLiteral,
@@ -229,17 +235,21 @@ def is_minimal_model(interp: Interpretation, program: Program) -> bool:
     )
 
 
+def _check_domain(size: int, max_domain: int) -> None:
+    if size > max_domain:
+        raise DomainTooLargeError(
+            f"aggregate domain has {size} atoms; "
+            f"exhaustive evaluation is capped at {max_domain}"
+        )
+
+
 def aggregate_truth_table(
     spec: AggregateSpec, *, max_domain: int = DOMAIN_CHECK_LIMIT
 ) -> list[bool]:
     """Evaluate spec on every subset of its domain. Entry i uses the subset
     whose members are the domain atoms (in name order) at the set bits of i."""
     domain = spec.domain
-    if len(domain) > max_domain:
-        raise DomainTooLargeError(
-            f"aggregate domain has {len(domain)} atoms; "
-            f"exhaustive evaluation is capped at {max_domain}"
-        )
+    _check_domain(len(domain), max_domain)
     return [
         eval_aggregate(
             spec, frozenset(atom for i, atom in enumerate(domain) if index >> i & 1)
@@ -248,14 +258,108 @@ def aggregate_truth_table(
     ]
 
 
-def _half_clear_mask(position: int, width: int) -> int:
-    """Bitmask of the table indices whose bit at `position` is clear."""
-    block = (1 << (1 << position)) - 1
-    step = 1 << (position + 1)
-    mask = 0
-    for offset in range(0, width, step):
-        mask |= block << offset
-    return mask
+def _pattern(position: int, dimension: int) -> int:
+    """Column of the atom at `position` over a 2**dimension space: bit s is
+    (s >> position) & 1. Built by doubling, so cost is linear in the width."""
+    pattern = ((1 << (1 << position)) - 1) << (1 << position)
+    span = 1 << (position + 1)
+    width = 1 << dimension
+    while span < width:
+        pattern |= pattern << span
+        span <<= 1
+    return pattern
+
+
+def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int:
+    """The aggregate's column over a space, from the columns of its domain
+    atoms there in domain order (0 for an atom outside the space)."""
+    func, bound = spec.func, spec.bound
+    if func in (AggregateFunc.SUM, AggregateFunc.AVG):
+        weights = [weight for weight, _ in spec.elements]
+        scaled = bound * len(weights) if func is AggregateFunc.AVG else 0
+        extremes = (sum(w for w in weights if w < 0), sum(w for w in weights if w > 0), scaled)
+        if min(extremes) < INT64_MIN or max(extremes) > INT64_MAX:
+            # some subset overflows; the table raises for the first one
+            aggregate_truth_table(spec, max_domain=len(weights))
+    terms = [(w, column) for (w, _), column in zip(spec.elements, columns) if column]
+    if func in PARITY_FUNCS:
+        odd = reduce(operator.xor, (column for _, column in terms), 0)
+        return odd if func is AggregateFunc.ODD else odd ^ full
+    if func in (AggregateFunc.MIN, AggregateFunc.MAX):
+        below = at = above = 0  # the columns of the weights below, at, above the bound
+        for weight, column in terms:
+            if weight < bound:
+                below |= column
+            elif weight == bound:
+                at |= column
+            else:
+                above |= column
+        if func is AggregateFunc.MIN:
+            less, equal = below, at & ~below
+        else:
+            less, equal = (at | above) ^ full, at & ~above
+    elif func is AggregateFunc.AVG:  # sum >= bound * count: sum(w - bound) >= 0
+        less, equal = _compare_sum([(w - bound, c) for w, c in terms], 0, full)
+    else:
+        less, equal = _compare_sum(terms, bound, full)
+    # each comparator holds below, at and/or above the bound: the column is
+    # the parts it takes, or the complement of those it leaves out
+    compare = _COMPARE[spec.comparator]
+    if compare(1, 0):
+        column = full ^ (0 if compare(-1, 0) else less) ^ (0 if compare(0, 0) else equal)
+    else:
+        column = (less if compare(-1, 0) else 0) | (equal if compare(0, 0) else 0)
+    if func in (AggregateFunc.AVG, AggregateFunc.MIN, AggregateFunc.MAX):
+        column &= reduce(operator.or_, (column for _, column in terms), 0)  # false on no selection
+    return column
+
+
+def _compare_sum(terms: list, bound: int, full: int) -> tuple[int, int]:
+    """(less, equal): where sum(weight * column) is below, and at, bound. A
+    negative weight w counts |w| on the complement column and adds |w| to
+    the bound. Full adders compress the columns, bucketed by the set bits of
+    their weights, into one bit-plane per bucket (the adder network of Een
+    and Soerensson, "Translating Pseudo-Boolean Constraints into SAT", JSAT
+    2006), and the planes are compared with the bound from the most
+    significant down."""
+    total = 0
+    for weight, _ in terms:
+        total += abs(weight)
+        if weight < 0:
+            bound -= weight
+    if bound < 0:
+        return 0, 0
+    # the sum never exceeds the weight total, so no carry leaves the top bucket
+    size = max(total, bound).bit_length()
+    buckets: list[list[int]] = [[] for _ in range(size)]
+    for weight, column in terms:
+        if weight < 0:
+            weight, column = -weight, column ^ full
+        while weight:
+            low = weight & -weight
+            buckets[low.bit_length() - 1].append(column)
+            weight ^= low
+    for plane, bucket in enumerate(buckets):
+        while len(bucket) > 1:
+            first, second = bucket.pop(), bucket.pop()
+            half, carry = first ^ second, first & second
+            if bucket:
+                third = bucket.pop()
+                half, carry = half ^ third, carry | half & third
+            bucket.append(half)
+            if carry:
+                buckets[plane + 1].append(carry)
+    less, equal = 0, full
+    for plane in reversed(range(size)):
+        if not equal:
+            break
+        kept = equal & buckets[plane][0] if buckets[plane] else 0
+        if bound >> plane & 1:
+            less |= equal ^ kept
+            equal = kept
+        else:
+            equal ^= kept
+    return less, equal
 
 
 def classify_aggregate(
@@ -263,24 +367,23 @@ def classify_aggregate(
 ) -> AggregateClass:
     """Exhaustively classify an aggregate as MONOTONE, CONVEX or NONCONVEX.
 
-    The truth table is packed into one big integer, bit per subset. Shifting
+    The truth table is the aggregate's circuit column over the space of its
+    domain atoms alone: one big integer, bit per subset. Shifting
     by a power of two aligns each subset with its neighbour across one domain
     atom, so closing truth upward (toward subsets) and downward (toward
     supersets) takes one pass per atom. Truth is monotone iff it already
     contains its subset closure, and convex iff it holds wherever both
     closures meet.
     """
-    table = aggregate_truth_table(spec, max_domain=max_domain)
-    width = len(table)
-    packed = 0
-    for index, truth in enumerate(table):
-        if truth:
-            packed |= 1 << index
-    full = (1 << width) - 1
+    dimension = len(spec.domain)
+    _check_domain(dimension, max_domain)
+    full = (1 << (1 << dimension)) - 1
+    columns = [_pattern(position, dimension) for position in range(dimension)]
+    packed = _aggregate_column(spec, columns, full)
     reaches_up = packed  # some superset is true
     reaches_down = packed  # some subset is true
-    for position in range(len(spec.domain)):
-        clear = _half_clear_mask(position, width)
+    for position, column in enumerate(columns):
+        clear = full ^ column
         span = 1 << position
         reaches_up |= (reaches_up >> span) & clear
         reaches_down |= (reaches_down & clear) << span

@@ -8,7 +8,18 @@ from __future__ import annotations
 
 import random
 
-from gzasp.core import AggregateFunc, AggregateSpec, Atom, AtomLiteral, Program, Rule
+from gzasp.core import (
+    COMPARATORS,
+    INT64_MAX,
+    INT64_MIN,
+    PARITY_FUNCS,
+    AggregateFunc,
+    AggregateSpec,
+    Atom,
+    AtomLiteral,
+    Program,
+    Rule,
+)
 
 POOL = tuple(Atom(ch) for ch in "abcdef")
 ALT_POOL = tuple(Atom(ch) for ch in "uvwxyz")
@@ -49,6 +60,39 @@ def random_aggregate(
             elements = ((1, rng.choice(pool)),)
         return AggregateSpec(func, elements)
     return AggregateSpec(func, elements, rng.choice(_COMPARATORS), rng.randint(-4, 6))
+
+
+# Every function with each comparator it takes.
+AGGREGATE_CASES = [
+    (func, comparator)
+    for func in AggregateFunc
+    for comparator in ((None,) if func in PARITY_FUNCS else COMPARATORS)
+]
+# Weight kinds: zero, positive, negative, 40-bit, and near the 64-bit edge,
+# where sum and avg overflow.
+_WEIGHT_KINDS = (
+    lambda rng: 0,
+    lambda rng: rng.randint(1, 6),
+    lambda rng: rng.randint(-6, -1),
+    lambda rng: rng.randint(-2**40, 2**40),
+    lambda rng: rng.choice((INT64_MAX, INT64_MIN, 2**62, -(2**62), 3 * 2**61)),
+)
+
+
+def random_weighted_aggregate(
+    rng: random.Random, func: AggregateFunc, comparator, pool, max_dom: int
+) -> AggregateSpec:
+    """An aggregate with the given function and comparator (None for
+    parity) over up to max_dom atoms of pool, its weights drawn from one to
+    three weight kinds, so they are uniform or mixed."""
+    low = 0 if func in (AggregateFunc.COUNT, AggregateFunc.SUM) else 1
+    domain = rng.sample(pool, rng.randint(low, max_dom))
+    kinds = rng.sample(_WEIGHT_KINDS, rng.randint(1, 3))  # one kind, or a mix
+    elements = tuple((rng.choice(kinds)(rng), atom) for atom in domain)
+    if comparator is None:
+        return AggregateSpec(func, elements)
+    bound = rng.choice((0, rng.randint(-8, 12), rng.choice(kinds)(rng)))
+    return AggregateSpec(func, elements, comparator, bound)
 
 
 def random_program(
@@ -124,3 +168,77 @@ def random_monotone_program(rng: random.Random) -> Program:
         monotone_only=True,
         gadgets=True,
     )
+
+
+# Parser fuzzing: tokens and near-miss names, stray characters that form no
+# token alone, and separators from every whitespace class the tokenizer meets.
+_WORDS = (
+    "a", "b", "q1", "x_Y9", "not", "count", "sum", "avg", "min", "max", "odd",
+    "even", "__bot", "__x", "_y", "Abc", "0", "1", "-3", "12", "007", "-0",
+    "9223372036854775808", ".", ",", "{", "}", "|", ":", ":-", "<", "<=", ">=",
+    ">", "=", "!=",
+)
+_STRAYS = ("!", "-", ";", "?", "#", "\xe9", "\u20ac", "\x00")
+_SEPARATORS = (
+    "", " ", " ", "\n", "\r\n", "\r", "\t", "\x0b", "\x85", "\u2028", "\xa0", "% note\n", "%",
+)
+
+
+def fuzz_text(rng: random.Random) -> str | bytes:
+    """One parser input: token soup (random words, or a rendered random
+    program with tokens dropped, doubled or replaced) or random bytes, half
+    of those decoded as Latin-1 so they reach the tokenizer."""
+    if rng.random() < 0.5:
+        if rng.random() < 0.5:
+            words = [_fuzz_word(rng) for _ in range(rng.randint(0, 24))]
+        else:
+            program = random_program(rng, max_atoms=4, max_rules=4)
+            words = []
+            for rule in program:
+                words.extend(_rule_words(rule))
+            for _ in range(rng.randint(0, 3)):
+                if not words:
+                    break
+                index = rng.randrange(len(words))
+                roll = rng.random()
+                if roll < 0.4:
+                    del words[index]
+                elif roll < 0.6:
+                    words.insert(index, words[index])
+                else:
+                    words[index] = _fuzz_word(rng)
+        return "".join(word + rng.choice(_SEPARATORS) for word in words)
+    alphabet = b"ab{}.,:-|<>=!% \n\r\t019_Z" + bytes(range(0x80, 0x100, 7))
+    blob = bytes(
+        rng.choice(alphabet) if rng.random() < 0.7 else rng.randrange(256)
+        for _ in range(rng.randrange(48))
+    )
+    return blob if rng.random() < 0.5 else blob.decode("latin-1")
+
+
+def _fuzz_word(rng: random.Random) -> str:
+    return rng.choice(_STRAYS if rng.random() < 0.03 else _WORDS)
+
+
+def _rule_words(rule: Rule) -> list[str]:
+    """The rule's tokens in source order, weights written for every function."""
+    words = []
+    for atom in sorted(rule.head):
+        words += [atom.name, "|"]
+    words[len(words) - 1 :] = [":-"]  # the last '|', or nothing, becomes ':-'
+    for lit in rule.body:
+        if isinstance(lit, AtomLiteral):
+            words += ["not"] * lit.negation_depth + [lit.atom.name, ","]
+            continue
+        words += [lit.func.value, "{"]
+        for weight, atom in lit.elements:
+            words += [str(weight), ":", atom.name, ","]
+        if lit.elements:
+            words.pop()
+        words.append("}")
+        if lit.comparator is not None:
+            words += [lit.comparator, str(lit.bound)]
+        words.append(",")
+    if rule.body:
+        words.pop()
+    return words + ["."]

@@ -2,15 +2,28 @@
 
 These deliberately share nothing with the production enumeration machinery:
 model search walks subsets with itertools, minimality re-walks subsets, and
-the lattice classifier scans subset chains literally. Slow and obviously
-correct is the point.
+the lattice classifier scans subset chains literally, and the reference
+parser keeps one object per token. Slow and obviously correct is the point.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from itertools import combinations
 
-from gzasp.core import AggregateSpec, Program, atoms_of
+from gzasp.core import (
+    AggregateFunc,
+    AggregateSpec,
+    Atom,
+    AtomLiteral,
+    PARITY_FUNCS,
+    Program,
+    RESERVED_PREFIX,
+    Rule,
+    atoms_of,
+)
+from gzasp.errors import NegatedAggregateError, ParseError, ReservedNameError
 from gzasp.semantics import AggregateClass, eval_aggregate, f_reduct, g_reduct, satisfies
 
 
@@ -131,3 +144,183 @@ def analytic_parity_class(func: str, domain_size: int) -> AggregateClass:
             return AggregateClass.CONVEX
         return AggregateClass.NONCONVEX
     raise ValueError(func)
+
+
+_AGG_NAMES = {func.value: func for func in AggregateFunc}
+_BOTTOM_NAME = "__bot"
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<comment>%[^\n]*)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<int>-?[0-9]+)
+    | (?P<arrow>:-)
+    | (?P<cmp><=|>=|!=|<|>|=)
+    | (?P<punct>[.{},|:])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # ident | int | arrow | cmp | punct | eof
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line = 1
+    line_start = 0
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            raise ParseError(
+                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
+            )
+        kind = match.lastgroup
+        chunk = match.group()
+        if kind not in ("ws", "comment"):
+            tokens.append(_Token(kind, chunk, line, pos - line_start + 1))
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            line_start = pos + chunk.rindex("\n") + 1
+        pos = match.end()
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    @property
+    def current(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def fail(self, expected: str) -> ParseError:
+        token = self.current
+        shown = repr(token.text) if token.kind != "eof" else "end of input"
+        return ParseError(f"unexpected {shown}", token.line, token.column, expected)
+
+    def expect(self, kind: str, text: str | None = None, expected: str | None = None) -> _Token:
+        token = self.current
+        if token.kind != kind or (text is not None and token.text != text):
+            raise self.fail(expected or (text or kind))
+        return self.advance()
+
+    def at_punct(self, text: str) -> bool:
+        return self.current.kind == "punct" and self.current.text == text
+
+    def program(self) -> Program:
+        rules = []
+        while self.current.kind != "eof":
+            rules.append(self.rule())
+        return Program(tuple(rules))
+
+    def rule(self) -> Rule:
+        head: list[Atom] = []
+        if not (self.current.kind == "arrow" or self.at_punct(".")):
+            head.append(self.atom())
+            while self.at_punct("|"):
+                self.advance()
+                head.append(self.atom())
+        body: list = []
+        if self.current.kind == "arrow":
+            self.advance()
+            if not self.at_punct("."):
+                body.append(self.literal())
+                while self.at_punct(","):
+                    self.advance()
+                    body.append(self.literal())
+        elif not head:
+            raise self.fail("atom or ':-'")
+        self.expect("punct", ".", "'.'")
+        return Rule(frozenset(head), tuple(body))
+
+    def atom(self) -> Atom:
+        token = self.current
+        if token.kind != "ident" or token.text == "not":
+            raise self.fail("atom")
+        return Atom(self._atom_name(self.advance()))
+
+    def _atom_name(self, token: _Token) -> str:
+        name = token.text
+        if name.startswith(RESERVED_PREFIX) and name != _BOTTOM_NAME:
+            raise ReservedNameError(
+                f"atom '{name}' uses the reserved '__' prefix", token.line, token.column
+            )
+        if name != _BOTTOM_NAME and not re.fullmatch(r"[a-z][A-Za-z0-9_]*", name):
+            raise ParseError(f"invalid atom '{name}'", token.line, token.column, "atom")
+        return name
+
+    def literal(self):
+        depth = 0
+        while self.current.kind == "ident" and self.current.text == "not":
+            self.advance()
+            depth += 1
+        token = self.current
+        is_aggregate = (
+            token.kind == "ident"
+            and token.text in _AGG_NAMES
+            and self.tokens[self.pos + 1].kind == "punct"
+            and self.tokens[self.pos + 1].text == "{"
+        )
+        if is_aggregate:
+            if depth:
+                raise NegatedAggregateError(
+                    "aggregates cannot be negated", token.line, token.column
+                )
+            return self.aggregate()
+        return AtomLiteral(self.atom(), depth)
+
+    def aggregate(self) -> AggregateSpec:
+        func = _AGG_NAMES[self.advance().text]
+        self.expect("punct", "{", "'{'")
+        elements: list[tuple[int, Atom]] = []
+        if not self.at_punct("}"):
+            elements.append(self.element())
+            while self.at_punct(","):
+                self.advance()
+                elements.append(self.element())
+        self.expect("punct", "}", "'}'")
+        if func in PARITY_FUNCS:
+            return AggregateSpec(func, tuple(elements))
+        if self.current.kind != "cmp":
+            raise self.fail("comparator")
+        comparator = self.advance().text
+        if self.current.kind != "int":
+            raise self.fail("integer bound")
+        bound = int(self.advance().text)
+        return AggregateSpec(func, tuple(elements), comparator, bound)
+
+    def element(self) -> tuple[int, Atom]:
+        if self.current.kind == "int":
+            weight = int(self.advance().text)
+            self.expect("punct", ":", "':'")
+            return (weight, self.atom())
+        return (1, self.atom())
+
+
+def reference_parse(text: str | bytes) -> Program:
+    """The parser as first written: a _Token object per token with its line
+    and column tracked while scanning, and a recursive descent through the
+    current/advance/expect helpers. Same grammar, results and errors as
+    gzasp.parser.parse, which the differential test checks."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not valid UTF-8 ({exc.reason})", 1, exc.start + 1)
+    return _Parser(_tokenize(text)).program()

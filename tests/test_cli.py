@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,8 @@ import pytest
 import gzasp
 import gzasp.cli
 from gzasp.cli import main
+
+import gen
 from helpers import GOLDEN_REW_TEXT, GOLDEN_STR_TEXT, GOLDEN_TEXT
 
 GADGET_TEXT = "p :- count{p} >= 0.\n"
@@ -341,6 +344,29 @@ class TestParse:
         _, err = capsys.readouterr()
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestParserFuzz:
+    def test_parse_and_stats_give_one_error_line(self, tmp_path, capsys):
+        # a crash in the parser (an IndexError, say) would read `error: internal`
+        rng = random.Random(2024)
+        path = tmp_path / "fuzz.lp"
+        answered = 0
+        for _ in range(2000):
+            text = gen.fuzz_text(rng)
+            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+            for command in ("parse", "stats"):
+                code = main([command, str(path)])
+                out, err = capsys.readouterr()
+                if code == 0:
+                    assert err == ""
+                    answered += 1
+                    continue
+                assert code == 2, (command, text)
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1, (command, text, err)
+                assert err.endswith("\n") and not err.startswith("error: internal"), err
+        assert answered > 200
 
 
 class TestDeterminism:

@@ -25,7 +25,10 @@ from gzasp.errors import (
     UnsupportedConstructError,
 )
 from gzasp.parser import emit_core2, parse, render
+from gzasp.rewriter import rewrite_rew, rewrite_str
 
+import gen
+import oracles
 from helpers import A, B, GOLDEN_CORE2_TEXT, GOLDEN_TEXT, golden_program
 
 
@@ -162,6 +165,48 @@ class TestParseErrors:
                 parse(blob)
             except GzaspError:
                 pass
+
+
+def outcome(parser, text):
+    """The Program, or the error's type, text, position and expectation."""
+    try:
+        return parser(text)
+    except Exception as err:
+        fields = (getattr(err, name, None) for name in ("line", "column", "expected"))
+        return (type(err), str(err), *fields)
+
+
+class TestAgainstReferenceParser:
+    """parse against oracles.reference_parse: equal Programs, or the same
+    error with the same message, line, column and expectation."""
+
+    def test_generated_programs_and_their_rewritings(self):
+        families = (
+            gen.random_program,
+            gen.random_normal_program,
+            gen.random_monotone_program,
+            lambda rng: gen.random_mixed_program(rng, rng.randrange(12)),
+        )
+        for seed in range(400):
+            rng = random.Random(seed)
+            program = families[seed % len(families)](rng)
+            for variant in (program, rewrite_rew(program), rewrite_str(program)):
+                text = render(variant)
+                assert parse(text) == variant
+                assert outcome(parse, text) == outcome(oracles.reference_parse, text)
+
+    def test_fuzzed_inputs(self):
+        rng = random.Random(4)
+        kinds = {str: 0, bytes: 0}
+        failures = 0
+        for _ in range(20_000):
+            text = gen.fuzz_text(rng)
+            kinds[type(text)] += 1
+            expected = outcome(oracles.reference_parse, text)
+            failures += isinstance(expected, tuple)
+            assert outcome(parse, text) == expected, repr(text)
+        assert min(kinds.values()) > 4_000
+        assert 2_000 < failures < 19_000  # both outcomes well represented
 
 
 class TestRender:

@@ -16,10 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gzasp.core import (
-    COMPARATORS,
-    INT64_MAX,
-    INT64_MIN,
-    PARITY_FUNCS,
     AggregateFunc,
     AggregateSpec,
     Atom,
@@ -349,45 +345,20 @@ def outcome(build, spec, universe):
         return type(err), str(err)
 
 
-_WEIGHTS = (
-    lambda rng: 0,
-    lambda rng: rng.randint(1, 6),
-    lambda rng: rng.randint(-6, -1),
-    lambda rng: rng.randint(-2**40, 2**40),
-    lambda rng: rng.choice((INT64_MAX, INT64_MIN, 2**62, -(2**62), 3 * 2**61)),
-)
-
-
-def random_spec(rng: random.Random, func: AggregateFunc, comparator) -> AggregateSpec:
-    low = 0 if func in (AggregateFunc.COUNT, AggregateFunc.SUM) else 1
-    domain = rng.sample(POOL, rng.randint(low, 5))
-    kinds = rng.sample(_WEIGHTS, rng.randint(1, 3))  # one kind, or a mix
-    elements = tuple((rng.choice(kinds)(rng), atom) for atom in domain)
-    if comparator is None:
-        return AggregateSpec(func, elements)
-    bound = rng.choice((0, rng.randint(-8, 12), rng.choice(kinds)(rng)))
-    return AggregateSpec(func, elements, comparator, bound)
-
-
 POOL = tuple(Atom(name) for name in ("d0", "d1", "d2", "d3", "d4"))
 EXTRA = tuple(Atom(name) for name in ("e0", "e1"))
-CASES = [
-    (func, comparator)
-    for func in AggregateFunc
-    for comparator in ((None,) if func in PARITY_FUNCS else COMPARATORS)
-]
 
 
 class TestAggregateColumn:
     """The circuit column against the truth table, on the full space and on
     spaces that leave some domain atoms out (the subspace check)."""
 
-    @pytest.mark.parametrize("func,comparator", CASES)
+    @pytest.mark.parametrize("func,comparator", gen.AGGREGATE_CASES)
     def test_matches_truth_table(self, func, comparator):
         rng = random.Random(f"{func.value}{comparator}")
         overflowing = 0
         for _ in range(120):
-            spec = random_spec(rng, func, comparator)
+            spec = gen.random_weighted_aggregate(rng, func, comparator, POOL, max_dom=5)
             universe = sorted(set(spec.domain) | set(rng.sample(EXTRA, rng.randint(0, 2))))
             expected = outcome(table_column, spec, universe)
             overflowing += isinstance(expected, tuple)
@@ -421,13 +392,14 @@ class TestAggregateColumn:
             "r :- sum{1 : a, 2 : b, -1 : c} != 0.\n"
         )
         built = []
-        original = reasoner.aggregate_truth_table
+        original = semantics.aggregate_truth_table
 
         def counting(spec, **kwargs):
             built.append(spec)
             return original(spec, **kwargs)
 
-        monkeypatch.setattr(reasoner, "aggregate_truth_table", counting)
+        # the circuit, semantics._aggregate_column, looks the table up here
+        monkeypatch.setattr(semantics, "aggregate_truth_table", counting)
         models = stable_models(program, Semantics.F)
         # under F the count stays in the reduct of every model with p, and
         # each such reduct needs the subspace check

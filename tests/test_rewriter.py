@@ -385,6 +385,11 @@ class TestCheckSizeBounds:
         assert report.size_str == GOLDEN_STR_SIZE
         assert report.rew_ok and report.str_ok
 
+    def test_bounds_are_carried(self):
+        report = check_size_bounds(golden_program())
+        assert report.rew_bound == 4 * 3 + 2 * GOLDEN_SIZE
+        assert report.str_bound == 10 * 3 + 2 * GOLDEN_SIZE
+
     def test_empty(self):
         report = check_size_bounds(Program())
         assert (report.size_in, report.size_rew, report.size_str, report.atoms) == (

@@ -355,12 +355,38 @@ class TestClassifyAggregate:
         table = aggregate_truth_table(agg("sum{1 : a, 2 : b} >= 2"))
         assert table == [False, False, True, True]
 
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=80)
-    def test_agrees_with_lattice_oracle(self, seed):
-        rng = random.Random(seed)
-        spec = gen.random_aggregate(rng, max_dom=4)
-        assert classify_aggregate(spec) is oracles.naive_classify(spec)
+    def test_agrees_with_lattice_oracle(self):
+        # every function and comparator, domains of 0 to 6 atoms, weights
+        # zero, positive, negative, 40-bit or near the 64-bit edge, alone or
+        # mixed; an overflowing spec raises what its truth table raises
+        overflowing = 0
+        for func, comparator in gen.AGGREGATE_CASES:
+            rng = random.Random(f"classify {func.value} {comparator}")
+            for _ in range(30):
+                spec = gen.random_weighted_aggregate(rng, func, comparator, gen.POOL, max_dom=6)
+                try:
+                    aggregate_truth_table(spec)
+                except AggregateOverflowError as err:
+                    overflowing += 1
+                    with pytest.raises(AggregateOverflowError) as info:
+                        classify_aggregate(spec)
+                    assert str(info.value) == str(err), spec
+                    continue
+                assert classify_aggregate(spec) is oracles.naive_classify(spec), spec
+        assert overflowing > 20
+
+    def test_domain_bound_comes_before_overflow(self):
+        wide = AggregateSpec(
+            AggregateFunc.SUM,
+            tuple((2**62, Atom(f"x{i:02}")) for i in range(21)),
+            ">=",
+            1,
+        )
+        with pytest.raises(DomainTooLargeError) as info:
+            classify_aggregate(wide)
+        assert str(info.value) == (
+            "aggregate domain has 21 atoms; exhaustive evaluation is capped at 20"
+        )
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=60)
