@@ -13,6 +13,7 @@ Exit codes: 0 for success (true/coherent), 1 for a negative answer
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -197,6 +198,7 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first call, not at import; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gzasp",

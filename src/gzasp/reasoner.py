@@ -26,7 +26,8 @@ keeps the reference path of semantics.py: a reduct Program and
 is_minimal_model.
 
 A polynomial fast path covers the monotone fragment, where the single
-candidate G-stable model is the least fixpoint itself.
+candidate G-stable model is the least fixpoint itself. It runs on the same
+compiled rules and the same least-model rounds; no Program is built.
 """
 
 from __future__ import annotations
@@ -51,13 +52,14 @@ from .semantics import (
     _aggregate_column,
     _pattern,
     aggregate_truth_table,  # noqa: F401  (perfbench/tracing.py wraps it by name)
+    ensure_asp_m,
     eval_aggregate,
     f_reduct,
     g_reduct,
     is_asp_m,  # noqa: F401  (perfbench/tracing.py wraps reasoner.is_asp_m by name)
     is_minimal_model,
     satisfies,
-    tp_least_fixpoint,
+    tp_least_fixpoint,  # noqa: F401  (perfbench/tracing.py wraps it by name)
 )
 
 DEFAULT_MAX_ATOMS = 24
@@ -216,12 +218,13 @@ def _aggregates_hold(aggregates: tuple, index: int) -> bool:
     """Whether every aggregate holds at candidate `index`, evaluated in body
     order up to the first false one.
 
-    The caller has already checked the rule's atom literals, so each
+    The enumerator has already checked the rule's atom literals, so each
     aggregate reached sits behind a body prefix that is true at the
     candidate. The program column therefore built its column, checking
-    every subset of its domain for 64-bit overflow, so nothing here raises.
-    That is why stopping at the first stable model never skips an error
-    that full enumeration would raise.
+    every subset of its domain for 64-bit overflow, so nothing here raises
+    (in gsm_asp_m, ensure_asp_m's classification did that check). That is
+    why stopping at the first stable model never skips an error that full
+    enumeration would raise.
     """
     for spec, domain, bits, memo in aggregates:
         key = index & domain
@@ -256,20 +259,24 @@ def _reduct_rules(rules: list[tuple], index: int, grounding: bool) -> tuple:
     return kept, horn
 
 
-def _is_least_model(index: int, kept: list[tuple]) -> bool:
-    """Horn minimality: the candidate is the least model of the kept rules.
-    That model lies inside the candidate, which models every kept rule, so
-    the fixpoint stops as soon as it reaches the candidate."""
+def _least_model(kept: list[tuple], stop: int = -1) -> int:
+    """Least model, as an atom bitmask, of rules (head, positive, aggregates)
+    with at most one head atom and monotone aggregates, by rounds from the
+    empty set. For Horn minimality `stop` is the candidate: it models every
+    kept rule, so the least model lies inside it and the rounds end as soon
+    as they reach it."""
     derived = 0
-    while derived != index:
+    while derived != stop:
         grown = derived
-        for head, positive, _ in kept:
-            if positive & grown == positive:
+        for head, positive, aggregates in kept:
+            if positive & grown == positive and (
+                not aggregates or _aggregates_hold(aggregates, grown)
+            ):
                 grown |= head
         if grown == derived:
-            return False
+            break
         derived = grown
-    return True
+    return derived
 
 
 def _no_smaller_model(index: int, kept: list[tuple], pattern) -> bool:
@@ -331,7 +338,7 @@ def _stable(
     for index in candidates:
         kept, horn = _reduct_rules(rules, index, grounding)
         if horn:
-            minimal = _is_least_model(index, kept)
+            minimal = _least_model(kept, index) == index
         else:
             minimal = _no_smaller_model(index, kept, space.pattern)
         if minimal:
@@ -376,11 +383,17 @@ def stable_models(
 
 def gsm_asp_m(program: Program) -> ModelSet:
     """G-stable models of a monotone program without enumeration: the least
-    fixpoint is the only candidate, and it stands iff the fixpoint of its
-    own reduct confirms it."""
-    fixpoint = tp_least_fixpoint(program)
-    confirmed = tp_least_fixpoint(g_reduct(program, fixpoint))
-    return ModelSet([fixpoint] if fixpoint == confirmed else [])
+    fixpoint is the only candidate, and it stands iff it is the least model
+    of its own G-reduct."""
+    ensure_asp_m(program)
+    universe = sorted(atoms_of(program))
+    rules = _compile(program, {atom: i for i, atom in enumerate(universe)})
+    # without negation a rule's positive mask is all its atom literals
+    fixpoint = _least_model([(head, positive, aggs) for head, _, _, positive, aggs in rules])
+    kept, _ = _reduct_rules(rules, fixpoint, True)
+    if _least_model(kept, fixpoint) != fixpoint:
+        return ModelSet()
+    return ModelSet([frozenset(atom for i, atom in enumerate(universe) if fixpoint >> i & 1)])
 
 
 def check_coherence(

@@ -305,10 +305,17 @@ class SizeBounds:
 
 
 def check_size_bounds(program: Program) -> SizeBounds:
+    """The sizes of both rewritings, without building them: each must equal
+    program_size of the real rewriting, and a name clash raises the
+    rewritings' own error, rew's first."""
+    atoms = atoms_of(program)
+    _require_fresh(program, (true_copy(p) for p in atoms))
+    _require_fresh(program, (guess_copy(p) for p in atoms))
     size_in = program_size(program)
-    atom_count = len(atoms_of(program))
-    size_rew = program_size(rewrite_rew(program))
-    size_str = program_size(rewrite_str(program))
+    padded = size_in + sum(len(_aggregate_domain_atoms(rule)) for rule in program)
+    atom_count = len(atoms)
+    size_rew = padded + 4 * atom_count
+    size_str = padded + 10 * atom_count
     rew_bound = 4 * atom_count + 2 * size_in
     str_bound = 10 * atom_count + 2 * size_in
     return SizeBounds(

@@ -170,6 +170,39 @@ def random_monotone_program(rng: random.Random) -> Program:
     )
 
 
+def random_large_monotone_program(rng: random.Random, size: int, cyclic: bool) -> Program:
+    """ASP(M) at benchmark scale over `size` atoms m0..m{size-1} (200-400 in
+    the suites): a few facts, and one or two rules per other atom whose
+    body atoms and count/sum/max aggregates (positive weights, lower bounds)
+    draw on lower atoms. The rules are shuffled, so they are listed out of
+    dependency order. With `cyclic`, some aggregate domains also hold the
+    rule's own head or an atom just above it, so an atom can support itself
+    through an aggregate, which the G-reduct cannot rederive."""
+    atoms = [Atom(f"m{i}") for i in range(size)]
+    loops = rng.choice((0.02, 0.1, 0.3)) if cyclic else 0
+    rules = []
+    for index, atom in enumerate(atoms):
+        if index < 3 or rng.random() < 0.05:
+            rules.append(Rule(frozenset({atom}), ()))
+            continue
+        lower = atoms[:index]
+        for _ in range(rng.randint(1, 2)):
+            body = [AtomLiteral(rng.choice(lower)) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                domain = rng.sample(lower, min(index, rng.randint(1, 5)))
+                if rng.random() < loops:
+                    domain[0] = atoms[min(size - 1, index + rng.randint(0, 3))]
+                func = rng.choice(_MONOTONE_FUNCS)
+                elements = tuple((rng.randint(1, 4), member) for member in domain)
+                top = len(domain) if func is AggregateFunc.COUNT else 4 * len(domain)
+                body.append(
+                    AggregateSpec(func, elements, rng.choice((">=", ">")), rng.randint(-1, top))
+                )
+            rules.append(Rule(frozenset({atom}), tuple(body)))
+    rng.shuffle(rules)
+    return Program(tuple(rules))
+
+
 # Parser fuzzing: tokens and near-miss names, stray characters that form no
 # token alone, and separators from every whitespace class the tokenizer meets.
 _WORDS = (

@@ -24,7 +24,14 @@ from gzasp.core import (
     atoms_of,
 )
 from gzasp.errors import NegatedAggregateError, ParseError, ReservedNameError
-from gzasp.semantics import AggregateClass, eval_aggregate, f_reduct, g_reduct, satisfies
+from gzasp.semantics import (
+    AggregateClass,
+    eval_aggregate,
+    f_reduct,
+    g_reduct,
+    satisfies,
+    tp_least_fixpoint,
+)
 
 
 def subsets(universe: frozenset) -> list[frozenset]:
@@ -54,6 +61,16 @@ def naive_stable_models(program: Program, semantics: str) -> set[frozenset]:
         if naive_is_minimal_model(interp, reduct(program, interp)):
             out.add(interp)
     return out
+
+
+def fixpoint_g_stable_models(program: Program) -> list[frozenset]:
+    """G-stable models of a monotone program by definition, in naive rounds
+    of the consequence operator: the least fixpoint, kept iff the least
+    fixpoint of its own G-reduct is the same. Raises what tp_least_fixpoint
+    raises outside the fragment."""
+    fixpoint = tp_least_fixpoint(program)
+    confirmed = tp_least_fixpoint(g_reduct(program, fixpoint))
+    return [fixpoint] if fixpoint == confirmed else []
 
 
 def naive_classify(spec: AggregateSpec) -> AggregateClass:

@@ -306,6 +306,25 @@ class TestStats:
         assert "a__t" in err
 
 
+    @pytest.mark.parametrize(
+        "text, code, out, err",
+        [
+            ("a. a__t.\n", 2, "", "error: generated atom a__t already occurs in the program\n"),
+            ("a. a__g.\n", 2, "", "error: generated atom a__g already occurs in the program\n"),
+            ("a__t :- b__g.\n", 0, "size_rew 10\nsize_str 22\n", ""),
+        ],
+    )
+    def test_generated_names(self, tmp_path, capsys, text, code, out, err):
+        # a name is taken only if it is a copy of an atom of the program
+        assert main(["stats", write_program(tmp_path, text)]) == code
+        printed, diagnostic = capsys.readouterr()
+        assert diagnostic == err
+        if code:
+            assert printed == ""
+        else:
+            assert out in printed
+
+
 class TestParse:
     def test_normalizes_layout(self, tmp_path, capsys):
         path = write_program(
@@ -367,6 +386,34 @@ class TestParserFuzz:
                 assert err.startswith("error: ") and err.count("\n") == 1, (command, text, err)
                 assert err.endswith("\n") and not err.startswith("error: internal"), err
         assert answered > 200
+
+
+class TestCachedParser:
+    """main builds its argparse parser once per process; no call may see
+    the options or the failure of the one before."""
+
+    def test_built_once(self):
+        assert gzasp.cli._build_parser() is gzasp.cli._build_parser()
+
+    def test_flags_do_not_carry_over(self, golden_file, capsys):
+        assert main(["models", golden_file, "--json", "--timing"]) == 0
+        assert capsys.readouterr().out.startswith("{")
+        assert main(["models", golden_file]) == 0
+        assert capsys.readouterr().out == "{}\n{a,c}\n"
+
+    def test_atom_does_not_carry_over(self, golden_file, capsys):
+        assert main(["query", golden_file, "--mode", "brave", "--atom", "a"]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert main(["query", golden_file, "--mode", "coherent"]) == 0
+        assert capsys.readouterr() == ("true\n", "")
+
+    def test_rejected_call_leaves_no_trace(self, golden_file, capsys):
+        with pytest.raises(SystemExit) as rejected:
+            main(["query", golden_file, "--mode", "sideways"])
+        assert rejected.value.code == 2
+        capsys.readouterr()
+        assert main(["parse", golden_file]) == 0
+        assert capsys.readouterr() == (GOLDEN_TEXT, "")
 
 
 class TestDeterminism:

@@ -19,6 +19,7 @@ from gzasp.core import (
     AggregateFunc,
     AggregateSpec,
     Atom,
+    AtomLiteral,
     Program,
     Rule,
     atoms_of,
@@ -27,6 +28,7 @@ from gzasp import reasoner, semantics
 from gzasp.errors import (
     AggregateOverflowError,
     DomainTooLargeError,
+    GzaspError,
     NotAspMError,
     PreconditionError,
     TooManyAtomsError,
@@ -192,6 +194,57 @@ class TestGsmAspM:
     def test_agrees_with_enumeration(self, seed):
         program = gen.random_monotone_program(random.Random(seed))
         assert gsm_asp_m(program) == stable_models(program, Semantics.G)
+
+    def test_large_programs_against_definition(self):
+        # 200-400 atoms, rules out of dependency order; the cyclic family
+        # supports atoms through their own aggregates
+        rng = random.Random(17)
+        outcomes = {(cyclic, coherent): 0 for cyclic in (False, True) for coherent in (False, True)}
+        for index in range(24):
+            cyclic = index % 2 == 1
+            program = gen.random_large_monotone_program(rng, rng.randint(200, 400), cyclic)
+            expected = oracles.fixpoint_g_stable_models(program)
+            assert list(gsm_asp_m(program)) == expected, index
+            outcomes[cyclic, bool(expected)] += 1
+        assert outcomes[False, True] and outcomes[True, True] and outcomes[True, False]
+
+    @pytest.mark.parametrize("grounded", [True, False])
+    def test_reverse_ordered_chain(self, grounded):
+        # x199 :- x198. ... x1 :- x0. listed top down: one new atom per
+        # naive round; without the fact x0, a gadget supports x0 itself
+        bottom = "x0." if grounded else "x0 :- count{x0} >= 0."
+        chain = "".join(f"x{i + 1} :- x{i}.\n" for i in reversed(range(199)))
+        program = parse(chain + bottom)
+        expected = oracles.fixpoint_g_stable_models(program)
+        assert list(gsm_asp_m(program)) == expected
+        assert bool(expected) is grounded
+
+    def test_errors_match_definition(self):
+        m = [Atom(f"m{i}") for i in range(21)]
+        defects = [
+            Rule({m[0]}, (AtomLiteral(m[1], 1),)),
+            Rule(frozenset(), (AtomLiteral(m[1]),)),
+            Rule({m[2], m[3]}, ()),
+            Rule({m[4]}, (AggregateSpec(AggregateFunc.COUNT, tuple((1, a) for a in m), ">=", 1),)),
+            Rule({m[5]}, (AggregateSpec(AggregateFunc.SUM, ((2**62, m[0]), (2**62, m[1])), ">=", 0),)),
+            Rule({m[6]}, (AggregateSpec(AggregateFunc.COUNT, ((1, m[7]),), "<=", 0),)),
+        ]
+        rng = random.Random(23)
+        seen = set()
+        for index in range(30):
+            program = gen.random_large_monotone_program(rng, 200, index % 2 == 1)
+            rules = list(program.rules)
+            for defect in rng.sample(defects, rng.randint(1, 3)):
+                rules.insert(rng.randrange(len(rules) + 1), defect)
+            broken = Program(tuple(rules))
+            with pytest.raises(GzaspError) as expected:
+                oracles.fixpoint_g_stable_models(broken)
+            with pytest.raises(GzaspError) as raised:
+                gsm_asp_m(broken)
+            assert type(raised.value) is type(expected.value)
+            assert str(raised.value) == str(expected.value)
+            seen.add(type(raised.value))
+        assert seen == {NotAspMError, DomainTooLargeError, AggregateOverflowError}
 
 
 class TestCheckCoherence:

@@ -408,3 +408,49 @@ class TestCheckSizeBounds:
         assert report.size_rew <= 4 * report.atoms + 2 * report.size_in
         assert report.size_str <= 10 * report.atoms + 2 * report.size_in
         assert report.rew_ok and report.str_ok
+
+    def test_sizes_match_the_rewritten_programs(self):
+        # check_size_bounds counts by arithmetic; the rewritings are the
+        # definition. Shared domain atoms are padded once per rule.
+        shared = parse(
+            "p :- count{a, b} >= 1, sum{2 : b, 1 : c} >= 2, a.\n"
+            "q :- max{1 : a} > 0, count{a} >= 1.\n"
+            ":- count{p, q} != 1.\n"
+        )
+        rng = random.Random(5)
+        families = [
+            (60, lambda: gen.random_program(rng)),
+            (60, lambda: gen.random_mixed_program(rng, rng.randrange(84))),
+            (60, lambda: gen.random_normal_program(rng)),
+            (60, lambda: gen.random_monotone_program(rng)),
+            (12, lambda: gen.random_large_monotone_program(rng, 200, rng.random() < 0.5)),
+        ]
+        programs = [Program(), shared] + [make() for count, make in families for _ in range(count)]
+        for program in programs:
+            report = check_size_bounds(program)
+            assert report.size_rew == program_size(rewrite_rew(program)), render(program)
+            assert report.size_str == program_size(rewrite_str(program)), render(program)
+            assert report.size_in == program_size(program)
+            assert report.atoms == len(atoms_of(program))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a. a__t.",
+            "a. a__g.",
+            "a. b. a__g. b__t.",
+            "b__g. a. b. a__t.",
+            "p :- count{a, a__g} >= 1.",
+            "a__t__g :- a__t, a__g, a.",
+        ],
+    )
+    def test_freshness_errors_match_the_rewritings(self, text):
+        # the parent's order: rew's true copies, then str's guess copies
+        program = parse(text)
+        with pytest.raises(PreconditionError) as expected:
+            rewrite_rew(program)
+            rewrite_str(program)
+        with pytest.raises(PreconditionError) as raised:
+            check_size_bounds(program)
+        assert str(raised.value) == str(expected.value)
+
