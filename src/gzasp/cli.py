@@ -25,6 +25,7 @@ from .core import AggregateSpec, Atom, Program, atoms_of
 from .errors import GzaspError
 from .parser import parse, render, render_literal, emit_core2
 from .reasoner import (
+    _REWRITINGS as _GUARDING,
     DEFAULT_MAX_ATOMS,
     Semantics,
     brave,
@@ -33,14 +34,7 @@ from .reasoner import (
     solve_via_rewriting,
     stable_models,
 )
-from .rewriter import (
-    check_size_bounds,
-    rewrite_c,
-    rewrite_m,
-    rewrite_n,
-    rewrite_rew,
-    rewrite_str,
-)
+from .rewriter import check_size_bounds, rewrite_c, rewrite_m, rewrite_n
 from .semantics import AggregateClass, classify_aggregate
 
 MAX_ATOMS_ENV = "GZASP_MAX_ATOMS"
@@ -108,19 +102,14 @@ def _cmd_models(args) -> int:
     return 0 if len(models) else 1
 
 
-_REWRITINGS = {
-    "c": rewrite_c,
-    "n": rewrite_n,
-    "m": rewrite_m,
-    "rew": rewrite_rew,
-    "str": rewrite_str,
-}
+# in the order of --method's choices, which the usage and error text show
+_REWRITINGS = {"c": rewrite_c, "n": rewrite_n, "m": rewrite_m, **_GUARDING}
 
 
 def _cmd_rewrite(args) -> int:
     program, _ = _read_input(args.file)
     rewriting = _REWRITINGS[args.method]
-    if args.method in ("rew", "str"):
+    if args.method in _GUARDING:
         result = rewriting(program, minimal_copies=args.minimal_copies)
     elif args.minimal_copies:
         raise CliError("--minimal-copies only applies to methods rew and str")

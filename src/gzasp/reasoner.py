@@ -14,16 +14,17 @@ program column, read 64 bits at a time.
 
 No reduct is built as a Program. Each rule is compiled once into bitmasks
 over the sorted universe (head atoms, atoms its body needs true, atoms it
-needs false, positive atoms) plus its aggregates, so the reduct at
+needs false, positive atoms) plus its aggregates (semantics._compile), and
+the program column is built from that compiled form. The reduct at
 candidate s is the list of rules whose body holds at s; under G each kept
 aggregate turns into the mask of its domain atoms true at s. One check then
-decides minimality: a least fixpoint over integers when every kept rule has
-at most one head atom and no aggregate, otherwise the column of the kept
-rules over the subspace of the candidate's own subsets. A coherence test
-stops at the first stable model; brave and cautious queries first restrict
-the candidates to those with, or without, the queried atom. is_stable
-keeps the reference path of semantics.py: a reduct Program and
-is_minimal_model.
+decides minimality (semantics._minimal): a least fixpoint over integers
+when every kept rule has at most one head atom and no aggregate, otherwise
+the column of the kept rules over the subspace of the candidate's own
+subsets. A coherence test stops at the first stable model; brave and
+cautious queries first restrict the candidates to those with, or without,
+the queried atom. is_stable runs the same reduct and check on its one
+candidate.
 
 A polynomial fast path covers the monotone fragment, where the single
 candidate G-stable model is the least fixpoint itself. It runs on the same
@@ -37,27 +38,24 @@ from enum import Enum
 from functools import cache
 from typing import Iterable, Iterator
 
-from .core import (
-    AggregateSpec,
-    Atom,
-    AtomLiteral,
-    Interpretation,
-    Program,
-    Rule,
-    atoms_of,
-)
+from .core import Atom, Interpretation, Program, atoms_of
 from .errors import NotAspMError, PreconditionError, TooManyAtomsError
 from .rewriter import rewrite_rew, rewrite_str
 from .semantics import (
-    _aggregate_column,
+    _column,
+    _compile,
+    _compile_at,
+    _least_model,
+    _minimal,
     _pattern,
+    _reduct_rules,
     aggregate_truth_table,  # noqa: F401  (perfbench/tracing.py wraps it by name)
     ensure_asp_m,
-    eval_aggregate,
-    f_reduct,
-    g_reduct,
+    eval_aggregate,  # noqa: F401  (perfbench/tracing.py counts it by name)
+    f_reduct,  # noqa: F401  (perfbench/tracing.py wraps it by name)
+    g_reduct,  # noqa: F401  (perfbench/tracing.py wraps it by name)
     is_asp_m,  # noqa: F401  (perfbench/tracing.py wraps reasoner.is_asp_m by name)
-    is_minimal_model,
+    is_minimal_model,  # noqa: F401  (perfbench/tracing.py wraps it by name)
     satisfies,
     tp_least_fixpoint,  # noqa: F401  (perfbench/tracing.py wraps it by name)
 )
@@ -112,60 +110,6 @@ class ModelSet:
         return f"ModelSet([{shown}])"
 
 
-class _Space:
-    """Truth-table evaluator over all subsets of a fixed atom tuple."""
-
-    def __init__(self, universe: Iterable[Atom]):
-        self.universe = tuple(universe)
-        self.position = {atom: i for i, atom in enumerate(self.universe)}
-        self.width = 1 << len(self.universe)
-        self.full = (1 << self.width) - 1
-        # atom columns by (position, dimension), also for the subspaces of
-        # the minimality check; freed with the space when the solve ends
-        self.pattern = cache(_pattern)
-
-    def interpretation(self, index: int) -> Interpretation:
-        return frozenset(
-            atom for i, atom in enumerate(self.universe) if index >> i & 1
-        )
-
-    def atom_column(self, atom: Atom) -> int:
-        position = self.position.get(atom)
-        if position is None:
-            return 0  # an atom outside the space is false everywhere
-        return self.pattern(position, len(self.universe))
-
-    def literal_column(self, lit: AtomLiteral) -> int:
-        column = self.atom_column(lit.atom)
-        return column ^ self.full if lit.negation_depth % 2 else column
-
-    def body_column(self, body) -> int:
-        column = self.full
-        for lit in body:
-            if isinstance(lit, AggregateSpec):
-                columns = [self.atom_column(atom) for atom in lit.domain]
-                column &= _aggregate_column(lit, columns, self.full)
-            else:
-                column &= self.literal_column(lit)
-            if not column:
-                break
-        return column
-
-    def rule_column(self, rule: Rule) -> int:
-        head = 0
-        for atom in rule.head:
-            head |= self.atom_column(atom)
-        return (self.body_column(rule.body) ^ self.full) | head
-
-    def program_column(self, program: Program) -> int:
-        column = self.full
-        for rule in program:
-            column &= self.rule_column(rule)
-            if not column:
-                break
-        return column
-
-
 def _set_bits(column: int, width: int) -> Iterator[int]:
     """Indices of the set bits of a `width`-bit column, lowest first. The
     column is copied once into native 64-bit words, so a set bit costs a few
@@ -183,132 +127,8 @@ def _set_bits(column: int, width: int) -> Iterator[int]:
                 word ^= low
 
 
-def _compile(program: Program, position: dict) -> list[tuple]:
-    """Each rule as (head, must_true, must_false, positive, aggregates): atom
-    bitmasks over the universe (a literal at even negation depth needs its
-    atom true, at odd depth false; positive holds the depth-0 atoms, the
-    only literals either reduct keeps) and the body aggregates in body
-    order, each as (spec, domain mask, domain bits in domain order, memo).
-    The memo, shared by equal aggregates, maps the candidate's domain bits
-    to the aggregate's truth there."""
-    compiled = []
-    memos: dict = {}
-    for rule in program:
-        head = must_true = must_false = positive = 0
-        for atom in rule.head:
-            head |= 1 << position[atom]
-        aggregates = []
-        for lit in rule.body:
-            if isinstance(lit, AggregateSpec):
-                bits = tuple(1 << position[atom] for atom in lit.domain)
-                aggregates.append((lit, sum(bits), bits, memos.setdefault(lit, {})))
-                continue
-            bit = 1 << position[lit.atom]
-            if lit.negation_depth % 2:
-                must_false |= bit
-            else:
-                must_true |= bit
-            if not lit.negation_depth:
-                positive |= bit
-        compiled.append((head, must_true, must_false, positive, tuple(aggregates)))
-    return compiled
-
-
-def _aggregates_hold(aggregates: tuple, index: int) -> bool:
-    """Whether every aggregate holds at candidate `index`, evaluated in body
-    order up to the first false one.
-
-    The enumerator has already checked the rule's atom literals, so each
-    aggregate reached sits behind a body prefix that is true at the
-    candidate. The program column therefore built its column, checking
-    every subset of its domain for 64-bit overflow, so nothing here raises
-    (in gsm_asp_m, ensure_asp_m's classification did that check). That is
-    why stopping at the first stable model never skips an error that full
-    enumeration would raise.
-    """
-    for spec, domain, bits, memo in aggregates:
-        key = index & domain
-        truth = memo.get(key)
-        if truth is None:
-            chosen = frozenset(atom for atom, bit in zip(spec.domain, bits) if key & bit)
-            truth = memo[key] = eval_aggregate(spec, chosen)
-        if not truth:
-            return False
-    return True
-
-
-def _reduct_rules(rules: list[tuple], index: int, grounding: bool) -> tuple:
-    """The reduct at candidate `index`: (head, positive, aggregates) per
-    kept rule, and whether every kept rule is Horn (at most one head atom,
-    no aggregate). Under G (grounding) each aggregate is replaced by its
-    domain atoms true at the candidate; under F it stays."""
-    kept = []
-    horn = True
-    for head, must_true, must_false, positive, aggregates in rules:
-        if index & must_true != must_true or index & must_false:
-            continue
-        if aggregates:
-            if not _aggregates_hold(aggregates, index):
-                continue
-            if grounding:
-                for _, domain, _, _ in aggregates:
-                    positive |= domain & index
-                aggregates = ()
-        kept.append((head, positive, aggregates))
-        horn = horn and not aggregates and not head & (head - 1)
-    return kept, horn
-
-
-def _least_model(kept: list[tuple], stop: int = -1) -> int:
-    """Least model, as an atom bitmask, of rules (head, positive, aggregates)
-    with at most one head atom and monotone aggregates, by rounds from the
-    empty set. For Horn minimality `stop` is the candidate: it models every
-    kept rule, so the least model lies inside it and the rounds end as soon
-    as they reach it."""
-    derived = 0
-    while derived != stop:
-        grown = derived
-        for head, positive, aggregates in kept:
-            if positive & grown == positive and (
-                not aggregates or _aggregates_hold(aggregates, grown)
-            ):
-                grown |= head
-        if grown == derived:
-            break
-        derived = grown
-    return derived
-
-
-def _no_smaller_model(index: int, kept: list[tuple], pattern) -> bool:
-    """Minimality in general: the column of the kept rules over every subset
-    of the candidate has only the candidate's own (top) bit set."""
-    # an atom's position in the subspace is the number of candidate atoms
-    # below it in the universe; an atom outside the candidate is false
-    dimension = index.bit_count()
-    full = (1 << (1 << dimension)) - 1
-    column = full
-    for head, positive, aggregates in kept:
-        body = full
-        while positive:
-            low = positive & -positive
-            body &= pattern((index & (low - 1)).bit_count(), dimension)
-            positive ^= low
-        for spec, _, bits, _ in aggregates:
-            columns = [
-                pattern((index & (bit - 1)).bit_count(), dimension) if index & bit else 0
-                for bit in bits
-            ]
-            body &= _aggregate_column(spec, columns, full)
-        heads = 0
-        head &= index
-        while head:
-            low = head & -head
-            heads |= pattern((index & (low - 1)).bit_count(), dimension)
-            head ^= low
-        column &= (body ^ full) | heads
-        if column.bit_count() == 1:  # the top bit stays set
-            return True
-    return column.bit_count() == 1
+def _atoms_at(universe: list, index: int) -> Interpretation:
+    return frozenset(atom for i, atom in enumerate(universe) if index >> i & 1)
 
 
 def _stable(
@@ -326,23 +146,22 @@ def _stable(
             f"program has {len(universe)} atoms; "
             f"the enumeration guard allows {max_atoms}"
         )
-    space = _Space(universe)
-    column = space.program_column(program)
+    position = {atom: i for i, atom in enumerate(universe)}
+    rules = _compile(program, position)
+    # atom columns by (position, dimension), for the space and the subspaces
+    # of the minimality checks; freed with the generator when the solve ends
+    pattern = cache(_pattern)
+    column = _column((1 << len(universe)) - 1, rules, pattern)
     if atom is not None:
-        restrict = space.atom_column(atom)
-        column &= restrict if holds else restrict ^ space.full
-    rules = _compile(program, space.position)
+        restrict = pattern(position[atom], len(universe)) if atom in position else 0
+        column &= restrict if holds else ~restrict
     grounding = sem is Semantics.G
-    candidates = _set_bits(column, space.width)
+    candidates = _set_bits(column, 1 << len(universe))
     del column  # only the scan's word copy stays alive
     for index in candidates:
         kept, horn = _reduct_rules(rules, index, grounding)
-        if horn:
-            minimal = _least_model(kept, index) == index
-        else:
-            minimal = _no_smaller_model(index, kept, space.pattern)
-        if minimal:
-            yield space.interpretation(index)
+        if _minimal(index, kept, horn, pattern):
+            yield _atoms_at(universe, index)
 
 
 def _has_stable(
@@ -357,7 +176,12 @@ def _has_stable(
 
 def is_stable(program: Program, interp: Interpretation, sem: Semantics) -> bool:
     """True iff interp models the program and no strict subset models the
-    reduct taken with respect to interp."""
+    reduct taken with respect to interp.
+
+    Overflow: the model test raises AggregateOverflowError where an
+    aggregate it evaluates at interp overflows. Under F, an aggregate kept
+    in the reduct that overflows on some subset of interp raises too, even
+    where a walk over the subsets would have met a smaller model first."""
     foreign = frozenset(interp) - atoms_of(program)
     if foreign:
         names = ", ".join(sorted(atom.name for atom in foreign))
@@ -366,8 +190,9 @@ def is_stable(program: Program, interp: Interpretation, sem: Semantics) -> bool:
         )
     if not satisfies(interp, program):
         return False
-    reduct = f_reduct if sem is Semantics.F else g_reduct
-    return is_minimal_model(interp, reduct(program, interp))
+    rules, index = _compile_at(program, interp)
+    kept, horn = _reduct_rules(rules, index, sem is Semantics.G)
+    return _minimal(index, kept, horn, _pattern)
 
 
 def stable_models(
@@ -389,11 +214,11 @@ def gsm_asp_m(program: Program) -> ModelSet:
     universe = sorted(atoms_of(program))
     rules = _compile(program, {atom: i for i, atom in enumerate(universe)})
     # without negation a rule's positive mask is all its atom literals
-    fixpoint = _least_model([(head, positive, aggs) for head, _, _, positive, aggs in rules])
+    fixpoint = _least_model(rules)
     kept, _ = _reduct_rules(rules, fixpoint, True)
     if _least_model(kept, fixpoint) != fixpoint:
         return ModelSet()
-    return ModelSet([frozenset(atom for i, atom in enumerate(universe) if fixpoint >> i & 1)])
+    return ModelSet([_atoms_at(universe, fixpoint)])
 
 
 def check_coherence(

@@ -140,15 +140,10 @@ def _copied_atoms(program: Program, minimal_copies: bool) -> list[Atom]:
     return sorted(seen)
 
 
-def rewrite_rew(program: Program, *, minimal_copies: bool = False) -> Program:
-    """Extend every aggregate-bearing rule body with the true-copies of the
-    aggregate domains, and derive each copy from its atom either way.
-
-    With minimal_copies, copy rules are emitted only for atoms that occur
-    in some aggregate domain instead of for the whole atom set.
-    """
-    copied = _copied_atoms(program, minimal_copies)
-    _require_fresh(program, (true_copy(p) for p in copied))
+def _padded(program: Program, copied: list[Atom]) -> list[Rule]:
+    """rew's rules, unchecked: every rule with its body padded by the
+    true-copies of its aggregate domains, then two rules per copied atom
+    that derive its true-copy from it either way."""
     rules = []
     for rule in program:
         padding = tuple(
@@ -158,7 +153,28 @@ def rewrite_rew(program: Program, *, minimal_copies: bool = False) -> Program:
     for p in copied:
         rules.append(Rule({true_copy(p)}, (AtomLiteral(p, 1),)))
         rules.append(Rule({true_copy(p)}, (AtomLiteral(p),)))
-    return Program(tuple(rules))
+    return rules
+
+
+def rewrite_rew(program: Program, *, minimal_copies: bool = False) -> Program:
+    """Extend every aggregate-bearing rule body with the true-copies of the
+    aggregate domains, and derive each copy from its atom either way.
+
+    With minimal_copies, copy rules are emitted only for atoms that occur
+    in some aggregate domain instead of for the whole atom set.
+    """
+    copied = _copied_atoms(program, minimal_copies)
+    _require_fresh(program, (true_copy(p) for p in copied))
+    return Program(tuple(_padded(program, copied)))
+
+
+def _guessed(lit):
+    """An aggregate over the guessed copies of its atoms; other literals as
+    they are."""
+    if not isinstance(lit, AggregateSpec):
+        return lit
+    elements = tuple((w, guess_copy(p)) for w, p in lit.elements)
+    return AggregateSpec(lit.func, elements, lit.comparator, lit.bound)
 
 
 def rewrite_str(program: Program, *, minimal_copies: bool = False) -> Program:
@@ -172,29 +188,12 @@ def rewrite_str(program: Program, *, minimal_copies: bool = False) -> Program:
         program,
         [true_copy(p) for p in copied] + [guess_copy(p) for p in copied],
     )
-    rules = []
-    for rule in program:
-        body = []
-        for lit in rule.body:
-            if isinstance(lit, AggregateSpec):
-                body.append(
-                    AggregateSpec(
-                        lit.func,
-                        tuple((w, guess_copy(p)) for w, p in lit.elements),
-                        lit.comparator,
-                        lit.bound,
-                    )
-                )
-            else:
-                body.append(lit)
-        body.extend(
-            AtomLiteral(true_copy(p)) for p in _aggregate_domain_atoms(rule)
-        )
-        rules.append(Rule(rule.head, tuple(body)))
-    for p in copied:
-        t, g = true_copy(p), guess_copy(p)
-        rules.append(Rule({t}, (AtomLiteral(p, 1),)))
-        rules.append(Rule({t}, (AtomLiteral(p),)))
+    padded = _padded(program, copied)
+    count = len(program.rules)
+    rules = [Rule(rule.head, tuple(map(_guessed, rule.body))) for rule in padded[:count]]
+    for i, p in enumerate(copied):
+        g = guess_copy(p)
+        rules += padded[count + 2 * i : count + 2 * i + 2]  # p's true-copy rules
         rules.append(Rule({g}, (AtomLiteral(g, 2),)))
         rules.append(Rule(frozenset(), (AtomLiteral(g, 1), AtomLiteral(p))))
         rules.append(Rule(frozenset(), (AtomLiteral(g), AtomLiteral(p, 1))))

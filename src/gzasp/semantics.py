@@ -1,14 +1,19 @@
 """Model-theoretic core: satisfaction, reducts, consequence operator,
 minimal-model checking, and aggregate classification.
 
-Everything here is written for clarity over speed; it is the reference
-layer the enumeration engine in reasoner.py is checked against. The one
-exception is the aggregate circuit, _aggregate_column, which builds an
-aggregate's column over a space of subsets from its domain atoms' columns
-in O(|dom| log W) big-integer operations. The enumerator builds every
-aggregate column with it, and classify_aggregate takes its packed truth
-table from it, over the space of the domain atoms alone, so the closure
-tests stay cheap even for wide domains.
+Satisfaction, the reducts and the consequence operator work on the AST,
+for clarity. Minimality works on a compiled form: _compile turns each rule
+into atom bitmasks plus its aggregates, and _column builds the column of
+compiled rules over the subsets of any atom set (a big integer with one
+bit per subset; the enumerator's full space is the subsets of all atoms).
+_minimal, the one minimality check behind is_minimal_model, is_stable and
+the enumerator in reasoner.py, compares a model with the least model when
+the rules are Horn, and otherwise asks whether the column over the model's
+subsets keeps only the model's own bit. Aggregate columns come from one
+circuit, _aggregate_column, in O(|dom| log W) big-integer operations;
+classify_aggregate reads its packed truth table from it, over the space of
+the domain atoms alone, so the closure tests stay cheap even for wide
+domains.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import operator
 from enum import Enum
 from functools import reduce
-from itertools import combinations
 
 from .core import (
     INT64_MAX,
@@ -28,6 +32,7 @@ from .core import (
     Interpretation,
     Program,
     Rule,
+    atoms_of,
 )
 from .errors import AggregateOverflowError, DomainTooLargeError, NotAspMError
 from .parser import render_rule
@@ -184,22 +189,17 @@ def is_asp_m(program: Program) -> bool:
     return True
 
 
-def _lfp(program: Program) -> Interpretation:
-    # sound only for monotone bodies; callers guarantee that
+def tp_least_fixpoint(program: Program) -> Interpretation:
+    """Iterate the consequence operator from the empty set to its least
+    fixpoint. Rejects programs outside the monotone fragment, where the
+    iteration could oscillate or lose answers."""
+    ensure_asp_m(program)
     current: Interpretation = frozenset()
     while True:
         step = tp_step(program, current)
         if step == current:
             return current
         current = step
-
-
-def tp_least_fixpoint(program: Program) -> Interpretation:
-    """Iterate the consequence operator from the empty set to its least
-    fixpoint. Rejects programs outside the monotone fragment, where the
-    iteration could oscillate or lose answers."""
-    ensure_asp_m(program)
-    return _lfp(program)
 
 
 def is_horn(program: Program) -> bool:
@@ -217,22 +217,26 @@ def is_minimal_model(interp: Interpretation, program: Program) -> bool:
     """True iff interp is a model and no strict subset of it is one.
 
     Horn programs (no negation, no aggregates, at most one head atom) are
-    decided by comparing interp with the least fixpoint of their definite
-    rules; a constraint a model of the program satisfies is satisfied by
-    every subset too, because positive bodies are monotone. Everything
-    else falls back to checking the strict subsets of interp.
+    decided by comparing interp with the least model of their rules; a
+    constraint a model of the program satisfies is satisfied by every
+    subset too, because positive bodies are monotone. Any other program is
+    decided by its column over the subsets of interp, in which only the top
+    bit, interp itself, may be set.
+
+    Overflow: an aggregate whose sum (or scaled avg bound) leaves the
+    64-bit range on some subset of interp behind a body prefix that holds
+    on some subset raises AggregateOverflowError, even where a walk over
+    the subsets would have met a smaller model first. An aggregate that
+    overflows only on atoms outside interp raises nothing.
     """
     if not satisfies(interp, program):
         return False
-    if is_horn(program):
-        definite = Program(tuple(rule for rule in program if rule.head))
-        return interp == _lfp(definite)
-    items = sorted(interp)
-    return not any(
-        satisfies(frozenset(chosen), program)
-        for size in range(len(items))
-        for chosen in combinations(items, size)
+    rules, index = _compile_at(program, interp)
+    horn = all(
+        not must_false and must_true == positive and not aggregates and not head & (head - 1)
+        for head, must_true, must_false, positive, aggregates in rules
     )
+    return _minimal(index, rules, horn, _pattern)
 
 
 def _check_domain(size: int, max_domain: int) -> None:
@@ -274,14 +278,15 @@ def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int
     """The aggregate's column over a space, from the columns of its domain
     atoms there in domain order (0 for an atom outside the space)."""
     func, bound = spec.func, spec.bound
+    terms = [(w, column) for (w, _), column in zip(spec.elements, columns) if column]
     if func in (AggregateFunc.SUM, AggregateFunc.AVG):
-        weights = [weight for weight, _ in spec.elements]
+        # only subsets of the atoms in the space are evaluated
+        weights = [weight for weight, _ in terms]
         scaled = bound * len(weights) if func is AggregateFunc.AVG else 0
         extremes = (sum(w for w in weights if w < 0), sum(w for w in weights if w > 0), scaled)
         if min(extremes) < INT64_MIN or max(extremes) > INT64_MAX:
             # some subset overflows; the table raises for the first one
-            aggregate_truth_table(spec, max_domain=len(weights))
-    terms = [(w, column) for (w, _), column in zip(spec.elements, columns) if column]
+            aggregate_truth_table(spec, max_domain=len(spec.elements))
     if func in PARITY_FUNCS:
         odd = reduce(operator.xor, (column for _, column in terms), 0)
         return odd if func is AggregateFunc.ODD else odd ^ full
@@ -360,6 +365,181 @@ def _compare_sum(terms: list, bound: int, full: int) -> tuple[int, int]:
         else:
             equal ^= kept
     return less, equal
+
+
+def _compile(program: Program, position: dict) -> list[tuple]:
+    """Each rule as (head, must_true, must_false, positive, aggregates): atom
+    bitmasks over the universe (a literal at even negation depth needs its
+    atom true, at odd depth false; positive holds the depth-0 atoms, the
+    only literals either reduct keeps) and the body aggregates in body
+    order, each as (spec, domain mask, domain bits in domain order, memo,
+    must_true, must_false of the literals before it in the body). The memo,
+    shared by equal aggregates, maps the candidate's domain bits to the
+    aggregate's truth there."""
+    compiled = []
+    memos: dict = {}
+    for rule in program:
+        head = must_true = must_false = positive = 0
+        for atom in rule.head:
+            head |= 1 << position[atom]
+        aggregates = []
+        for lit in rule.body:
+            if isinstance(lit, AggregateSpec):
+                bits = tuple(1 << position[atom] for atom in lit.domain)
+                memo = memos.setdefault(lit, {})
+                aggregates.append((lit, sum(bits), bits, memo, must_true, must_false))
+                continue
+            bit = 1 << position[lit.atom]
+            if lit.negation_depth % 2:
+                must_false |= bit
+            else:
+                must_true |= bit
+            if not lit.negation_depth:
+                positive |= bit
+        compiled.append((head, must_true, must_false, positive, tuple(aggregates)))
+    return compiled
+
+
+def _compile_at(program: Program, interp: Interpretation) -> tuple[list[tuple], int]:
+    """The program compiled over its atoms and interp's, and interp as a
+    candidate: the bitmask of its atoms."""
+    universe = sorted(atoms_of(program).union(interp))
+    position = {atom: i for i, atom in enumerate(universe)}
+    return _compile(program, position), sum(1 << position[atom] for atom in interp)
+
+
+def _aggregates_hold(aggregates: tuple, index: int) -> bool:
+    """Whether every aggregate holds at candidate `index`, evaluated in body
+    order up to the first false one.
+
+    The enumerator has already checked the rule's atom literals, so each
+    aggregate reached sits behind a body prefix that is true at the
+    candidate. The program column therefore built its column, checking
+    every subset of its domain for 64-bit overflow, so nothing here raises
+    (in gsm_asp_m, ensure_asp_m's classification did that check, and in
+    is_stable, satisfies evaluated it at the candidate). That is why
+    stopping at the first stable model never skips an error that full
+    enumeration would raise.
+    """
+    for spec, domain, bits, memo, _, _ in aggregates:
+        key = index & domain
+        truth = memo.get(key)
+        if truth is None:
+            chosen = frozenset(atom for atom, bit in zip(spec.domain, bits) if key & bit)
+            truth = memo[key] = eval_aggregate(spec, chosen)
+        if not truth:
+            return False
+    return True
+
+
+def _reduct_rules(rules: list[tuple], index: int, grounding: bool) -> tuple:
+    """The reduct at candidate `index`, as compiled rules whose bodies are
+    their positive atoms and, under F, their aggregates; and whether every
+    kept rule is Horn (at most one head atom, no aggregate). Under G
+    (grounding) each aggregate is replaced by its domain atoms true at the
+    candidate; under F it stays."""
+    kept = []
+    horn = True
+    for head, must_true, must_false, positive, aggregates in rules:
+        if index & must_true != must_true or index & must_false:
+            continue
+        if aggregates:
+            if not _aggregates_hold(aggregates, index):
+                continue
+            if grounding:
+                for _, domain, _, _, _, _ in aggregates:
+                    positive |= domain & index
+                aggregates = ()
+        kept.append((head, positive, 0, positive, aggregates))
+        horn = horn and not aggregates and not head & (head - 1)
+    return kept, horn
+
+
+def _least_model(rules: list[tuple], stop: int = -1) -> int:
+    """Least model, as an atom bitmask, of compiled rules read as their
+    positive atoms and aggregates, with at most one head atom and monotone
+    aggregates, by rounds from the empty set. For Horn minimality `stop` is
+    the candidate: it models every rule, so the least model lies inside it
+    and the rounds end as soon as they reach it."""
+    derived = 0
+    while derived != stop:
+        grown = derived
+        for head, _, _, positive, aggregates in rules:
+            if positive & grown == positive and (
+                not aggregates or _aggregates_hold(aggregates, grown)
+            ):
+                grown |= head
+        if grown == derived:
+            break
+        derived = grown
+    return derived
+
+
+# the step after a body's aggregates: masks of -1, which the rule's own
+# must_true and must_false cut down to all of its literals
+_REST = ((None, 0, (), None, -1, -1),)
+
+
+def _column(index: int, rules: list[tuple], pattern, floor: int = 0) -> int:
+    """The column of compiled rules over the subsets of `index`: bit s is
+    set iff the subset holding the j-th lowest atom of `index` exactly when
+    bit j of s is set models every rule. Atoms outside `index` are false;
+    the full space is the subspace of the all-atoms index. `pattern` gives
+    atom columns by (position, dimension).
+
+    Each body is built in body order and stops at the first prefix that is
+    false everywhere, so an aggregate's column, and its overflow check, is
+    built only behind a prefix that holds on some subset. Rules are added in
+    order until the column is down to `floor`, bits the caller knows every
+    rule keeps (0, or a model's own bit)."""
+    dimension = index.bit_count()
+    full = (1 << (1 << dimension)) - 1
+    outside = ~index
+    column = full
+    for head, must_true, must_false, _, aggregates in rules:
+        body = full
+        for spec, _, bits, _, true, false in aggregates + _REST:
+            true &= must_true
+            if true & outside:
+                body = 0  # needs an atom that is false everywhere
+                break
+            while true:
+                low = true & -true
+                body &= pattern((index & (low - 1)).bit_count(), dimension)
+                true ^= low
+            false &= must_false & index
+            while false:
+                low = false & -false
+                body &= pattern((index & (low - 1)).bit_count(), dimension) ^ full
+                false ^= low
+            if not body or spec is None:
+                break
+            columns = [
+                pattern((index & (bit - 1)).bit_count(), dimension) if index & bit else 0
+                for bit in bits
+            ]
+            body &= _aggregate_column(spec, columns, full)
+        heads = 0
+        head &= index
+        while head:
+            low = head & -head
+            heads |= pattern((index & (low - 1)).bit_count(), dimension)
+            head ^= low
+        column &= (body ^ full) | heads
+        if column == floor:
+            break
+    return column
+
+
+def _minimal(index: int, rules: list[tuple], horn: bool, pattern) -> bool:
+    """Whether the candidate `index`, a model of the compiled rules, is a
+    minimal one: its least model when every rule is Horn, otherwise the
+    rules' column over its subsets, where only its own top bit may be
+    left."""
+    if horn:
+        return _least_model(rules, index) == index
+    top = 1 << ((1 << index.bit_count()) - 1)
+    return _column(index, rules, pattern, top) == top
 
 
 def classify_aggregate(

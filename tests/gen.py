@@ -203,6 +203,19 @@ def random_large_monotone_program(rng: random.Random, size: int, cyclic: bool) -
     return Program(tuple(rules))
 
 
+# Every family above by name, each drawing a program from an rng; the large
+# monotone family is drawn over 4-6 atoms, so the exhaustive oracles stay cheap.
+FAMILIES = {
+    "random": random_program,
+    "mixed": lambda rng: random_mixed_program(rng, rng.randrange(84)),
+    "normal": random_normal_program,
+    "monotone": random_monotone_program,
+    "large_monotone": lambda rng: random_large_monotone_program(
+        rng, rng.randint(4, 6), rng.random() < 0.5
+    ),
+}
+
+
 # Parser fuzzing: tokens and near-miss names, stray characters that form no
 # token alone, and separators from every whitespace class the tokenizer meets.
 _WORDS = (

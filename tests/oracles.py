@@ -24,6 +24,13 @@ from gzasp.core import (
     atoms_of,
 )
 from gzasp.errors import NegatedAggregateError, ParseError, ReservedNameError
+from gzasp.rewriter import (
+    _aggregate_domain_atoms,
+    _copied_atoms,
+    _require_fresh,
+    guess_copy,
+    true_copy,
+)
 from gzasp.semantics import (
     AggregateClass,
     eval_aggregate,
@@ -341,3 +348,41 @@ def reference_parse(text: str | bytes) -> Program:
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8 ({exc.reason})", 1, exc.start + 1)
     return _Parser(_tokenize(text)).program()
+
+
+def reference_rewrite_str(program: Program, *, minimal_copies: bool = False) -> Program:
+    """rewrite_str as first written, building rew's padding and true-copy
+    rules itself. gzasp.rewriter.rewrite_str builds them through rew's
+    helper; the differential test checks that the output is the same."""
+    copied = _copied_atoms(program, minimal_copies)
+    _require_fresh(
+        program,
+        [true_copy(p) for p in copied] + [guess_copy(p) for p in copied],
+    )
+    rules = []
+    for rule in program:
+        body = []
+        for lit in rule.body:
+            if isinstance(lit, AggregateSpec):
+                body.append(
+                    AggregateSpec(
+                        lit.func,
+                        tuple((w, guess_copy(p)) for w, p in lit.elements),
+                        lit.comparator,
+                        lit.bound,
+                    )
+                )
+            else:
+                body.append(lit)
+        body.extend(
+            AtomLiteral(true_copy(p)) for p in _aggregate_domain_atoms(rule)
+        )
+        rules.append(Rule(rule.head, tuple(body)))
+    for p in copied:
+        t, g = true_copy(p), guess_copy(p)
+        rules.append(Rule({t}, (AtomLiteral(p, 1),)))
+        rules.append(Rule({t}, (AtomLiteral(p),)))
+        rules.append(Rule({g}, (AtomLiteral(g, 2),)))
+        rules.append(Rule(frozenset(), (AtomLiteral(g, 1), AtomLiteral(p))))
+        rules.append(Rule(frozenset(), (AtomLiteral(g), AtomLiteral(p, 1))))
+    return Program(tuple(rules))

@@ -85,27 +85,56 @@ class TestModelSet:
 
 
 class TestIsStable:
-    @pytest.mark.parametrize(
-        "interp,sem,expected",
-        [
-            ("", Semantics.G, True),
-            ("ac", Semantics.G, True),
-            ("ab", Semantics.G, False),
-            ("", Semantics.F, True),
-            ("ab", Semantics.F, True),
-            ("ac", Semantics.F, True),
-            ("c", Semantics.G, False),
-            ("c", Semantics.F, False),
-            ("abc", Semantics.F, False),
-            ("a", Semantics.G, False),  # not even a model
-        ],
-    )
+    GOLDEN = [
+        ("", Semantics.G, True),
+        ("ac", Semantics.G, True),
+        ("ab", Semantics.G, False),
+        ("", Semantics.F, True),
+        ("ab", Semantics.F, True),
+        ("ac", Semantics.F, True),
+        ("c", Semantics.G, False),
+        ("c", Semantics.F, False),
+        ("abc", Semantics.F, False),
+        ("a", Semantics.G, False),  # not even a model
+    ]
+
+    @pytest.mark.parametrize("interp,sem,expected", GOLDEN)
     def test_golden(self, interp, sem, expected):
         assert is_stable(golden_program(), atoms(interp), sem) is expected
 
     def test_rejects_foreign_atoms(self):
         with pytest.raises(PreconditionError):
             is_stable(golden_program(), frozenset({Atom("d")}), Semantics.G)
+
+    def test_builds_no_reduct_program(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a reduct Program was built")
+
+        for module in (reasoner, semantics):
+            monkeypatch.setattr(module, "f_reduct", refuse)
+            monkeypatch.setattr(module, "g_reduct", refuse)
+        for interp, sem, expected in self.GOLDEN:
+            assert is_stable(golden_program(), atoms(interp), sem) is expected
+
+    @pytest.mark.parametrize("family", gen.FAMILIES)
+    def test_every_interpretation_against_oracles(self, family):
+        # is_stable and is_minimal_model share the enumerator's compiled
+        # check; a queried atom outside the program is in no stable model
+        rng = random.Random(f"interpretations-{family}")
+        outside = Atom("z")
+        for _ in range(80):
+            program = gen.FAMILIES[family](rng)
+            universe = atoms_of(program)
+            for sem in Semantics:
+                models = oracles.naive_stable_models(program, sem.value)
+                for interp in oracles.subsets(universe):
+                    assert is_stable(program, interp, sem) is (interp in models), interp
+                assert not brave(program, outside, sem)
+                assert cautious(program, outside, sem) is not models
+            for interp in oracles.subsets(universe | {outside}):
+                assert semantics.is_minimal_model(interp, program) is (
+                    oracles.naive_is_minimal_model(interp, program)
+                ), interp
 
 
 class TestStableModels:
@@ -359,6 +388,24 @@ class TestQueriesAgainstOracle:
         with pytest.raises(AggregateOverflowError):
             cautious(program, a, sem)
 
+    # the sum overflows on {b, c}; in body order it follows count{b} >= 1,
+    # which holds somewhere, so its column is built whatever comes after it
+    BODY_ORDER_RAISES = (
+        "b :- not not b. c :- not not c.\n"
+        "a :- count{b} >= 1, sum{4611686018427387904 : b, 4611686018427387904 : c} > 0, not b.\n"
+    )
+    # behind count{b} >= 2, which holds nowhere, it never is
+    BODY_ORDER_GUARDED = (
+        "b :- not not b. c :- not not c.\n"
+        "a :- count{b} >= 2, sum{4611686018427387904 : b, 4611686018427387904 : c} > 0.\n"
+    )
+
+    @pytest.mark.parametrize("sem", [Semantics.G, Semantics.F])
+    def test_body_order_decides_errors(self, sem):
+        with pytest.raises(AggregateOverflowError):
+            stable_models(parse(self.BODY_ORDER_RAISES), sem)
+        assert len(stable_models(parse(self.BODY_ORDER_GUARDED), sem)) == 4
+
     @pytest.mark.parametrize("sem", [Semantics.G, Semantics.F])
     def test_unreachable_overflow_never_raises(self, sem):
         program = parse(self.GUARDED)
@@ -386,9 +433,12 @@ def table_column(spec: AggregateSpec, universe: list) -> int:
 
 
 def circuit_column(spec: AggregateSpec, universe: list) -> int:
-    space = reasoner._Space(universe)
-    columns = [space.atom_column(atom) for atom in spec.domain]
-    return reasoner._aggregate_column(spec, columns, space.full)
+    """The aggregate's column over the subsets of the sorted `universe`,
+    from the column builder: the complement of the column of `:- spec.`,
+    with the domain atoms outside `universe` false."""
+    rules, index = semantics._compile_at(Program((Rule(frozenset(), (spec,)),)), universe)
+    full = (1 << (1 << len(universe))) - 1
+    return semantics._column(index, rules, semantics._pattern) ^ full
 
 
 def outcome(build, spec, universe):
@@ -471,11 +521,12 @@ class TestAggregateColumn:
             monkeypatch.setattr(
                 module, "eval_aggregate", lambda *args, f=original: evaluated.append(1) or f(*args)
             )
-        space = reasoner._Space(domain)
-        column = space.program_column(program)
+        rules, index = semantics._compile_at(program, domain)
+        column = semantics._column(index, rules, semantics._pattern)
         assert evaluated == []
         monkeypatch.undo()
-        rule_column = (table_column(spec, domain) ^ space.full) | space.atom_column(domain[0])
+        full = (1 << (1 << len(domain))) - 1
+        rule_column = (table_column(spec, domain) ^ full) | semantics._pattern(0, len(domain))
         assert column == rule_column
 
     def test_no_column_outlives_a_solve(self):

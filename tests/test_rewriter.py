@@ -40,6 +40,7 @@ from gzasp.rewriter import (
 from gzasp.semantics import AggregateClass, classify_aggregate
 
 import gen
+import oracles
 from helpers import (
     A,
     B,
@@ -274,6 +275,29 @@ class TestRewriteStr:
 
     def test_empty_program(self):
         assert rewrite_str(Program()) == Program()
+
+    @pytest.mark.parametrize("minimal_copies", [False, True])
+    @pytest.mark.parametrize("family", gen.FAMILIES)
+    def test_matches_reference(self, family, minimal_copies):
+        # rew's padding and copy rules, reused, leave the text unchanged
+        rng = random.Random(family)
+        for _ in range(40):
+            program = gen.FAMILIES[family](rng)
+            expected = oracles.reference_rewrite_str(program, minimal_copies=minimal_copies)
+            assert render(rewrite_str(program, minimal_copies=minimal_copies)) == render(expected)
+
+    def test_one_freshness_check_for_both_copies(self):
+        # rew meets b__t; str checks true and guess copies together, so a__g comes first
+        program = parse("a. b. a__g. b__t.")
+        with pytest.raises(PreconditionError) as rew:
+            rewrite_rew(program)
+        assert str(rew.value) == "generated atom b__t already occurs in the program"
+        with pytest.raises(PreconditionError) as raised:
+            rewrite_str(program)
+        with pytest.raises(PreconditionError) as expected:
+            oracles.reference_rewrite_str(program)
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == "generated atom a__g already occurs in the program"
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50)

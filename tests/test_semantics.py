@@ -21,6 +21,7 @@ from gzasp.core import (
     atoms_of,
 )
 from gzasp.errors import AggregateOverflowError, DomainTooLargeError, NotAspMError
+from gzasp import semantics
 from gzasp.parser import parse, render
 from gzasp.semantics import (
     AggregateClass,
@@ -284,6 +285,23 @@ class TestIsMinimalModel:
         # {} satisfies p :- q, but the constraint needs p without q
         program = parse("p :- q. :- not p.")
         assert is_minimal_model(atoms("p"), program)
+
+    def test_overflow_outside_interp_is_never_evaluated(self):
+        # the sum overflows only on {b, c}, and no subset of {a} holds them
+        program = parse("a :- sum{4611686018427387904 : b, 4611686018427387904 : c} >= 0.")
+        assert is_minimal_model(frozenset({Atom("a")}), program)
+
+    def test_horn_chain_builds_no_column(self, monkeypatch):
+        # 200 atoms: a column over the subsets would have 2**200 bits
+        chain = "".join(f"x{i} :- x{i - 1}.\n" for i in range(1, 200))
+        program = parse("x0.\n" + chain)
+
+        def refuse(*args):
+            raise AssertionError("a column was built")
+
+        monkeypatch.setattr(semantics, "_column", refuse)
+        assert is_minimal_model(atoms_of(program), program)
+        assert not is_minimal_model(atoms_of(program) | {Atom("y")}, program)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40)
