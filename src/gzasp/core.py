@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -160,7 +161,7 @@ class AggregateSpec:
         elements = tuple(sorted(elements, key=lambda pair: pair[1].name))
         object.__setattr__(self, "elements", elements)
 
-    @property
+    @cached_property
     def domain(self) -> tuple[Atom, ...]:
         """The aggregate's atoms, in canonical order."""
         return tuple(atom for _, atom in self.elements)

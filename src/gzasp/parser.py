@@ -16,13 +16,19 @@ Grammar (whitespace-insensitive, `%` comments to end of line):
 not followed by `{`. Atoms starting with `__` are reserved for rewritings
 and rejected on input, with one exception: the distinguished `__bot`, so
 that every program the toolkit can produce parses back to itself.
+
+Tokenizing is one `findall` of the token texts. A token's kind is read
+from its first character, and its line and column are worked out only for
+an error, by scanning again up to it.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .core import (
+    COMPARATORS,
     AggregateFunc,
     AggregateSpec,
     Atom,
@@ -44,71 +50,53 @@ __all__ = ["parse", "render", "render_rule", "render_literal", "emit_core2"]
 _AGG_NAMES = {func.value: func for func in AggregateFunc}
 _BOTTOM_NAME = "__bot"
 
+# Skip whitespace and comments, then take one token; `.` takes a bad character and
+# the empty text ends the input, so nothing backtracks (and no 3.11-only `*+` is needed).
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>%[^\n]*)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<int>-?[0-9]+)
-    | (?P<arrow>:-)
-    | (?P<cmp><=|>=|!=|<|>|=)
-    | (?P<punct>[.{},|:])
-    | (?P<bad>.)
-    """,
+    r"""\s*(?:%[^\n]*\s*)*
+    ( [.,{}|] | [A-Za-z_][A-Za-z0-9_]* | -?[0-9]+ | :-? | [<>!]= | [<>=] | . | )""",
     re.VERBOSE | re.DOTALL,
 )
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_INT_START = frozenset("-0123456789")
+_SINGLE_TOKENS = _IDENT_START | frozenset("0123456789<>=.{},|:")
 
 
-def _position(text: str, start: int) -> tuple[int, int]:
-    """1-based line and column of offset `start`."""
+def _position(text: str, index: int) -> tuple[int, int]:
+    """1-based line and column of token `index`, found by scanning again:
+    only errors need positions."""
+    start = next(islice(_TOKEN_RE.finditer(text), index, None)).start(1)
     return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
-def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
-    """Kinds (ident | int | arrow | cmp | punct | eof), texts and start
-    offsets of the tokens, ending in an empty eof token at len(text)."""
-    kinds: list[str] = []
-    texts: list[str] = []
-    starts: list[int] = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        if kind == "bad":
-            raise ParseError(
-                f"unexpected character {match.group()!r}", *_position(text, match.start())
-            )
-        kinds.append(kind)
-        texts.append(match.group())
-        starts.append(match.start())
-    kinds.append("eof")
-    texts.append("")
-    starts.append(len(text))
-    return kinds, texts, starts
-
-
 class _Parser:
-    """Recursive descent over the token lists; `pos` indexes the current
-    token. Punctuation, the arrow and `not` are recognised by their text
-    alone, which no token of another kind can have."""
+    """Recursive descent over the token texts; `pos` indexes the current
+    token. A letter or `_` starts an ident, a digit or `-` an int; the rest
+    is recognised by its text alone. `atoms` and `literals` keep what this
+    parse built by name, so a name is checked at its first occurrence only."""
 
     def __init__(self, text: str):
         self.text = text
-        self.kinds, self.texts, self.starts = _tokenize(text)
+        self.texts = texts = _TOKEN_RE.findall(text)
         self.pos = 0
+        self.atoms: dict[str, Atom] = {}
+        self.literals: dict[tuple[str, int], AtomLiteral] = {}
+        bad = {token for token in set(texts) if len(token) == 1} - _SINGLE_TOKENS
+        if bad:
+            index = next(i for i, token in enumerate(texts) if token in bad)
+            raise ParseError(
+                f"unexpected character {texts[index]!r}", *_position(text, index)
+            )
 
     def fail(self, expected: str, pos: int | None = None) -> ParseError:
         pos = self.pos if pos is None else pos
-        shown = repr(self.texts[pos]) if self.kinds[pos] != "eof" else "end of input"
-        return ParseError(f"unexpected {shown}", *self.position(pos), expected)
-
-    def position(self, pos: int) -> tuple[int, int]:
-        return _position(self.text, self.starts[pos])
+        shown = repr(self.texts[pos]) if self.texts[pos] else "end of input"
+        return ParseError(f"unexpected {shown}", *_position(self.text, pos), expected)
 
     def program(self) -> Program:
         rules = []
-        kinds = self.kinds
-        while kinds[self.pos] != "eof":
+        texts = self.texts
+        while texts[self.pos]:
             rules.append(self.rule())
         return Program(tuple(rules))
 
@@ -138,18 +126,20 @@ class _Parser:
     def atom(self) -> Atom:
         pos = self.pos
         name = self.texts[pos]
-        if self.kinds[pos] != "ident" or name == "not":
-            raise self.fail("atom")
-        # the ident token fixes the rest of the name; __bot is the one
-        # reserved name the input may use
-        if not "a" <= name[0] <= "z" and name != _BOTTOM_NAME:
-            if name.startswith(RESERVED_PREFIX):
-                raise ReservedNameError(
-                    f"atom '{name}' uses the reserved '__' prefix", *self.position(pos)
-                )
-            raise ParseError(f"invalid atom '{name}'", *self.position(pos), "atom")
+        atom = self.atoms.get(name)
+        if atom is None:
+            if name[:1] not in _IDENT_START or name == "not":
+                raise self.fail("atom")
+            # the ident token fixes the rest of the name; __bot is the one
+            # reserved name the input may use
+            if not "a" <= name[0] <= "z" and name != _BOTTOM_NAME:
+                where = _position(self.text, pos)
+                if name.startswith(RESERVED_PREFIX):
+                    raise ReservedNameError(f"atom '{name}' uses the reserved '__' prefix", *where)
+                raise ParseError(f"invalid atom '{name}'", *where, "atom")
+            atom = self.atoms[name] = Atom(name)
         self.pos = pos + 1
-        return Atom(name)
+        return atom
 
     def literal(self):
         texts = self.texts
@@ -157,16 +147,23 @@ class _Parser:
         while texts[pos] == "not":
             pos += 1
         self.pos = pos
-        if texts[pos] in _AGG_NAMES and texts[pos + 1] == "{":
+        name = texts[pos]
+        if name in _AGG_NAMES and texts[pos + 1] == "{":
             if pos != first:
                 raise NegatedAggregateError(
-                    "aggregates cannot be negated", *self.position(pos)
+                    "aggregates cannot be negated", *_position(self.text, pos)
                 )
             return self.aggregate()
-        return AtomLiteral(self.atom(), pos - first)
+        key = (name, pos - first)
+        literal = self.literals.get(key)
+        if literal is None:
+            literal = self.literals[key] = AtomLiteral(self.atom(), pos - first)
+        else:
+            self.pos = pos + 1
+        return literal
 
     def aggregate(self) -> AggregateSpec:
-        kinds, texts = self.kinds, self.texts
+        texts = self.texts
         func = _AGG_NAMES[texts[self.pos]]
         self.pos += 2  # the name and '{'
         elements: list[tuple[int, Atom]] = []
@@ -181,16 +178,16 @@ class _Parser:
         self.pos = pos + 1
         if func in PARITY_FUNCS:
             return AggregateSpec(func, tuple(elements))
-        if kinds[pos + 1] != "cmp":
+        if texts[pos + 1] not in COMPARATORS:
             raise self.fail("comparator")
-        if kinds[pos + 2] != "int":
+        if texts[pos + 2][:1] not in _INT_START:
             raise self.fail("integer bound", pos + 2)
         self.pos = pos + 3
         return AggregateSpec(func, tuple(elements), texts[pos + 1], int(texts[pos + 2]))
 
     def element(self) -> tuple[int, Atom]:
         pos = self.pos
-        if self.kinds[pos] != "int":
+        if self.texts[pos][:1] not in _INT_START:
             return (1, self.atom())
         weight = int(self.texts[pos])
         if self.texts[pos + 1] != ":":

@@ -64,8 +64,8 @@ def _require_plain_normal(program: Program, rewriting: str) -> None:
                 )
 
 
-def _require_fresh(program: Program, generated) -> None:
-    taken = sorted(set(generated) & atoms_of(program))
+def _require_fresh(atoms: frozenset, generated) -> None:
+    taken = sorted(set(generated) & atoms)
     if taken:
         raise PreconditionError(
             f"generated atom {taken[0]} already occurs in the program"
@@ -97,7 +97,7 @@ def rewrite_n(program: Program) -> Program:
     __bot a shared atom that no rule derives."""
     _require_plain_normal(program, "rewrite_n")
     if any(lit.negation_depth for rule in program for lit in rule.body):
-        _require_fresh(program, (BOTTOM,))
+        _require_fresh(atoms_of(program), (BOTTOM,))
 
     def complement(lit: AtomLiteral) -> AggregateSpec:
         return AggregateSpec(
@@ -111,8 +111,9 @@ def rewrite_m(program: Program) -> Program:
     """Replace every `not p` by the fresh atom p__f, and let each atom guess
     its complement: p | p__f is derived by an always-true monotone count."""
     _require_plain_normal(program, "rewrite_m")
-    base = sorted(atoms_of(program))
-    _require_fresh(program, (false_copy(p) for p in base))
+    atoms = atoms_of(program)
+    base = sorted(atoms)
+    _require_fresh(atoms, (false_copy(p) for p in base))
     rewritten = _map_negative_literals(
         program, lambda lit: AtomLiteral(false_copy(lit.atom))
     )
@@ -164,7 +165,7 @@ def rewrite_rew(program: Program, *, minimal_copies: bool = False) -> Program:
     in some aggregate domain instead of for the whole atom set.
     """
     copied = _copied_atoms(program, minimal_copies)
-    _require_fresh(program, (true_copy(p) for p in copied))
+    _require_fresh(atoms_of(program), (true_copy(p) for p in copied))
     return Program(tuple(_padded(program, copied)))
 
 
@@ -185,7 +186,7 @@ def rewrite_str(program: Program, *, minimal_copies: bool = False) -> Program:
     """
     copied = _copied_atoms(program, minimal_copies)
     _require_fresh(
-        program,
+        atoms_of(program),
         [true_copy(p) for p in copied] + [guess_copy(p) for p in copied],
     )
     padded = _padded(program, copied)
@@ -308,8 +309,8 @@ def check_size_bounds(program: Program) -> SizeBounds:
     program_size of the real rewriting, and a name clash raises the
     rewritings' own error, rew's first."""
     atoms = atoms_of(program)
-    _require_fresh(program, (true_copy(p) for p in atoms))
-    _require_fresh(program, (guess_copy(p) for p in atoms))
+    _require_fresh(atoms, (true_copy(p) for p in atoms))
+    _require_fresh(atoms, (guess_copy(p) for p in atoms))
     size_in = program_size(program)
     padded = size_in + sum(len(_aggregate_domain_atoms(rule)) for rule in program)
     atom_count = len(atoms)

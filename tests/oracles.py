@@ -356,7 +356,7 @@ def reference_rewrite_str(program: Program, *, minimal_copies: bool = False) -> 
     helper; the differential test checks that the output is the same."""
     copied = _copied_atoms(program, minimal_copies)
     _require_fresh(
-        program,
+        atoms_of(program),
         [true_copy(p) for p in copied] + [guess_copy(p) for p in copied],
     )
     rules = []

@@ -77,6 +77,19 @@ class TestAggregateSpec:
         spec = AggregateSpec(AggregateFunc.COUNT, ((1, C), (1, A), (1, B)), "<=", 2)
         assert spec.domain == (A, B, C)
 
+    def test_domain_is_built_once_and_changes_no_identity(self):
+        spec = AggregateSpec(AggregateFunc.SUM, ((2, C), (3, A)), ">=", 2)
+        twin = AggregateSpec(AggregateFunc.SUM, ((3, A), (2, C)), ">=", 2)
+        shown = repr(spec)
+        assert spec.domain is spec.domain == (A, C)
+        assert spec == twin and hash(spec) == hash(twin) and repr(spec) == shown
+        assert {spec: 1}[twin] == 1
+        for copy in (pickle.loads(pickle.dumps(spec)), pickle.loads(pickle.dumps(twin))):
+            assert copy == spec and hash(copy) == hash(spec) and repr(copy) == shown
+            assert copy.domain == (A, C)
+        with pytest.raises(AttributeError):
+            spec.bound = 3
+
     def test_parity_takes_no_comparator(self):
         with pytest.raises(ValueError):
             AggregateSpec(AggregateFunc.EVEN, ((1, A),), ">=", 1)

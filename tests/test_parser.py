@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gzasp import parser as parser_module
 from gzasp.core import (
     AggregateFunc,
     Atom,
@@ -165,6 +166,50 @@ class TestParseErrors:
                 parse(blob)
             except GzaspError:
                 pass
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # a bad character anywhere wins over an earlier syntax error
+            ("a :- , b.\n$", "2:1: unexpected character '$'"),
+            ("a :- b\n- c.", "2:1: unexpected character '-'"),
+            ("a :- -", "1:6: unexpected character '-'"),
+            ("p :- a, !b.", "1:9: unexpected character '!'"),
+            ("é.", "1:1: unexpected character 'é'"),
+            ("a :- bé.", "1:7: unexpected character 'é'"),
+            # only \n breaks a line; \r, \t, \f and U+2028 are one column each
+            ("a.\r\n\t $", "2:3: unexpected character '$'"),
+            ("a.\r$", "1:4: unexpected character '$'"),
+            ("a.\f\u2028 $", "1:6: unexpected character '$'"),
+            ("a.\r\n\tb c.", "2:4: unexpected 'c' (expected '.')"),
+            ("a :- b.\r\n", None),
+            ("a. % $ é ! -\nb :- a. %$", None),
+        ],
+    )
+    def test_characters_and_positions(self, text, message):
+        assert outcome(parse, text) == outcome(oracles.reference_parse, text)
+        if message is None:
+            parse(text)
+        else:
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert str(info.value) == message
+
+    def test_valid_input_computes_no_positions(self, monkeypatch):
+        def no_positions(text, index):
+            raise AssertionError("position computed on valid input")
+
+        monkeypatch.setattr(parser_module, "_position", no_positions)
+        assert parse(GOLDEN_TEXT) == golden_program()
+        program = gen.random_large_monotone_program(random.Random(3), 300, True)
+        assert parse(render(program)) == program
+
+    def test_same_name_at_three_depths(self):
+        body = parse("p :- a, not a, not not a, a, not not a.").rules[0].body
+        assert body == tuple(AtomLiteral(A, depth) for depth in (0, 1, 2, 0, 2))
+        assert len(set(body)) == 3
 
 
 def outcome(parser, text):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gzasp import rewriter
 from gzasp.core import (
     AggregateSpec,
     Atom,
@@ -456,6 +457,17 @@ class TestCheckSizeBounds:
             assert report.size_str == program_size(rewrite_str(program)), render(program)
             assert report.size_in == program_size(program)
             assert report.atoms == len(atoms_of(program))
+
+    def test_collects_the_atoms_once(self, monkeypatch):
+        calls = []
+
+        def counting(program):
+            calls.append(program)
+            return atoms_of(program)
+
+        monkeypatch.setattr(rewriter, "atoms_of", counting)
+        check_size_bounds(golden_program())
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "text",
