@@ -3,9 +3,10 @@ semantics, negation-elimination rewritings, and desk-scale reasoning.
 
 The package is organized in layers. `core` defines the immutable syntax
 tree, `parser` the text dialect, `semantics` the model-theoretic machinery
-(aggregate evaluation, both reducts, classification), `rewriter` the five
-program transformations, and `reasoner` the enumeration engine built on
-top of all of them. `cli` wraps everything for the command line.
+and the engine (aggregate evaluation and circuit, both reducts,
+classification, one rule compile, one stability check), `rewriter` the five
+program transformations, and `reasoner` the enumeration and queries run on
+that engine. `cli` wraps everything for the command line.
 """
 
 from .core import (

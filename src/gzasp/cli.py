@@ -258,10 +258,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (CliError, GzaspError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (CliError, GzaspError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # a crash must not read as exit 1, "false"

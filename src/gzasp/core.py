@@ -114,9 +114,12 @@ EMPTY_DOMAIN_FUNCS = frozenset({AggregateFunc.COUNT, AggregateFunc.SUM})
 COMPARATORS = ("<", "<=", ">=", ">", "=", "!=")
 
 
-def _check_int64(value: int, what: str) -> None:
-    if not (INT64_MIN <= value <= INT64_MAX):
-        raise AggregateOverflowError(f"{what} {value} outside the 64-bit range")
+def _check_int64(value: int, what: str, beyond: str = "outside the 64-bit range") -> int:
+    """value, if it fits in 64 bits; otherwise AggregateOverflowError
+    "{what} {value} {beyond}"."""
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise AggregateOverflowError(f"{what} {value} {beyond}")
+    return value
 
 
 @dataclass(frozen=True)

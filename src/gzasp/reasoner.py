@@ -14,21 +14,21 @@ program column, read 64 bits at a time.
 
 No reduct is built as a Program. Each rule is compiled once into bitmasks
 over the sorted universe (head atoms, atoms its body needs true, atoms it
-needs false, positive atoms) plus its aggregates (semantics._compile), and
-the program column is built from that compiled form. The reduct at
-candidate s is the list of rules whose body holds at s; under G each kept
-aggregate turns into the mask of its domain atoms true at s. One check then
-decides minimality (semantics._minimal): a least fixpoint over integers
-when every kept rule has at most one head atom and no aggregate, otherwise
-the column of the kept rules over the subspace of the candidate's own
-subsets. A coherence test stops at the first stable model; brave and
-cautious queries first restrict the candidates to those with, or without,
-the queried atom. is_stable runs the same reduct and check on its one
-candidate.
+needs false, positive atoms) plus its aggregates (semantics._compile_at),
+and the program column is built from that compiled form. One check then
+decides stability at each candidate s (semantics._stable_at): the reduct
+at s is the list of rules whose body holds at s, with each kept aggregate
+under G turned into the mask of its domain atoms true at s, and its
+minimality is a least fixpoint over integers when every kept rule has at
+most one head atom and no aggregate, otherwise the column of the kept
+rules over the subspace of the candidate's own subsets. A coherence test
+stops at the first stable model; brave and cautious queries first
+restrict the candidates to those with, or without, the queried atom.
+is_stable runs the same compile and check on its one candidate.
 
 A polynomial fast path covers the monotone fragment, where the single
-candidate G-stable model is the least fixpoint itself. It runs on the same
-compiled rules and the same least-model rounds; no Program is built.
+candidate G-stable model is the least fixpoint itself. It runs the same
+compile, least-model rounds and check; no Program is built.
 """
 
 from __future__ import annotations
@@ -43,12 +43,10 @@ from .errors import NotAspMError, PreconditionError, TooManyAtomsError
 from .rewriter import rewrite_rew, rewrite_str
 from .semantics import (
     _column,
-    _compile,
     _compile_at,
     _least_model,
-    _minimal,
     _pattern,
-    _reduct_rules,
+    _stable_at,
     aggregate_truth_table,  # noqa: F401  (perfbench/tracing.py wraps it by name)
     ensure_asp_m,
     eval_aggregate,  # noqa: F401  (perfbench/tracing.py counts it by name)
@@ -140,27 +138,24 @@ def _stable(
 ) -> Iterator[Interpretation]:
     """Stable models in candidate order; with `atom`, only those where it
     holds (or, with holds=False, where it does not)."""
-    universe = sorted(atoms_of(program))
-    if len(universe) > max_atoms:
+    size = len(atoms_of(program))  # refuse before compiling a huge program
+    if size > max_atoms:
         raise TooManyAtomsError(
-            f"program has {len(universe)} atoms; "
-            f"the enumeration guard allows {max_atoms}"
+            f"program has {size} atoms; the enumeration guard allows {max_atoms}"
         )
-    position = {atom: i for i, atom in enumerate(universe)}
-    rules = _compile(program, position)
+    universe, rules, _ = _compile_at(program)
     # atom columns by (position, dimension), for the space and the subspaces
     # of the minimality checks; freed with the generator when the solve ends
     pattern = cache(_pattern)
     column = _column((1 << len(universe)) - 1, rules, pattern)
     if atom is not None:
-        restrict = pattern(position[atom], len(universe)) if atom in position else 0
+        restrict = pattern(universe.index(atom), len(universe)) if atom in universe else 0
         column &= restrict if holds else ~restrict
     grounding = sem is Semantics.G
     candidates = _set_bits(column, 1 << len(universe))
     del column  # only the scan's word copy stays alive
     for index in candidates:
-        kept, horn = _reduct_rules(rules, index, grounding)
-        if _minimal(index, kept, horn, pattern):
+        if _stable_at(rules, index, grounding, pattern):
             yield _atoms_at(universe, index)
 
 
@@ -190,9 +185,8 @@ def is_stable(program: Program, interp: Interpretation, sem: Semantics) -> bool:
         )
     if not satisfies(interp, program):
         return False
-    rules, index = _compile_at(program, interp)
-    kept, horn = _reduct_rules(rules, index, sem is Semantics.G)
-    return _minimal(index, kept, horn, _pattern)
+    _, rules, index = _compile_at(program, interp)
+    return _stable_at(rules, index, sem is Semantics.G, _pattern)
 
 
 def stable_models(
@@ -211,12 +205,10 @@ def gsm_asp_m(program: Program) -> ModelSet:
     fixpoint is the only candidate, and it stands iff it is the least model
     of its own G-reduct."""
     ensure_asp_m(program)
-    universe = sorted(atoms_of(program))
-    rules = _compile(program, {atom: i for i, atom in enumerate(universe)})
+    universe, rules, _ = _compile_at(program)
     # without negation a rule's positive mask is all its atom literals
     fixpoint = _least_model(rules)
-    kept, _ = _reduct_rules(rules, fixpoint, True)
-    if _least_model(kept, fixpoint) != fixpoint:
+    if not _stable_at(rules, fixpoint, True, _pattern):
         return ModelSet()
     return ModelSet([_atoms_at(universe, fixpoint)])
 

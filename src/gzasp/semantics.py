@@ -2,18 +2,17 @@
 minimal-model checking, and aggregate classification.
 
 Satisfaction, the reducts and the consequence operator work on the AST,
-for clarity. Minimality works on a compiled form: _compile turns each rule
-into atom bitmasks plus its aggregates, and _column builds the column of
-compiled rules over the subsets of any atom set (a big integer with one
-bit per subset; the enumerator's full space is the subsets of all atoms).
-_minimal, the one minimality check behind is_minimal_model, is_stable and
-the enumerator in reasoner.py, compares a model with the least model when
-the rules are Horn, and otherwise asks whether the column over the model's
-subsets keeps only the model's own bit. Aggregate columns come from one
-circuit, _aggregate_column, in O(|dom| log W) big-integer operations;
-classify_aggregate reads its packed truth table from it, over the space of
-the domain atoms alone, so the closure tests stay cheap even for wide
-domains.
+for clarity. Minimality works on a compiled form: _compile_at turns each
+rule into atom bitmasks plus its aggregates, and _column builds the column
+of compiled rules over the subsets of any atom set (a big integer with one
+bit per subset). _minimal compares a model with the least model when the
+rules are Horn (_horn), and otherwise asks whether the column over the
+model's subsets keeps only the model's own bit. _stable_at runs it on the
+reduct at a candidate, for is_stable, gsm_asp_m and the enumerator in
+reasoner.py. Aggregate columns come from one circuit, _aggregate_column,
+in O(|dom| log W) big-integer operations; classify_aggregate reads its
+packed truth table from it, over the space of the domain atoms alone, so
+the closure tests stay cheap even for wide domains.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import operator
 from enum import Enum
 from functools import reduce
+from itertools import accumulate
 
 from .core import (
     INT64_MAX,
@@ -32,9 +32,10 @@ from .core import (
     Interpretation,
     Program,
     Rule,
+    _check_int64,
     atoms_of,
 )
-from .errors import AggregateOverflowError, DomainTooLargeError, NotAspMError
+from .errors import DomainTooLargeError, NotAspMError
 from .parser import render_rule
 
 DOMAIN_CHECK_LIMIT = 20
@@ -58,10 +59,8 @@ class AggregateClass(Enum):
     NONCONVEX = "nonconvex"
 
 
-def _require_int64(value: int, what: str) -> int:
-    if not INT64_MIN <= value <= INT64_MAX:
-        raise AggregateOverflowError(f"{what} {value} exceeds the 64-bit integer range")
-    return value
+# eval_aggregate's overflow wording; a weight or bound is "outside" the range
+_EXCEEDS = "exceeds the 64-bit integer range"
 
 
 def eval_aggregate(spec: AggregateSpec, interp: Interpretation) -> bool:
@@ -83,12 +82,12 @@ def eval_aggregate(spec: AggregateSpec, interp: Interpretation) -> bool:
     if func is AggregateFunc.COUNT:
         return compare(len(selected), spec.bound)
     if func is AggregateFunc.SUM:
-        return compare(_require_int64(sum(selected), "sum"), spec.bound)
+        return compare(_check_int64(sum(selected), "sum", _EXCEEDS), spec.bound)
     if not selected:
         return False
     if func is AggregateFunc.AVG:
-        total = _require_int64(sum(selected), "sum")
-        scaled = _require_int64(spec.bound * len(selected), "scaled avg bound")
+        total = _check_int64(sum(selected), "sum", _EXCEEDS)
+        scaled = _check_int64(spec.bound * len(selected), "scaled avg bound", _EXCEEDS)
         return compare(total, scaled)
     extreme = min(selected) if func is AggregateFunc.MIN else max(selected)
     return compare(extreme, spec.bound)
@@ -117,33 +116,28 @@ def satisfies(interp: Interpretation, item) -> bool:
 def f_reduct(program: Program, interp: Interpretation) -> Program:
     """Keep the rules whose bodies interp satisfies, with every literal of
     negation depth one or more removed; aggregates stay in place."""
-    kept = []
-    for rule in program:
-        if not all(satisfies(interp, lit) for lit in rule.body):
-            continue
-        body = tuple(
-            lit
-            for lit in rule.body
-            if not (isinstance(lit, AtomLiteral) and lit.negation_depth)
-        )
-        kept.append(Rule(rule.head, body))
-    return Program(tuple(kept))
+    return _reduct(program, interp, grounding=False)
 
 
 def g_reduct(program: Program, interp: Interpretation) -> Program:
     """Like the first reduct, but each aggregate is replaced in place by the
     atoms of its domain that are true, in name order (possibly none)."""
+    return _reduct(program, interp, grounding=True)
+
+
+def _reduct(program: Program, interp: Interpretation, grounding: bool) -> Program:
     kept = []
     for rule in program:
         if not all(satisfies(interp, lit) for lit in rule.body):
             continue
-        body: list[AtomLiteral] = []
+        body: list = []
         for lit in rule.body:
-            if isinstance(lit, AggregateSpec):
-                body.extend(
-                    AtomLiteral(atom) for atom in lit.domain if atom in interp
-                )
-            elif not lit.negation_depth:
+            if isinstance(lit, AtomLiteral):
+                if not lit.negation_depth:
+                    body.append(lit)
+            elif grounding:
+                body.extend(AtomLiteral(atom) for atom in lit.domain if atom in interp)
+            else:
                 body.append(lit)
         kept.append(Rule(rule.head, tuple(body)))
     return Program(tuple(kept))
@@ -161,7 +155,9 @@ def tp_step(program: Program, interp: Interpretation) -> Interpretation:
 
 def ensure_asp_m(program: Program) -> None:
     """Check the shape the fixpoint construction needs: single-atom heads,
-    no negation, aggregates that classify as monotone."""
+    no negation, aggregates that classify as monotone. The syntax of every
+    rule is checked before any aggregate is classified."""
+    aggregates = []
     for index, rule in enumerate(program, start=1):
         if not rule.head:
             raise NotAspMError(f"rule {index} has an empty head: {render_rule(rule)}")
@@ -170,15 +166,15 @@ def ensure_asp_m(program: Program) -> None:
                 f"rule {index} has a disjunctive head: {render_rule(rule)}"
             )
         for lit in rule.body:
-            if isinstance(lit, AtomLiteral):
-                if lit.negation_depth:
-                    raise NotAspMError(
-                        f"rule {index} uses negation: {render_rule(rule)}"
-                    )
-            elif classify_aggregate(lit) is not AggregateClass.MONOTONE:
-                raise NotAspMError(
-                    f"rule {index} uses a non-monotone aggregate: {render_rule(rule)}"
-                )
+            if isinstance(lit, AggregateSpec):
+                aggregates.append((index, rule, lit))
+            elif lit.negation_depth:
+                raise NotAspMError(f"rule {index} uses negation: {render_rule(rule)}")
+    for index, rule, lit in aggregates:
+        if classify_aggregate(lit) is not AggregateClass.MONOTONE:
+            raise NotAspMError(
+                f"rule {index} uses a non-monotone aggregate: {render_rule(rule)}"
+            )
 
 
 def is_asp_m(program: Program) -> bool:
@@ -204,13 +200,7 @@ def tp_least_fixpoint(program: Program) -> Interpretation:
 
 def is_horn(program: Program) -> bool:
     """No negation, no aggregates, at most one head atom per rule."""
-    for rule in program:
-        if len(rule.head) > 1:
-            return False
-        for lit in rule.body:
-            if isinstance(lit, AggregateSpec) or lit.negation_depth:
-                return False
-    return True
+    return _horn(_compile_at(program)[1])
 
 
 def is_minimal_model(interp: Interpretation, program: Program) -> bool:
@@ -231,12 +221,8 @@ def is_minimal_model(interp: Interpretation, program: Program) -> bool:
     """
     if not satisfies(interp, program):
         return False
-    rules, index = _compile_at(program, interp)
-    horn = all(
-        not must_false and must_true == positive and not aggregates and not head & (head - 1)
-        for head, must_true, must_false, positive, aggregates in rules
-    )
-    return _minimal(index, rules, horn, _pattern)
+    _, rules, index = _compile_at(program, interp)
+    return _minimal(index, rules, _pattern)
 
 
 def _check_domain(size: int, max_domain: int) -> None:
@@ -285,8 +271,8 @@ def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int
         scaled = bound * len(weights) if func is AggregateFunc.AVG else 0
         extremes = (sum(w for w in weights if w < 0), sum(w for w in weights if w > 0), scaled)
         if min(extremes) < INT64_MIN or max(extremes) > INT64_MAX:
-            # some subset overflows; the table raises for the first one
-            aggregate_truth_table(spec, max_domain=len(spec.elements))
+            # some subset overflows: raise for the first, as the table would
+            eval_aggregate(spec, _first_overflow(spec))
     if func in PARITY_FUNCS:
         odd = reduce(operator.xor, (column for _, column in terms), 0)
         return odd if func is AggregateFunc.ODD else odd ^ full
@@ -317,6 +303,36 @@ def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int
     if func in (AggregateFunc.AVG, AggregateFunc.MIN, AggregateFunc.MAX):
         column &= reduce(operator.or_, (column for _, column in terms), 0)  # false on no selection
     return column
+
+
+def _first_overflow(spec: AggregateSpec) -> Interpretation:
+    """The first subset of a sum's or avg's domain, in truth-table order, on
+    which eval_aggregate overflows; some subset must. Greedy from the top
+    bit of the table index: that bit as low as possible, then each lower
+    bit clear while the bits below it can still complete an overflowing
+    subset."""
+    weights = [weight for weight, _ in spec.elements]
+    # the least and greatest sums over the subsets of the first k atoms
+    least = list(accumulate((min(weight, 0) for weight in weights), initial=0))
+    most = list(accumulate((max(weight, 0) for weight in weights), initial=0))
+    scale = spec.bound if spec.func is AggregateFunc.AVG else 0
+
+    def reachable(total: int, count: int, free: int) -> bool:
+        # some subset of the first `free` atoms overflows, added to `count`
+        # chosen atoms of weight `total`
+        return not (
+            INT64_MIN <= total + least[free]
+            and total + most[free] <= INT64_MAX
+            and INT64_MIN <= scale * (count + free) <= INT64_MAX
+        )
+
+    top = next(bit for bit in range(len(weights)) if reachable(0, 0, bit + 1))
+    total, count, chosen = weights[top], 1, [top]
+    for bit in reversed(range(top)):
+        if not reachable(total, count, bit):
+            total, count = total + weights[bit], count + 1
+            chosen.append(bit)
+    return frozenset(spec.domain[bit] for bit in chosen)
 
 
 def _compare_sum(terms: list, bound: int, full: int) -> tuple[int, int]:
@@ -367,15 +383,21 @@ def _compare_sum(terms: list, bound: int, full: int) -> tuple[int, int]:
     return less, equal
 
 
-def _compile(program: Program, position: dict) -> list[tuple]:
-    """Each rule as (head, must_true, must_false, positive, aggregates): atom
+def _compile_at(program: Program, interp: Interpretation = frozenset()) -> tuple:
+    """(universe, rules, index): the sorted atoms of the program and interp;
+    each rule as (head, must_true, must_false, positive, aggregates), atom
     bitmasks over the universe (a literal at even negation depth needs its
     atom true, at odd depth false; positive holds the depth-0 atoms, the
     only literals either reduct keeps) and the body aggregates in body
     order, each as (spec, domain mask, domain bits in domain order, memo,
-    must_true, must_false of the literals before it in the body). The memo,
-    shared by equal aggregates, maps the candidate's domain bits to the
-    aggregate's truth there."""
+    must_true, must_false of the literals before it in the body); and
+    interp as a candidate, the bitmask of its atoms. The memo, shared by
+    equal aggregates, maps the candidate's domain bits to the aggregate's
+    truth there. Any negated literal also sets bit len(universe) of
+    must_false, which no candidate has, so that _horn sees it."""
+    universe = sorted(atoms_of(program).union(interp))
+    position = {atom: i for i, atom in enumerate(universe)}
+    negated = 1 << len(universe)
     compiled = []
     memos: dict = {}
     for rule in program:
@@ -394,18 +416,12 @@ def _compile(program: Program, position: dict) -> list[tuple]:
                 must_false |= bit
             else:
                 must_true |= bit
-            if not lit.negation_depth:
+            if lit.negation_depth:
+                must_false |= negated
+            else:
                 positive |= bit
         compiled.append((head, must_true, must_false, positive, tuple(aggregates)))
-    return compiled
-
-
-def _compile_at(program: Program, interp: Interpretation) -> tuple[list[tuple], int]:
-    """The program compiled over its atoms and interp's, and interp as a
-    candidate: the bitmask of its atoms."""
-    universe = sorted(atoms_of(program).union(interp))
-    position = {atom: i for i, atom in enumerate(universe)}
-    return _compile(program, position), sum(1 << position[atom] for atom in interp)
+    return universe, compiled, sum(1 << position[atom] for atom in interp)
 
 
 def _aggregates_hold(aggregates: tuple, index: int) -> bool:
@@ -430,29 +446,6 @@ def _aggregates_hold(aggregates: tuple, index: int) -> bool:
         if not truth:
             return False
     return True
-
-
-def _reduct_rules(rules: list[tuple], index: int, grounding: bool) -> tuple:
-    """The reduct at candidate `index`, as compiled rules whose bodies are
-    their positive atoms and, under F, their aggregates; and whether every
-    kept rule is Horn (at most one head atom, no aggregate). Under G
-    (grounding) each aggregate is replaced by its domain atoms true at the
-    candidate; under F it stays."""
-    kept = []
-    horn = True
-    for head, must_true, must_false, positive, aggregates in rules:
-        if index & must_true != must_true or index & must_false:
-            continue
-        if aggregates:
-            if not _aggregates_hold(aggregates, index):
-                continue
-            if grounding:
-                for _, domain, _, _, _, _ in aggregates:
-                    positive |= domain & index
-                aggregates = ()
-        kept.append((head, positive, 0, positive, aggregates))
-        horn = horn and not aggregates and not head & (head - 1)
-    return kept, horn
 
 
 def _least_model(rules: list[tuple], stop: int = -1) -> int:
@@ -531,15 +524,46 @@ def _column(index: int, rules: list[tuple], pattern, floor: int = 0) -> int:
     return column
 
 
-def _minimal(index: int, rules: list[tuple], horn: bool, pattern) -> bool:
+def _horn(rules: list[tuple]) -> bool:
+    """Whether every compiled rule has at most one head atom, no negated
+    literal and no aggregate. A loop, not all(), since the enumerator asks
+    once per candidate."""
+    for head, _, must_false, _, aggregates in rules:
+        if must_false or aggregates or head & (head - 1):
+            return False
+    return True
+
+
+def _minimal(index: int, rules: list[tuple], pattern) -> bool:
     """Whether the candidate `index`, a model of the compiled rules, is a
-    minimal one: its least model when every rule is Horn, otherwise the
+    minimal one: its least model when the rules are Horn, otherwise the
     rules' column over its subsets, where only its own top bit may be
     left."""
-    if horn:
+    if _horn(rules):
         return _least_model(rules, index) == index
     top = 1 << ((1 << index.bit_count()) - 1)
     return _column(index, rules, pattern, top) == top
+
+
+def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern) -> bool:
+    """Whether the candidate `index`, a model of the compiled rules, is a
+    minimal model of its reduct there. The reduct is compiled rules whose
+    bodies are their positive atoms and, under F, their aggregates; under G
+    (grounding) each aggregate is replaced by its domain atoms true at the
+    candidate."""
+    kept = []
+    for head, must_true, must_false, positive, aggregates in rules:
+        if index & must_true != must_true or index & must_false:
+            continue
+        if aggregates:
+            if not _aggregates_hold(aggregates, index):
+                continue
+            if grounding:
+                for _, domain, _, _, _, _ in aggregates:
+                    positive |= domain & index
+                aggregates = ()
+        kept.append((head, positive, 0, positive, aggregates))
+    return _minimal(index, kept, pattern)
 
 
 def classify_aggregate(

@@ -181,6 +181,17 @@ class TestStableModels:
             stable_models(five, Semantics.G, max_atoms=4)
         assert list(stable_models(five, Semantics.G, max_atoms=5)) == [atoms("abcde")]
 
+    def test_atom_guard_refuses_before_compiling(self, monkeypatch):
+        # compiling 20,000 atoms builds bitmasks of 20,000 bits per literal
+        def refuse(*args):
+            raise AssertionError("compiled before the guard")
+
+        monkeypatch.setattr(reasoner, "_compile_at", refuse)
+        chain = parse("".join(f"p{i + 1} :- p{i}.\n" for i in range(19999)))
+        with pytest.raises(TooManyAtomsError) as info:
+            stable_models(chain, Semantics.G)
+        assert str(info.value) == "program has 20000 atoms; the enumeration guard allows 24"
+
     @pytest.mark.parametrize("sem_name", ["g", "f"])
     @given(st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -302,6 +313,18 @@ class TestCheckCoherence:
         overflow = "p :- sum{9223372036854775807 : a, 1 : p} >= 0. a."
         with pytest.raises(AggregateOverflowError):
             check_coherence(parse(overflow), Semantics.G)
+
+    @pytest.mark.parametrize("wide_first", [True, False])
+    def test_negation_beside_a_wide_aggregate_enumerates(self, wide_first):
+        # the 21-atom domain is too wide to classify, but the negation puts
+        # the program outside the fragment, so it is enumerated in either
+        # order; the constraints keep that enumeration to two candidates
+        wide = ", ".join(f"a{i}" for i in range(21))
+        rules = [f"p :- count{{{wide}}} >= 1.", "a0 :- not p."]
+        if not wide_first:
+            rules.reverse()
+        pins = "".join(f":- a{i}." for i in range(1, 21))
+        assert not check_coherence(parse("\n".join(rules) + pins), Semantics.G)
 
     def test_outside_the_fragment_enumerates(self):
         assert check_coherence(parse("a :- not b. b :- not a."), Semantics.G)
@@ -436,7 +459,7 @@ def circuit_column(spec: AggregateSpec, universe: list) -> int:
     """The aggregate's column over the subsets of the sorted `universe`,
     from the column builder: the complement of the column of `:- spec.`,
     with the domain atoms outside `universe` false."""
-    rules, index = semantics._compile_at(Program((Rule(frozenset(), (spec,)),)), universe)
+    _, rules, index = semantics._compile_at(Program((Rule(frozenset(), (spec,)),)), universe)
     full = (1 << (1 << len(universe))) - 1
     return semantics._column(index, rules, semantics._pattern) ^ full
 
@@ -521,13 +544,35 @@ class TestAggregateColumn:
             monkeypatch.setattr(
                 module, "eval_aggregate", lambda *args, f=original: evaluated.append(1) or f(*args)
             )
-        rules, index = semantics._compile_at(program, domain)
+        _, rules, index = semantics._compile_at(program, domain)
         column = semantics._column(index, rules, semantics._pattern)
         assert evaluated == []
         monkeypatch.undo()
         full = (1 << (1 << len(domain))) - 1
         rule_column = (table_column(spec, domain) ^ full) | semantics._pattern(0, len(domain))
         assert column == rule_column
+
+    def test_overflow_is_found_with_one_evaluation(self, monkeypatch):
+        # only the whole domain of 12 weights of 2**63 // 12 + 1 overflows;
+        # the enumerator raises what a walk over the truth table raises, after
+        # evaluating that one subset
+        weight = 2**63 // 12 + 1
+        guesses = "".join(f"a{i:02} :- not not a{i:02}.\n" for i in range(12))
+        elements = ", ".join(f"{weight} : a{i:02}" for i in range(12))
+        program = parse(f"{guesses}p :- sum{{{elements}}} >= 0.\n")
+        spec = program.rules[-1].body[0]
+        with pytest.raises(AggregateOverflowError) as walked:
+            aggregate_truth_table(spec)
+        evaluated = []
+        original = semantics.eval_aggregate
+        monkeypatch.setattr(
+            semantics, "eval_aggregate", lambda *args: evaluated.append(args[1]) or original(*args)
+        )
+        for sem in Semantics:
+            with pytest.raises(AggregateOverflowError) as raised:
+                stable_models(program, sem)
+            assert str(raised.value) == str(walked.value)
+        assert evaluated == [frozenset(spec.domain)] * 2
 
     def test_no_column_outlives_a_solve(self):
         # 20 atoms: one column, and one cached atom pattern, is 128 KiB

@@ -30,6 +30,7 @@ from gzasp.semantics import (
     eval_aggregate,
     f_reduct,
     g_reduct,
+    is_horn,
     is_minimal_model,
     satisfies,
     tp_least_fixpoint,
@@ -254,6 +255,33 @@ class TestTpOperator:
             tp_least_fixpoint(parse(text))
         assert fragment in str(info.value)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # the syntax of every rule is checked before any classification
+            ("p :- count{q} <= 0. r :- not s.", "rule 2 uses negation: r :- not s."),
+            ("p :- count{q} <= 0, not s.", "rule 1 uses negation: p :- count{q} <= 0, not s."),
+            ("p :- count{q} <= 0. r | s.", "rule 2 has a disjunctive head: r | s."),
+            ("p :- count{q} <= 0. r :- odd{q, s}.", "rule 1 uses a non-monotone aggregate"),
+        ],
+    )
+    def test_syntax_is_refused_before_classification(self, text, message):
+        with pytest.raises(NotAspMError) as info:
+            tp_least_fixpoint(parse(text))
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("wide_first", [True, False])
+    def test_wide_aggregate_never_hides_negation(self, wide_first):
+        # classification refuses a domain of 21 atoms, but the program is
+        # outside the fragment by its negation alone, whichever rule is first
+        wide = ", ".join(f"a{i}" for i in range(21))
+        rules = [f"p :- count{{{wide}}} >= 1.", "a0 :- not p."]
+        if not wide_first:
+            rules.reverse()
+        with pytest.raises(NotAspMError) as info:
+            tp_least_fixpoint(parse("\n".join(rules)))
+        assert str(info.value) == f"rule {1 + wide_first} uses negation: a0 :- not p."
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=60)
     def test_fixpoint_models_program(self, seed):
@@ -328,6 +356,48 @@ class TestIsMinimalModel:
         )
 
 
+def horn_by_definition(program: Program) -> bool:
+    return all(
+        len(rule.head) <= 1
+        and all(isinstance(lit, AtomLiteral) and not lit.negation_depth for lit in rule.body)
+        for rule in program
+    )
+
+
+class TestIsHorn:
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("", True),
+            ("a. b :- a, c.", True),
+            (":- a, b.", True),
+            ("a | b.", False),
+            ("p :- not q.", False),
+            ("p :- not not q.", False),
+            # the double negation repeats a positive literal, and still counts
+            ("p :- q, not not q.", False),
+            ("p :- q, not not not q.", False),
+            ("p :- count{q} >= 0.", False),
+        ],
+    )
+    def test_cases(self, text, expected):
+        assert is_horn(parse(text)) is expected
+
+    @pytest.mark.parametrize("family", sorted(gen.FAMILIES))
+    def test_matches_definition(self, family):
+        rng = random.Random(f"horn {family}")
+        seen = set()
+        for _ in range(300):
+            program = gen.FAMILIES[family](rng)
+            # Horn subprograms too, so both answers occur in every family
+            horn = Program(tuple(r for r in program if horn_by_definition(Program((r,)))))
+            for candidate in (program, horn):
+                expected = horn_by_definition(candidate)
+                assert is_horn(candidate) is expected, render(candidate)
+                seen.add(expected)
+        assert seen == {True, False}
+
+
 class TestClassifyAggregate:
     def test_golden_monotone(self):
         assert classify_aggregate(agg("count{a, b} >= 1")) is AggregateClass.MONOTONE
@@ -392,6 +462,43 @@ class TestClassifyAggregate:
                     continue
                 assert classify_aggregate(spec) is oracles.naive_classify(spec), spec
         assert overflowing > 20
+
+    def test_first_overflow_matches_the_walk(self):
+        # the first subset, in truth-table order, on which eval_aggregate
+        # raises: found greedily from the weights, and by walking the table
+        found = 0
+        for func, comparator in gen.AGGREGATE_CASES:
+            if func not in (AggregateFunc.SUM, AggregateFunc.AVG):
+                continue
+            rng = random.Random(f"first overflow {func.value} {comparator}")
+            for _ in range(150):
+                spec = gen.random_weighted_aggregate(rng, func, comparator, gen.POOL, max_dom=6)
+                for index in range(1 << len(spec.domain)):
+                    chosen = frozenset(a for i, a in enumerate(spec.domain) if index >> i & 1)
+                    try:
+                        eval_aggregate(spec, chosen)
+                    except AggregateOverflowError:
+                        assert semantics._first_overflow(spec) == chosen, spec
+                        found += 1
+                        break
+        assert found > 100
+
+    def test_overflow_is_found_with_one_evaluation(self, monkeypatch):
+        # 20 weights of 2**63 // 20 + 1: only the whole domain overflows, and
+        # a walk over the truth table would evaluate 2**20 subsets to find it
+        weight = 2**63 // 20 + 1
+        spec = AggregateSpec(
+            AggregateFunc.SUM, tuple((weight, Atom(f"x{i:02}")) for i in range(20)), ">=", 0
+        )
+        evaluated = []
+        original = semantics.eval_aggregate
+        monkeypatch.setattr(
+            semantics, "eval_aggregate", lambda *args: evaluated.append(args[1]) or original(*args)
+        )
+        with pytest.raises(AggregateOverflowError) as info:
+            classify_aggregate(spec)
+        assert str(info.value) == f"sum {20 * weight} exceeds the 64-bit integer range"
+        assert evaluated == [frozenset(spec.domain)]
 
     def test_domain_bound_comes_before_overflow(self):
         wide = AggregateSpec(
