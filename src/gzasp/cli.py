@@ -199,14 +199,20 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_input(sub):
         sub.add_argument("file", help="program file, or - for stdin")
 
+    def add_semantics(sub):
+        sub.add_argument(
+            "--semantics",
+            choices=("g", "f"),
+            default="g",
+            help="which reduct defines stability (default: g)",
+        )
+
+    def add_max_atoms(sub):
+        sub.add_argument("--max-atoms", type=int, default=None)
+
     models = commands.add_parser("models", help="enumerate stable models")
     add_input(models)
-    models.add_argument(
-        "--semantics",
-        choices=("g", "f"),
-        default="g",
-        help="which reduct defines stability (default: g)",
-    )
+    add_semantics(models)
     models.add_argument(
         "--via",
         choices=("direct", "rew", "str"),
@@ -214,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="solve directly, or compile through an aggregate-guarding "
         "rewriting (G-semantics only)",
     )
-    models.add_argument("--max-atoms", type=int, default=None)
+    add_max_atoms(models)
     models.add_argument("--json", action="store_true")
     models.add_argument("--timing", action="store_true")
     models.set_defaults(handler=_cmd_models)
@@ -234,13 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_input(query)
     query.add_argument("--mode", choices=("coherent", "cautious", "brave"), required=True)
     query.add_argument("--atom", default=None)
-    query.add_argument(
-        "--semantics",
-        choices=("g", "f"),
-        default="g",
-        help="which reduct defines stability (default: g)",
-    )
-    query.add_argument("--max-atoms", type=int, default=None)
+    add_semantics(query)
+    add_max_atoms(query)
     query.set_defaults(handler=_cmd_query)
 
     stats = commands.add_parser("stats", help="sizes, classes, growth bounds")

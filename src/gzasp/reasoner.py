@@ -26,9 +26,11 @@ stops at the first stable model; brave and cautious queries first
 restrict the candidates to those with, or without, the queried atom.
 is_stable runs the same compile and check on its one candidate.
 
-A polynomial fast path covers the monotone fragment, where the single
-candidate G-stable model is the least fixpoint itself. It runs the same
-compile, least-model rounds and check; no Program is built.
+Every query runs through _stable, where the program picks the route. In
+the monotone fragment ASP^M the least fixpoint is the only candidate: it
+is the one F-stable model, and G-stable iff it is the least model of its
+G-reduct. Such a program is answered from it at any size; any other is
+enumerated, and refused above the atom guard.
 """
 
 from __future__ import annotations
@@ -39,7 +41,13 @@ from functools import cache
 from typing import Iterable, Iterator
 
 from .core import Atom, Interpretation, Program, atoms_of
-from .errors import NotAspMError, PreconditionError, TooManyAtomsError
+from .errors import (
+    AggregateOverflowError,
+    DomainTooLargeError,
+    NotAspMError,
+    PreconditionError,
+    TooManyAtomsError,
+)
 from .rewriter import rewrite_rew, rewrite_str
 from .semantics import (
     _column,
@@ -129,6 +137,18 @@ def _atoms_at(universe: list, index: int) -> Interpretation:
     return frozenset(atom for i, atom in enumerate(universe) if index >> i & 1)
 
 
+def _fixpoint_models(program: Program, grounding: bool) -> list[Interpretation]:
+    """The stable models of an ASP^M program, from its least fixpoint; raises
+    NotAspMError outside the fragment, and what classification raises."""
+    ensure_asp_m(program)
+    universe, rules, _ = _compile_at(program)
+    # without negation a rule's positive mask is all its atom literals
+    fixpoint = _least_model(rules)
+    if grounding and not _stable_at(rules, fixpoint, True, _pattern):
+        return []
+    return [_atoms_at(universe, fixpoint)]
+
+
 def _stable(
     program: Program,
     sem: Semantics,
@@ -137,7 +157,16 @@ def _stable(
     holds: bool = True,
 ) -> Iterator[Interpretation]:
     """Stable models in candidate order; with `atom`, only those where it
-    holds (or, with holds=False, where it does not)."""
+    holds (or, with holds=False, where it does not). Programs outside ASP^M,
+    or with an aggregate that cannot be classified, are enumerated."""
+    grounding = sem is Semantics.G
+    try:
+        models = _fixpoint_models(program, grounding)
+    except (NotAspMError, DomainTooLargeError, AggregateOverflowError):
+        pass  # enumerate: its own column raises an overflow, where one is reached
+    else:
+        yield from (model for model in models if atom is None or (atom in model) == holds)
+        return
     size = len(atoms_of(program))  # refuse before compiling a huge program
     if size > max_atoms:
         raise TooManyAtomsError(
@@ -151,22 +180,11 @@ def _stable(
     if atom is not None:
         restrict = pattern(universe.index(atom), len(universe)) if atom in universe else 0
         column &= restrict if holds else ~restrict
-    grounding = sem is Semantics.G
     candidates = _set_bits(column, 1 << len(universe))
     del column  # only the scan's word copy stays alive
     for index in candidates:
         if _stable_at(rules, index, grounding, pattern):
             yield _atoms_at(universe, index)
-
-
-def _has_stable(
-    program: Program,
-    sem: Semantics,
-    max_atoms: int,
-    atom: Atom | None = None,
-    holds: bool = True,
-) -> bool:
-    return next(_stable(program, sem, max_atoms, atom, holds), None) is not None
 
 
 def is_stable(program: Program, interp: Interpretation, sem: Semantics) -> bool:
@@ -194,8 +212,9 @@ def stable_models(
 ) -> ModelSet:
     """All stable models under the chosen semantics, canonically ordered.
 
-    Enumeration is exact over the subsets of At(program); programs with
-    more than max_atoms atoms are refused rather than answered partially.
+    An ASP^M program is answered from its least fixpoint at any size; any
+    other is enumerated exactly over the subsets of At(program), and refused
+    rather than answered partially when it has more than max_atoms atoms.
     """
     return ModelSet(_stable(program, sem, max_atoms))
 
@@ -203,54 +222,34 @@ def stable_models(
 def gsm_asp_m(program: Program) -> ModelSet:
     """G-stable models of a monotone program without enumeration: the least
     fixpoint is the only candidate, and it stands iff it is the least model
-    of its own G-reduct."""
-    ensure_asp_m(program)
-    universe, rules, _ = _compile_at(program)
-    # without negation a rule's positive mask is all its atom literals
-    fixpoint = _least_model(rules)
-    if not _stable_at(rules, fixpoint, True, _pattern):
-        return ModelSet()
-    return ModelSet([_atoms_at(universe, fixpoint)])
+    of its own G-reduct. Raises NotAspMError outside the fragment."""
+    return ModelSet(_fixpoint_models(program, True))
 
 
 def check_coherence(
     program: Program, sem: Semantics, *, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> bool:
-    """Does at least one stable model exist? Monotone programs under G skip
-    enumeration entirely; otherwise the search stops at the first stable
-    model."""
-    if sem is Semantics.G:
-        try:
-            return bool(gsm_asp_m(program))
-        except NotAspMError:
-            pass  # outside the monotone fragment: enumerate
-    return _has_stable(program, sem, max_atoms)
+    """Does at least one stable model exist? The search stops at the first
+    stable model; a monotone program has only its least fixpoint to try."""
+    return next(_stable(program, sem, max_atoms), None) is not None
 
 
 def cautious(
-    program: Program,
-    atom: Atom,
-    sem: Semantics,
-    *,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
+    program: Program, atom: Atom, sem: Semantics, *, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> bool:
     """True iff every stable model contains the atom; vacuously true for
     incoherent programs. Searches only the candidates without the atom and
     stops at the first stable one."""
-    return not _has_stable(program, sem, max_atoms, atom, holds=False)
+    return next(_stable(program, sem, max_atoms, atom, holds=False), None) is None
 
 
 def brave(
-    program: Program,
-    atom: Atom,
-    sem: Semantics,
-    *,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
+    program: Program, atom: Atom, sem: Semantics, *, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> bool:
     """True iff some stable model contains the atom; false for incoherent
     programs. Searches only the candidates with the atom and stops at the
     first stable one."""
-    return _has_stable(program, sem, max_atoms, atom)
+    return next(_stable(program, sem, max_atoms, atom), None) is not None
 
 
 _REWRITINGS = {"rew": rewrite_rew, "str": rewrite_str}

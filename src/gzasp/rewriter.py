@@ -228,45 +228,40 @@ def strongly_connected_components(
     on_stack: set[Atom] = set()
     stack: list[Atom] = []
     components: list[frozenset[Atom]] = []
-    counter = 0
+    work: list = []  # (node, its unvisited successors), innermost last
+
+    def visit(node: Atom) -> None:
+        order[node] = low[node] = len(order)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(sorted(graph[node]))))
 
     for root in sorted(graph):
         if root in order:
             continue
-        order[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(sorted(graph[root])))]
+        visit(root)
         while work:
             node, successors = work[-1]
-            pushed = False
             for succ in successors:
                 if succ not in order:
-                    order[succ] = low[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(graph[succ]))))
-                    pushed = True
+                    visit(succ)
                     break
                 if succ in on_stack:
                     low[node] = min(low[node], order[succ])
-            if pushed:
-                continue
-            work.pop()
-            if low[node] == order[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(frozenset(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+            else:  # every successor is done: close the node
+                work.pop()
+                if low[node] == order[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(frozenset(component))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
     return components
 
 

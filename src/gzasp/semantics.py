@@ -8,11 +8,11 @@ of compiled rules over the subsets of any atom set (a big integer with one
 bit per subset). _minimal compares a model with the least model when the
 rules are Horn (_horn), and otherwise asks whether the column over the
 model's subsets keeps only the model's own bit. _stable_at runs it on the
-reduct at a candidate, for is_stable, gsm_asp_m and the enumerator in
-reasoner.py. Aggregate columns come from one circuit, _aggregate_column,
-in O(|dom| log W) big-integer operations; classify_aggregate reads its
-packed truth table from it, over the space of the domain atoms alone, so
-the closure tests stay cheap even for wide domains.
+reduct at a candidate, for is_stable and both routes of reasoner.py, the
+least fixpoint and the enumerator. Aggregate columns come from one circuit,
+_aggregate_column, in O(|dom| log W) big-integer operations;
+classify_aggregate reads its packed truth table from it, over the space of
+the domain atoms alone, so the closure tests stay cheap even for wide domains.
 """
 
 from __future__ import annotations
@@ -432,7 +432,7 @@ def _aggregates_hold(aggregates: tuple, index: int) -> bool:
     aggregate reached sits behind a body prefix that is true at the
     candidate. The program column therefore built its column, checking
     every subset of its domain for 64-bit overflow, so nothing here raises
-    (in gsm_asp_m, ensure_asp_m's classification did that check, and in
+    (on the fixpoint route, ensure_asp_m's classification did that check; in
     is_stable, satisfies evaluated it at the candidate). That is why
     stopping at the first stable model never skips an error that full
     enumeration would raise.

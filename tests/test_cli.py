@@ -256,6 +256,80 @@ class TestQuery:
         assert "--atom" in err
 
 
+    def test_wide_aggregate_coherence_agrees_with_models(self, tmp_path, capsys):
+        # 22 atoms, with a 21-atom domain too wide to classify: both
+        # commands enumerate; the facts keep the candidates to two
+        wide = ", ".join(f"a{i}" for i in range(21))
+        facts = "".join(f"a{i}.\n" for i in range(1, 21))
+        path = write_program(tmp_path, f"p :- count{{{wide}}} >= 1.\n" + facts)
+        for sem in ("g", "f"):
+            assert main(["models", path, "--semantics", sem]) == 0
+            assert capsys.readouterr().out.count("\n") == 1
+            assert main(["query", path, "--mode", "coherent", "--semantics", sem]) == 0
+            assert capsys.readouterr() == ("true\n", "")
+
+    def test_monotone_program_above_the_guard(self, tmp_path, capsys):
+        # 31 atoms; q supports itself, so its least fixpoint is F-stable only
+        chain = "p0.\n" + "".join(f"p{i + 1} :- p{i}.\n" for i in range(29))
+        path = write_program(tmp_path, chain + "q :- count{q} >= 0.\n")
+        fixpoint = "{" + ",".join(sorted([f"p{i}" for i in range(30)] + ["q"])) + "}\n"
+        for sem, models, coherent, brave_q in (("g", "", 1, 1), ("f", fixpoint, 0, 0)):
+            assert main(["models", path, "--semantics", sem]) == coherent
+            assert capsys.readouterr() == (models, "")
+            for argv, code in (
+                (["--mode", "coherent"], coherent),
+                (["--mode", "cautious", "--atom", "p29"], 0),
+                (["--mode", "brave", "--atom", "q"], brave_q),
+            ):
+                assert main(["query", path, "--semantics", sem] + argv) == code
+                assert capsys.readouterr() == (("false\n", "true\n")[code == 0], "")
+
+
+class TestHelp:
+    # the exact help text; sharing the option declarations must keep it
+    MODELS = """\
+usage: gzasp models [-h] [--semantics {g,f}] [--via {direct,rew,str}]
+                    [--max-atoms MAX_ATOMS] [--json] [--timing]
+                    file
+
+positional arguments:
+  file                  program file, or - for stdin
+
+options:
+  -h, --help            show this help message and exit
+  --semantics {g,f}     which reduct defines stability (default: g)
+  --via {direct,rew,str}
+                        solve directly, or compile through an aggregate-
+                        guarding rewriting (G-semantics only)
+  --max-atoms MAX_ATOMS
+  --json
+  --timing
+"""
+    QUERY = """\
+usage: gzasp query [-h] --mode {coherent,cautious,brave} [--atom ATOM]
+                   [--semantics {g,f}] [--max-atoms MAX_ATOMS]
+                   file
+
+positional arguments:
+  file                  program file, or - for stdin
+
+options:
+  -h, --help            show this help message and exit
+  --mode {coherent,cautious,brave}
+  --atom ATOM
+  --semantics {g,f}     which reduct defines stability (default: g)
+  --max-atoms MAX_ATOMS
+"""
+
+    @pytest.mark.parametrize("command,expected", [("models", MODELS), ("query", QUERY)])
+    def test_help_text(self, command, expected, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr() == (expected, "")
+
+
 class TestStats:
     def test_golden_block(self, golden_file, capsys):
         code = main(["stats", golden_file])

@@ -83,6 +83,13 @@ class TestModelSet:
         assert models == ModelSet([atoms(""), atoms("a")])
         assert models != ModelSet([atoms("")])
 
+    def test_other_types_and_repr(self):
+        models = ModelSet([atoms("ba"), atoms("")])
+        assert models.__eq__([atoms(""), atoms("ab")]) is NotImplemented
+        assert models != [atoms(""), atoms("ab")]
+        assert repr(models) == "ModelSet([{}, {a, b}])"
+        assert repr(ModelSet()) == "ModelSet([])"
+
 
 class TestIsStable:
     GOLDEN = [
@@ -172,11 +179,13 @@ class TestStableModels:
         assert set(stable_models(program, Semantics.F)) == {atoms("p")}
 
     def test_atom_guard(self):
-        facts = parse("".join(f"p{i}.\n" for i in range(25)))
+        # the guard limits enumeration; monotone programs are answered by
+        # their least fixpoint at any size, so these inputs lie outside ASP^M
+        guessed = parse("".join(f"p{i} :- not not p{i}.\n" for i in range(25)))
         with pytest.raises(TooManyAtomsError) as info:
-            stable_models(facts, Semantics.G)
+            stable_models(guessed, Semantics.G)
         assert "24" in str(info.value)
-        five = parse("a. b. c. d. e.")
+        five = parse("a. b. c. d. e. :- not a.")
         with pytest.raises(TooManyAtomsError):
             stable_models(five, Semantics.G, max_atoms=4)
         assert list(stable_models(five, Semantics.G, max_atoms=5)) == [atoms("abcde")]
@@ -187,7 +196,8 @@ class TestStableModels:
             raise AssertionError("compiled before the guard")
 
         monkeypatch.setattr(reasoner, "_compile_at", refuse)
-        chain = parse("".join(f"p{i + 1} :- p{i}.\n" for i in range(19999)))
+        # the one negated literal puts the chain outside ASP^M
+        chain = parse("".join(f"p{i + 1} :- p{i}.\n" for i in range(19998)) + "p19999 :- not p19998.")
         with pytest.raises(TooManyAtomsError) as info:
             stable_models(chain, Semantics.G)
         assert str(info.value) == "program has 20000 atoms; the enumeration guard allows 24"
@@ -305,11 +315,11 @@ class TestCheckCoherence:
         assert check_coherence(Program(), Semantics.F)
 
     def test_fast_path_errors_propagate_under_g(self):
-        # classification refuses domains over 20 atoms; the fast path must
-        # not turn that, or an overflow, into a fall-back to enumeration
+        # classification refuses domains over 20 atoms, so the 22-atom
+        # program is enumerated, as models does, and its empty set is stable;
+        # an overflow is raised by the enumerator's own column
         wide = ", ".join(f"a{i}" for i in range(21))
-        with pytest.raises(DomainTooLargeError):
-            check_coherence(parse(f"p :- count{{{wide}}} >= 1."), Semantics.G)
+        assert check_coherence(parse(f"p :- count{{{wide}}} >= 1."), Semantics.G)
         overflow = "p :- sum{9223372036854775807 : a, 1 : p} >= 0. a."
         with pytest.raises(AggregateOverflowError):
             check_coherence(parse(overflow), Semantics.G)
@@ -329,6 +339,86 @@ class TestCheckCoherence:
     def test_outside_the_fragment_enumerates(self):
         assert check_coherence(parse("a :- not b. b :- not a."), Semantics.G)
         assert not check_coherence(parse("a :- not a."), Semantics.G)
+
+
+def _answers(program: Program, sem: Semantics) -> list:
+    """Every answer the four modes give, or the type and message of what
+    each raises: models, coherence, and brave and cautious for every atom
+    and for one atom outside the program."""
+    def answer(query, *args):
+        try:
+            return query(program, *args, sem)
+        except GzaspError as err:
+            return type(err), str(err)
+
+    outside = Atom("outside")
+    found = [answer(stable_models), answer(check_coherence)]
+    for atom in sorted(atoms_of(program)) + [outside]:
+        found += [answer(brave, atom), answer(cautious, atom)]
+    return found
+
+
+def _no_fixpoint(program, grounding):
+    raise NotAspMError("enumerate")
+
+
+def _no_column(*args):
+    raise AssertionError("enumerated a monotone program")
+
+
+class TestMonotoneRoute:
+    """_stable answers ASP^M programs by their least fixpoint, in all four
+    modes under both reducts, and enumerates everything else."""
+
+    @pytest.mark.parametrize("family", sorted(gen.FAMILIES))
+    def test_agrees_with_enumeration_on_every_family(self, family, monkeypatch):
+        rng = random.Random(f"route-{family}")
+        programs = [gen.FAMILIES[family](rng) for _ in range(25)]
+        routed = [_answers(p, sem) for p in programs for sem in Semantics]
+        monkeypatch.setattr(reasoner, "_fixpoint_models", _no_fixpoint)
+        assert routed == [_answers(p, sem) for p in programs for sem in Semantics]
+
+    def test_long_chain_in_every_mode_without_enumerating(self, monkeypatch):
+        monkeypatch.setattr(reasoner, "_column", _no_column)
+        chain = parse("p0.\n" + "".join(f"p{i + 1} :- p{i}.\n" for i in range(19999)))
+        top, outside = Atom("p19999"), Atom("outside")
+        for sem in Semantics:
+            assert stable_models(chain, sem) == ModelSet([atoms_of(chain)])
+            assert check_coherence(chain, sem)
+            assert brave(chain, top, sem) and cautious(chain, top, sem)
+            assert not brave(chain, outside, sem) and not cautious(chain, outside, sem)
+
+    def test_above_the_guard_against_definition(self, monkeypatch):
+        monkeypatch.setattr(reasoner, "_column", _no_column)
+        rng = random.Random(41)
+        for index in range(12):
+            size = rng.choice((25, rng.randint(26, 400)))
+            program = gen.random_large_monotone_program(rng, size, index % 2 == 1)
+            lfp = semantics.tp_least_fixpoint(program)
+            inside, outside = Atom(f"m{size - 1}"), Atom("outside")
+            expected = {
+                Semantics.G: oracles.fixpoint_g_stable_models(program),
+                Semantics.F: [lfp],
+            }
+            for sem, models in expected.items():
+                assert list(stable_models(program, sem)) == models, index
+                assert check_coherence(program, sem) is bool(models)
+                for atom in (inside, outside):
+                    assert brave(program, atom, sem) is any(atom in m for m in models)
+                    assert cautious(program, atom, sem) is all(atom in m for m in models)
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_outside_the_fragment_is_refused_above_the_guard(self, sem):
+        program = parse("".join(f"p{i} :- not not p{i}.\n" for i in range(25)))
+        p0 = Atom("p0")
+        for query, args in (
+            (stable_models, ()),
+            (check_coherence, ()),
+            (brave, (p0,)),
+            (cautious, (p0,)),
+        ):
+            with pytest.raises(TooManyAtomsError):
+                query(program, *args, sem)
 
 
 class TestCautiousBrave:

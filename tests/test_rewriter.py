@@ -369,6 +369,24 @@ class TestStronglyConnectedComponents:
             frozenset({Atom("c")}),
         ]
 
+    # the component lists in order; the search's visit order decides them
+    PINNED = [
+        (None, [["c"], ["b"], ["a"]]),
+        (5, [["v1"], ["v2"], ["v3"], ["v6"], ["v8"]]),
+        (6, [["v1"], ["v6"], ["v4"], ["v3", "v5", "v7", "v8"], ["v0"], ["v2"], ["v9"]]),
+        (8, [["v2"], ["v0", "v1", "v3"]]),
+    ]
+
+    @pytest.mark.parametrize("seed,expected", PINNED)
+    def test_order_is_pinned(self, seed, expected):
+        if seed is None:
+            program = golden_program()
+        else:
+            pool = tuple(Atom(f"v{i}") for i in range(10))
+            program = gen.random_program(random.Random(seed), pool=pool, max_atoms=10, max_rules=14)
+        components = strongly_connected_components(dependency_graph(program))
+        assert [sorted(atom.name for atom in c) for c in components] == expected
+
     def test_components_partition_the_nodes(self):
         graph = dependency_graph(golden_program())
         components = strongly_connected_components(graph)

@@ -30,6 +30,7 @@ from gzasp.semantics import (
     eval_aggregate,
     f_reduct,
     g_reduct,
+    is_asp_m,
     is_horn,
     is_minimal_model,
     satisfies,
@@ -288,6 +289,24 @@ class TestTpOperator:
         program = gen.random_monotone_program(random.Random(seed))
         fixpoint = tp_least_fixpoint(program)
         assert satisfies(fixpoint, program)
+
+
+class TestIsAspM:
+    def test_monotone_program(self):
+        assert is_asp_m(parse("q. p :- q, count{q, r} >= 1. r :- sum{2 : p} > 1."))
+        assert is_asp_m(Program())
+
+    @pytest.mark.parametrize(
+        "text",
+        ["p :- not q.", "p :- not not q.", "p | q.", ":- p.", "p :- odd{q, r}."],
+    )
+    def test_outside_the_fragment(self, text):
+        assert not is_asp_m(parse(text))
+
+    def test_wide_domain_is_not_classified(self):
+        wide = ", ".join(f"a{i}" for i in range(21))
+        with pytest.raises(DomainTooLargeError):
+            is_asp_m(parse(f"p :- count{{{wide}}} >= 1."))
 
 
 class TestIsMinimalModel:
