@@ -32,7 +32,6 @@ __all__ = [
     "AggregateFunc",
     "AggregateSpec",
     "AtomLiteral",
-    "BodyLiteral",
     "Interpretation",
     "Rule",
     "Program",
@@ -182,13 +181,6 @@ class AtomLiteral:
             raise TypeError(f"not an atom: {self.atom!r}")
         if not isinstance(self.negation_depth, int) or self.negation_depth < 0:
             raise ValueError(f"bad negation depth: {self.negation_depth!r}")
-
-    @property
-    def is_negative(self) -> bool:
-        return self.negation_depth > 0
-
-
-BodyLiteral = AtomLiteral | AggregateSpec
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ class NotAspMError(GzaspError):
 
 
 class DomainTooLargeError(GzaspError):
-    """Aggregate classification asked for beyond the exhaustive-scan bound."""
+    """An aggregate's truth table or class asked for beyond DEFAULT_MAX_ATOMS."""
 
 
 class TooManyAtomsError(GzaspError):

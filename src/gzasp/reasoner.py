@@ -50,13 +50,14 @@ from .errors import (
 )
 from .rewriter import rewrite_rew, rewrite_str
 from .semantics import (
+    DEFAULT_MAX_ATOMS,
+    _atoms_at,
     _column,
     _compile_at,
-    _least_model,
+    _fixpoint_models,
     _pattern,
     _stable_at,
     aggregate_truth_table,  # noqa: F401  (perfbench/tracing.py wraps it by name)
-    ensure_asp_m,
     eval_aggregate,  # noqa: F401  (perfbench/tracing.py counts it by name)
     f_reduct,  # noqa: F401  (perfbench/tracing.py wraps it by name)
     g_reduct,  # noqa: F401  (perfbench/tracing.py wraps it by name)
@@ -65,8 +66,6 @@ from .semantics import (
     satisfies,
     tp_least_fixpoint,  # noqa: F401  (perfbench/tracing.py wraps it by name)
 )
-
-DEFAULT_MAX_ATOMS = 24
 
 
 class Semantics(Enum):
@@ -131,22 +130,6 @@ def _set_bits(column: int, width: int) -> Iterator[int]:
                 low = word & -word
                 yield base + low.bit_length() - 1
                 word ^= low
-
-
-def _atoms_at(universe: list, index: int) -> Interpretation:
-    return frozenset(atom for i, atom in enumerate(universe) if index >> i & 1)
-
-
-def _fixpoint_models(program: Program, grounding: bool) -> list[Interpretation]:
-    """The stable models of an ASP^M program, from its least fixpoint; raises
-    NotAspMError outside the fragment, and what classification raises."""
-    ensure_asp_m(program)
-    universe, rules, _ = _compile_at(program)
-    # without negation a rule's positive mask is all its atom literals
-    fixpoint = _least_model(rules)
-    if grounding and not _stable_at(rules, fixpoint, True, _pattern):
-        return []
-    return [_atoms_at(universe, fixpoint)]
 
 
 def _stable(

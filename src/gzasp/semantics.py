@@ -1,19 +1,20 @@
 """Model-theoretic core: satisfaction, reducts, consequence operator,
 minimal-model checking, and aggregate classification.
 
-Satisfaction, the reducts and the consequence operator work on the AST,
-for clarity. Minimality works on a compiled form: _compile_at turns each
-rule into atom bitmasks plus its aggregates, and _column builds the column
-of compiled rules over the subsets of any atom set (a big integer with one
-bit per subset). _minimal compares a model with the least model when the
-rules are Horn (_horn), and otherwise asks whether the column over the
-model's subsets keeps only the model's own bit. _stable_at runs it on the
-reduct at a candidate, for is_stable and both routes of reasoner.py, the
-least fixpoint and the enumerator. Aggregate columns come from one circuit,
-_aggregate_column, in O(|dom| log W) big-integer operations;
-classify_aggregate reads its packed truth table from it, over the space of
-the domain atoms alone, so the closure tests stay cheap even for wide domains.
-"""
+Satisfaction, the reducts and one step of the consequence operator work on
+the AST, for clarity. Everything else works on a compiled form: _compile_at
+turns each rule into atom bitmasks plus its aggregates, and _column builds
+the column of compiled rules over the subsets of any atom set (a big integer
+with one bit per subset). _minimal compares a model with the least model
+when the rules are Horn (_horn), and otherwise asks whether the column over
+the model's subsets keeps only the model's own bit. _stable_at runs it on
+the reduct at a candidate, for is_stable and both routes of reasoner.py:
+the least fixpoint (_fixpoint_models, also behind tp_least_fixpoint) and
+the enumerator. Aggregate columns come from one circuit, _aggregate_column,
+in O(|dom| log W) big-integer operations; _table builds it over the space
+of the domain atoms alone, the packed truth table that classify_aggregate
+and aggregate_truth_table read, so the closure tests stay cheap even for
+wide domains."""
 
 from __future__ import annotations
 
@@ -38,7 +39,9 @@ from .core import (
 from .errors import DomainTooLargeError, NotAspMError
 from .parser import render_rule
 
-DOMAIN_CHECK_LIMIT = 20
+# the widest space the engine enumerates, and an aggregate's truth table
+# spans, by default: a column over 24 atoms is 2**24 bits, 2 MiB
+DEFAULT_MAX_ATOMS = 24
 
 _COMPARE = {
     "<": operator.lt,
@@ -186,21 +189,19 @@ def is_asp_m(program: Program) -> bool:
 
 
 def tp_least_fixpoint(program: Program) -> Interpretation:
-    """Iterate the consequence operator from the empty set to its least
-    fixpoint. Rejects programs outside the monotone fragment, where the
-    iteration could oscillate or lose answers."""
-    ensure_asp_m(program)
-    current: Interpretation = frozenset()
-    while True:
-        step = tp_step(program, current)
-        if step == current:
-            return current
-        current = step
+    """The least fixpoint of the consequence operator, the limit of its
+    rounds from the empty set. Rejects programs outside the monotone
+    fragment, where the iteration could oscillate or lose answers."""
+    return _fixpoint_models(program, False)[0]
 
 
 def is_horn(program: Program) -> bool:
-    """No negation, no aggregates, at most one head atom per rule."""
-    return _horn(_compile_at(program)[1])
+    """No negation, no aggregates, at most one head atom per rule. A double
+    negation beside the same positive literal (p :- q, not not q.) leaves
+    the compiled masks Horn, so negation is also looked for in the rules."""
+    return _horn(_compile_at(program)[1]) and not any(
+        getattr(lit, "negation_depth", 0) for rule in program for lit in rule.body
+    )
 
 
 def is_minimal_model(interp: Interpretation, program: Program) -> bool:
@@ -225,27 +226,28 @@ def is_minimal_model(interp: Interpretation, program: Program) -> bool:
     return _minimal(index, rules, _pattern)
 
 
-def _check_domain(size: int, max_domain: int) -> None:
-    if size > max_domain:
-        raise DomainTooLargeError(
-            f"aggregate domain has {size} atoms; "
-            f"exhaustive evaluation is capped at {max_domain}"
-        )
-
-
-def aggregate_truth_table(
-    spec: AggregateSpec, *, max_domain: int = DOMAIN_CHECK_LIMIT
-) -> list[bool]:
-    """Evaluate spec on every subset of its domain. Entry i uses the subset
+def aggregate_truth_table(spec: AggregateSpec) -> list[bool]:
+    """Truth of spec on every subset of its domain. Entry i is the subset
     whose members are the domain atoms (in name order) at the set bits of i."""
-    domain = spec.domain
-    _check_domain(len(domain), max_domain)
-    return [
-        eval_aggregate(
-            spec, frozenset(atom for i, atom in enumerate(domain) if index >> i & 1)
+    packed, _, _ = _table(spec)
+    return [bit == "1" for bit in reversed(f"{packed:0{1 << len(spec.domain)}b}")]
+
+
+def _table(spec: AggregateSpec) -> tuple[int, list[int], int]:
+    """(packed, columns, full): the aggregate's truth table, its circuit
+    column over the space of its domain atoms alone (bit i for the subset at
+    the set bits of i), with the columns of those atoms and the all-ones
+    mask. A domain wider than DEFAULT_MAX_ATOMS is refused before any
+    overflow is looked for."""
+    dimension = len(spec.domain)
+    if dimension > DEFAULT_MAX_ATOMS:
+        raise DomainTooLargeError(
+            f"aggregate domain has {dimension} atoms; "
+            f"exhaustive evaluation is capped at {DEFAULT_MAX_ATOMS}"
         )
-        for index in range(1 << len(domain))
-    ]
+    full = (1 << (1 << dimension)) - 1
+    columns = [_pattern(position, dimension) for position in range(dimension)]
+    return _aggregate_column(spec, columns, full), columns, full
 
 
 def _pattern(position: int, dimension: int) -> int:
@@ -393,11 +395,9 @@ def _compile_at(program: Program, interp: Interpretation = frozenset()) -> tuple
     must_true, must_false of the literals before it in the body); and
     interp as a candidate, the bitmask of its atoms. The memo, shared by
     equal aggregates, maps the candidate's domain bits to the aggregate's
-    truth there. Any negated literal also sets bit len(universe) of
-    must_false, which no candidate has, so that _horn sees it."""
+    truth there."""
     universe = sorted(atoms_of(program).union(interp))
     position = {atom: i for i, atom in enumerate(universe)}
-    negated = 1 << len(universe)
     compiled = []
     memos: dict = {}
     for rule in program:
@@ -416,9 +416,7 @@ def _compile_at(program: Program, interp: Interpretation = frozenset()) -> tuple
                 must_false |= bit
             else:
                 must_true |= bit
-            if lit.negation_depth:
-                must_false |= negated
-            else:
+            if not lit.negation_depth:
                 positive |= bit
         compiled.append((head, must_true, must_false, positive, tuple(aggregates)))
     return universe, compiled, sum(1 << position[atom] for atom in interp)
@@ -466,6 +464,24 @@ def _least_model(rules: list[tuple], stop: int = -1) -> int:
             break
         derived = grown
     return derived
+
+
+def _atoms_at(universe: list, index: int) -> Interpretation:
+    return frozenset(atom for i, atom in enumerate(universe) if index >> i & 1)
+
+
+def _fixpoint_models(program: Program, grounding: bool) -> list[Interpretation]:
+    """The stable models of an ASP^M program, from its least fixpoint: the
+    one F-stable model, and under G (grounding) kept iff _stable_at accepts
+    it. Raises NotAspMError outside the fragment, and what classification
+    raises."""
+    ensure_asp_m(program)
+    universe, rules, _ = _compile_at(program)
+    # without negation a rule's positive mask is all its atom literals
+    fixpoint = _least_model(rules)
+    if grounding and not _stable_at(rules, fixpoint, True, _pattern):
+        return []
+    return [_atoms_at(universe, fixpoint)]
 
 
 # the step after a body's aggregates: masks of -1, which the rule's own
@@ -525,11 +541,12 @@ def _column(index: int, rules: list[tuple], pattern, floor: int = 0) -> int:
 
 
 def _horn(rules: list[tuple]) -> bool:
-    """Whether every compiled rule has at most one head atom, no negated
-    literal and no aggregate. A loop, not all(), since the enumerator asks
-    once per candidate."""
-    for head, _, must_false, _, aggregates in rules:
-        if must_false or aggregates or head & (head - 1):
+    """Whether every compiled rule has at most one head atom, no aggregate,
+    and a body that is its positive atoms: a negated literal needs an atom
+    false, or, under an even depth, an atom true that no positive literal
+    names. A loop, not all(), since the enumerator asks once per candidate."""
+    for head, must_true, must_false, positive, aggregates in rules:
+        if must_false or must_true != positive or aggregates or head & (head - 1):
             return False
     return True
 
@@ -566,24 +583,17 @@ def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern) -> bool
     return _minimal(index, kept, pattern)
 
 
-def classify_aggregate(
-    spec: AggregateSpec, *, max_domain: int = DOMAIN_CHECK_LIMIT
-) -> AggregateClass:
+def classify_aggregate(spec: AggregateSpec) -> AggregateClass:
     """Exhaustively classify an aggregate as MONOTONE, CONVEX or NONCONVEX.
 
-    The truth table is the aggregate's circuit column over the space of its
-    domain atoms alone: one big integer, bit per subset. Shifting
-    by a power of two aligns each subset with its neighbour across one domain
-    atom, so closing truth upward (toward subsets) and downward (toward
-    supersets) takes one pass per atom. Truth is monotone iff it already
-    contains its subset closure, and convex iff it holds wherever both
-    closures meet.
+    The truth table is _table's packed column: one big integer, bit per
+    subset. Shifting by a power of two aligns each subset with its neighbour
+    across one domain atom, so closing truth upward (toward subsets) and
+    downward (toward supersets) takes one pass per atom. Truth is monotone
+    iff it already contains its subset closure, and convex iff it holds
+    wherever both closures meet.
     """
-    dimension = len(spec.domain)
-    _check_domain(dimension, max_domain)
-    full = (1 << (1 << dimension)) - 1
-    columns = [_pattern(position, dimension) for position in range(dimension)]
-    packed = _aggregate_column(spec, columns, full)
+    packed, columns, full = _table(spec)
     reaches_up = packed  # some superset is true
     reaches_down = packed  # some subset is true
     for position, column in enumerate(columns):

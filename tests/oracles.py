@@ -1,9 +1,11 @@
 """Independent reference implementations the fast code paths are checked against.
 
 These deliberately share nothing with the production enumeration machinery:
-model search walks subsets with itertools, minimality re-walks subsets, and
-the lattice classifier scans subset chains literally, and the reference
-parser keeps one object per token. Slow and obviously correct is the point.
+model search walks subsets with itertools, minimality re-walks subsets, the
+lattice classifier scans subset chains literally, truth tables evaluate one
+subset at a time, least fixpoints apply the consequence operator to the AST
+round by round, and the reference parser keeps one object per token. Slow
+and obviously correct is the point.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from gzasp.rewriter import (
 )
 from gzasp.semantics import (
     AggregateClass,
+    ensure_asp_m,
     eval_aggregate,
     f_reduct,
     g_reduct,
     satisfies,
-    tp_least_fixpoint,
+    tp_step,
 )
 
 
@@ -70,14 +73,40 @@ def naive_stable_models(program: Program, semantics: str) -> set[frozenset]:
     return out
 
 
+def reference_least_fixpoint(program: Program) -> frozenset:
+    """Rounds of the consequence operator from the empty set until one
+    changes nothing. Raises what ensure_asp_m raises outside the monotone
+    fragment, where the rounds could oscillate or lose answers."""
+    ensure_asp_m(program)
+    current: frozenset = frozenset()
+    while True:
+        step = tp_step(program, current)
+        if step == current:
+            return current
+        current = step
+
+
 def fixpoint_g_stable_models(program: Program) -> list[frozenset]:
     """G-stable models of a monotone program by definition, in naive rounds
     of the consequence operator: the least fixpoint, kept iff the least
-    fixpoint of its own G-reduct is the same. Raises what tp_least_fixpoint
-    raises outside the fragment."""
-    fixpoint = tp_least_fixpoint(program)
-    confirmed = tp_least_fixpoint(g_reduct(program, fixpoint))
+    fixpoint of its own G-reduct is the same. Raises what
+    reference_least_fixpoint raises outside the fragment."""
+    fixpoint = reference_least_fixpoint(program)
+    confirmed = reference_least_fixpoint(g_reduct(program, fixpoint))
     return [fixpoint] if fixpoint == confirmed else []
+
+
+def reference_truth_table(spec: AggregateSpec) -> list[bool]:
+    """eval_aggregate on every subset of the domain, one at a time. Entry i
+    uses the subset whose members are the domain atoms (in name order) at
+    the set bits of i; raises what the first overflowing subset raises."""
+    domain = spec.domain
+    return [
+        eval_aggregate(
+            spec, frozenset(atom for i, atom in enumerate(domain) if index >> i & 1)
+        )
+        for index in range(1 << len(domain))
+    ]
 
 
 def naive_classify(spec: AggregateSpec) -> AggregateClass:

@@ -257,8 +257,8 @@ class TestQuery:
 
 
     def test_wide_aggregate_coherence_agrees_with_models(self, tmp_path, capsys):
-        # 22 atoms, with a 21-atom domain too wide to classify: both
-        # commands enumerate; the facts keep the candidates to two
+        # 22 atoms, with a 21-atom domain that classifies monotone: both
+        # commands answer from the least fixpoint
         wide = ", ".join(f"a{i}" for i in range(21))
         facts = "".join(f"a{i}.\n" for i in range(1, 21))
         path = write_program(tmp_path, f"p :- count{{{wide}}} >= 1.\n" + facts)
@@ -345,6 +345,16 @@ class TestStats:
             "bound_rew 24 ok\n"
             "bound_str 42 ok\n"
         )
+
+    def test_wide_monotone_aggregate(self, tmp_path, capsys):
+        # 21 atoms are within the classification cap, which is the atom guard
+        wide = ", ".join(f"a{i}" for i in range(21))
+        path = write_program(tmp_path, f"p :- count{{{wide}}} >= 1.\n")
+        code = main(["stats", path])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        shown = ", ".join(sorted(f"a{i}" for i in range(21)))  # in name order
+        assert f"aggregate count{{{shown}}} >= 1 MONOTONE" in out.splitlines()
 
     def test_nonconvex_fragment(self, tmp_path, capsys):
         path = write_program(tmp_path, "p :- count{p, q} != 1.\n")

@@ -100,6 +100,11 @@ class TestAggregateSpec:
         with pytest.raises(ValueError):
             AggregateSpec(AggregateFunc.COUNT, ((1, A),), "==", 1)
 
+    def test_bound_must_be_an_integer(self):
+        with pytest.raises(ValueError) as info:
+            AggregateSpec(AggregateFunc.SUM, ((1, A),), ">=", 1.5)
+        assert str(info.value) == "bad bound: 1.5"
+
     def test_empty_domain_only_for_count_and_sum(self):
         assert AggregateSpec(AggregateFunc.COUNT, (), ">=", 0).elements == ()
         assert AggregateSpec(AggregateFunc.SUM, (), "<", 1).elements == ()
@@ -137,6 +142,19 @@ class TestRuleAndProgram:
             Rule({A}, ("b",))
         with pytest.raises(TypeError):
             Program(("not a rule",))
+
+
+class TestAtomLiteral:
+    def test_atom_must_be_an_atom(self):
+        with pytest.raises(TypeError) as info:
+            AtomLiteral("a")
+        assert str(info.value) == "not an atom: 'a'"
+
+    @pytest.mark.parametrize("depth", [-1, 1.0, "1"])
+    def test_depth_must_be_a_natural_number(self, depth):
+        with pytest.raises(ValueError) as info:
+            AtomLiteral(A, depth)
+        assert str(info.value) == f"bad negation depth: {depth!r}"
 
 
 class TestAtomsOf:

@@ -270,7 +270,7 @@ class TestGsmAspM:
         assert bool(expected) is grounded
 
     def test_errors_match_definition(self):
-        m = [Atom(f"m{i}") for i in range(21)]
+        m = [Atom(f"m{i}") for i in range(25)]
         defects = [
             Rule({m[0]}, (AtomLiteral(m[1], 1),)),
             Rule(frozenset(), (AtomLiteral(m[1]),)),
@@ -293,6 +293,9 @@ class TestGsmAspM:
                 gsm_asp_m(broken)
             assert type(raised.value) is type(expected.value)
             assert str(raised.value) == str(expected.value)
+            with pytest.raises(GzaspError) as raised:
+                semantics.tp_least_fixpoint(broken)
+            assert (type(raised.value), str(raised.value)) == (type(expected.value), str(expected.value))
             seen.add(type(raised.value))
         assert seen == {NotAspMError, DomainTooLargeError, AggregateOverflowError}
 
@@ -315,9 +318,9 @@ class TestCheckCoherence:
         assert check_coherence(Program(), Semantics.F)
 
     def test_fast_path_errors_propagate_under_g(self):
-        # classification refuses domains over 20 atoms, so the 22-atom
-        # program is enumerated, as models does, and its empty set is stable;
-        # an overflow is raised by the enumerator's own column
+        # the 21-atom count classifies monotone, so the 22-atom program is
+        # answered from its least fixpoint, the empty set, as models is; an
+        # overflow is raised by the enumerator's own column
         wide = ", ".join(f"a{i}" for i in range(21))
         assert check_coherence(parse(f"p :- count{{{wide}}} >= 1."), Semantics.G)
         overflow = "p :- sum{9223372036854775807 : a, 1 : p} >= 0. a."
@@ -326,8 +329,8 @@ class TestCheckCoherence:
 
     @pytest.mark.parametrize("wide_first", [True, False])
     def test_negation_beside_a_wide_aggregate_enumerates(self, wide_first):
-        # the 21-atom domain is too wide to classify, but the negation puts
-        # the program outside the fragment, so it is enumerated in either
+        # the negation puts the program outside the fragment before its
+        # 21-atom aggregate is classified, so it is enumerated in either
         # order; the constraints keep that enumeration to two candidates
         wide = ", ".join(f"a{i}" for i in range(21))
         rules = [f"p :- count{{{wide}}} >= 1.", "a0 :- not p."]
@@ -394,7 +397,8 @@ class TestMonotoneRoute:
         for index in range(12):
             size = rng.choice((25, rng.randint(26, 400)))
             program = gen.random_large_monotone_program(rng, size, index % 2 == 1)
-            lfp = semantics.tp_least_fixpoint(program)
+            lfp = oracles.reference_least_fixpoint(program)
+            assert semantics.tp_least_fixpoint(program) == lfp, index
             inside, outside = Atom(f"m{size - 1}"), Atom("outside")
             expected = {
                 Semantics.G: oracles.fixpoint_g_stable_models(program),
@@ -406,6 +410,29 @@ class TestMonotoneRoute:
                 for atom in (inside, outside):
                     assert brave(program, atom, sem) is any(atom in m for m in models)
                     assert cautious(program, atom, sem) is all(atom in m for m in models)
+
+    def test_wide_monotone_aggregate_takes_the_fixpoint(self, monkeypatch):
+        # a 21-atom count classifies as monotone, so the 22-atom program is
+        # answered without enumerating its 2**22 candidates
+        monkeypatch.setattr(reasoner, "_column", _no_column)
+        wide = ", ".join(f"a{i}" for i in range(21))
+        program = parse(f"p :- count{{{wide}}} >= 1.")
+        for sem in Semantics:
+            assert list(stable_models(program, sem)) == [frozenset()]
+
+    def test_aggregate_wider_than_the_guard_is_enumerated(self, monkeypatch):
+        # a 25-atom domain is not classified, so the program is enumerated,
+        # and its 26 atoms are refused before compiling
+        def refuse(*args):
+            raise AssertionError("compiled before the guard")
+
+        monkeypatch.setattr(reasoner, "_compile_at", refuse)
+        wide = ", ".join(f"a{i}" for i in range(25))
+        program = parse(f"p :- count{{{wide}}} >= 1.")
+        for sem in Semantics:
+            with pytest.raises(TooManyAtomsError) as info:
+                stable_models(program, sem)
+            assert str(info.value) == "program has 26 atoms; the enumeration guard allows 24"
 
     @pytest.mark.parametrize("sem", list(Semantics))
     def test_outside_the_fragment_is_refused_above_the_guard(self, sem):
@@ -533,7 +560,7 @@ class TestQueriesAgainstOracle:
 def table_column(spec: AggregateSpec, universe: list) -> int:
     """The aggregate's column over the subsets of `universe`, read from its
     truth table: bit s is the entry for the domain atoms true at s."""
-    table = aggregate_truth_table(spec, max_domain=len(spec.domain))
+    table = oracles.reference_truth_table(spec)
     column = 0
     for index in range(1 << len(universe)):
         entry = sum(
@@ -554,9 +581,9 @@ def circuit_column(spec: AggregateSpec, universe: list) -> int:
     return semantics._column(index, rules, semantics._pattern) ^ full
 
 
-def outcome(build, spec, universe):
+def outcome(build, *args):
     try:
-        return build(spec, universe)
+        return build(*args)
     except AggregateOverflowError as err:
         return type(err), str(err)
 
@@ -567,7 +594,8 @@ EXTRA = tuple(Atom(name) for name in ("e0", "e1"))
 
 class TestAggregateColumn:
     """The circuit column against the truth table, on the full space and on
-    spaces that leave some domain atoms out (the subspace check)."""
+    spaces that leave some domain atoms out (the subspace check); and the
+    circuit's own truth table against the walk over the subsets."""
 
     @pytest.mark.parametrize("func,comparator", gen.AGGREGATE_CASES)
     def test_matches_truth_table(self, func, comparator):
@@ -576,6 +604,9 @@ class TestAggregateColumn:
         for _ in range(120):
             spec = gen.random_weighted_aggregate(rng, func, comparator, POOL, max_dom=5)
             universe = sorted(set(spec.domain) | set(rng.sample(EXTRA, rng.randint(0, 2))))
+            assert outcome(aggregate_truth_table, spec) == outcome(
+                oracles.reference_truth_table, spec
+            ), spec
             expected = outcome(table_column, spec, universe)
             overflowing += isinstance(expected, tuple)
             assert outcome(circuit_column, spec, universe) == expected, spec
@@ -597,6 +628,7 @@ class TestAggregateColumn:
     )
     def test_edge_cases(self, text):
         spec = parse(f":- {text}.").rules[0].body[0]
+        assert aggregate_truth_table(spec) == oracles.reference_truth_table(spec)
         for universe in (sorted(spec.domain), sorted(set(spec.domain) | {Atom("z")}), []):
             assert circuit_column(spec, universe) == table_column(spec, universe)
 
@@ -608,14 +640,15 @@ class TestAggregateColumn:
             "r :- sum{1 : a, 2 : b, -1 : c} != 0.\n"
         )
         built = []
-        original = semantics.aggregate_truth_table
+        original = semantics._table
 
-        def counting(spec, **kwargs):
+        def counting(spec):
             built.append(spec)
-            return original(spec, **kwargs)
+            return original(spec)
 
-        # the circuit, semantics._aggregate_column, looks the table up here
-        monkeypatch.setattr(semantics, "aggregate_truth_table", counting)
+        # the one builder of truth tables, for classification too; the
+        # negation keeps the program from the fixpoint route unclassified
+        monkeypatch.setattr(semantics, "_table", counting)
         models = stable_models(program, Semantics.F)
         # under F the count stays in the reduct of every model with p, and
         # each such reduct needs the subspace check
@@ -652,7 +685,7 @@ class TestAggregateColumn:
         program = parse(f"{guesses}p :- sum{{{elements}}} >= 0.\n")
         spec = program.rules[-1].body[0]
         with pytest.raises(AggregateOverflowError) as walked:
-            aggregate_truth_table(spec)
+            oracles.reference_truth_table(spec)
         evaluated = []
         original = semantics.eval_aggregate
         monkeypatch.setattr(

@@ -167,6 +167,11 @@ class TestSatisfies:
         assert satisfies(atoms("a"), program) is False
         assert satisfies(frozenset(), program) is False
 
+    def test_unknown_object(self):
+        with pytest.raises(TypeError) as info:
+            satisfies(frozenset(), A)
+        assert str(info.value) == "cannot evaluate satisfaction of Atom"
+
 
 class TestReducts:
     def test_f_reduct_golden(self):
@@ -273,9 +278,9 @@ class TestTpOperator:
 
     @pytest.mark.parametrize("wide_first", [True, False])
     def test_wide_aggregate_never_hides_negation(self, wide_first):
-        # classification refuses a domain of 21 atoms, but the program is
+        # classification refuses a domain of 25 atoms, but the program is
         # outside the fragment by its negation alone, whichever rule is first
-        wide = ", ".join(f"a{i}" for i in range(21))
+        wide = ", ".join(f"a{i}" for i in range(25))
         rules = [f"p :- count{{{wide}}} >= 1.", "a0 :- not p."]
         if not wide_first:
             rules.reverse()
@@ -289,6 +294,7 @@ class TestTpOperator:
         program = gen.random_monotone_program(random.Random(seed))
         fixpoint = tp_least_fixpoint(program)
         assert satisfies(fixpoint, program)
+        assert fixpoint == oracles.reference_least_fixpoint(program)
 
 
 class TestIsAspM:
@@ -304,7 +310,7 @@ class TestIsAspM:
         assert not is_asp_m(parse(text))
 
     def test_wide_domain_is_not_classified(self):
-        wide = ", ".join(f"a{i}" for i in range(21))
+        wide = ", ".join(f"a{i}" for i in range(25))
         with pytest.raises(DomainTooLargeError):
             is_asp_m(parse(f"p :- count{{{wide}}} >= 1."))
 
@@ -349,6 +355,19 @@ class TestIsMinimalModel:
         monkeypatch.setattr(semantics, "_column", refuse)
         assert is_minimal_model(atoms_of(program), program)
         assert not is_minimal_model(atoms_of(program) | {Atom("y")}, program)
+
+    def test_repeated_double_negation_takes_the_horn_path(self, monkeypatch):
+        # beside q, not not q changes no model: the rule reads p :- q
+        program = parse("q :- r. r. p :- q, not not q.")
+
+        def refuse(*args):
+            raise AssertionError("a column was built")
+
+        monkeypatch.setattr(semantics, "_column", refuse)
+        for interp in oracles.subsets(atoms_of(program)):
+            assert is_minimal_model(interp, program) == oracles.naive_is_minimal_model(
+                interp, program
+            ), interp
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40)
@@ -446,16 +465,14 @@ class TestClassifyAggregate:
     def test_domain_bound(self):
         wide = AggregateSpec(
             AggregateFunc.COUNT,
-            tuple((1, Atom(f"x{i}")) for i in range(21)),
+            tuple((1, Atom(f"x{i}")) for i in range(25)),
             ">=",
             1,
         )
         with pytest.raises(DomainTooLargeError):
             classify_aggregate(wide)
-        four = agg("count{a, b, c, d} >= 2")
         with pytest.raises(DomainTooLargeError):
-            classify_aggregate(four, max_domain=3)
-        assert classify_aggregate(four, max_domain=4) is AggregateClass.MONOTONE
+            aggregate_truth_table(wide)
 
     def test_truth_table_order(self):
         # bit i of the index selects the i-th domain atom in canonical order
@@ -472,7 +489,7 @@ class TestClassifyAggregate:
             for _ in range(30):
                 spec = gen.random_weighted_aggregate(rng, func, comparator, gen.POOL, max_dom=6)
                 try:
-                    aggregate_truth_table(spec)
+                    oracles.reference_truth_table(spec)
                 except AggregateOverflowError as err:
                     overflowing += 1
                     with pytest.raises(AggregateOverflowError) as info:
@@ -522,14 +539,14 @@ class TestClassifyAggregate:
     def test_domain_bound_comes_before_overflow(self):
         wide = AggregateSpec(
             AggregateFunc.SUM,
-            tuple((2**62, Atom(f"x{i:02}")) for i in range(21)),
+            tuple((2**62, Atom(f"x{i:02}")) for i in range(25)),
             ">=",
             1,
         )
         with pytest.raises(DomainTooLargeError) as info:
             classify_aggregate(wide)
         assert str(info.value) == (
-            "aggregate domain has 21 atoms; exhaustive evaluation is capped at 20"
+            "aggregate domain has 25 atoms; exhaustive evaluation is capped at 24"
         )
 
     @given(st.integers(0, 10**6))
