@@ -140,7 +140,7 @@ def _cmd_query(args) -> int:
     return 0 if answer else 1
 
 
-def _fragment_label(program: Program, classes: list) -> str:
+def _fragment_label(program: Program, classes) -> str:
     """Syntactic fragment of the program: negation and disjunction use,
     plus the strongest of the aggregate classes that occur."""
     constructs = []
@@ -165,14 +165,15 @@ def _cmd_stats(args) -> int:
     program, _ = _read_input(args.file)
     report = check_size_bounds(program)
     specs = [lit for rule in program for lit in rule.body if isinstance(lit, AggregateSpec)]
-    classes = [classify_aggregate(spec) for spec in specs]
+    # each distinct aggregate classified once, in the order of first occurrence
+    classes = {spec: classify_aggregate(spec) for spec in dict.fromkeys(specs)}
     lines = [
         f"atoms {report.atoms}",
         f"size {report.size_in}",
-        f"fragment {_fragment_label(program, classes)}",
+        f"fragment {_fragment_label(program, classes.values())}",
     ]
-    for spec, found in zip(specs, classes):
-        lines.append(f"aggregate {render_literal(spec)} {found.name}")
+    for spec in specs:
+        lines.append(f"aggregate {render_literal(spec)} {classes[spec].name}")
     lines.append(f"size_rew {report.size_rew}")
     lines.append(f"size_str {report.size_str}")
     lines.append(f"bound_rew {report.rew_bound} {'ok' if report.rew_ok else 'exceeded'}")
@@ -215,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_semantics(models)
     models.add_argument(
         "--via",
-        choices=("direct", "rew", "str"),
+        choices=("direct", *_GUARDING),
         default="direct",
         help="solve directly, or compile through an aggregate-guarding "
         "rewriting (G-semantics only)",

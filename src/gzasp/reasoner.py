@@ -5,23 +5,21 @@ than looping over interpretations, every expression is evaluated once for
 the whole space: a column is a 2**n-bit integer whose bit s holds the truth
 value under the interpretation encoded by the bits of s. Conjunction is &,
 negation is xor against the all-ones mask, and an aggregate becomes a
-circuit over its domain columns (semantics._aggregate_column, which also
-classifies aggregates): an XOR fold for parity, ORs for min and
-max, and for count, sum and avg an adder network whose bit-planes are
-compared with the bound, so a column costs O(|dom| log W) column operations
-for weights up to W. Candidate models drop out as the set bits of the
-program column, read 64 bits at a time.
+circuit over its domain columns (semantics._aggregate_column; over the
+domain's own space it is the truth table classification reads): an XOR
+fold for parity, ORs for min and max, and for count, sum and avg an adder
+network whose bit-planes are compared with the bound, so a column costs
+O(|dom| log W) column operations for weights up to W. Candidate models
+drop out as the set bits of the program column, read 64 bits at a time.
 
 No reduct is built as a Program. Each rule is compiled once into bitmasks
 over the sorted universe (head atoms, atoms its body needs true, atoms it
 needs false, positive atoms) plus its aggregates (semantics._compile_at),
 and the program column is built from that compiled form. One check then
 decides stability at each candidate s (semantics._stable_at): the reduct
-at s is the list of rules whose body holds at s, with each kept aggregate
-under G turned into the mask of its domain atoms true at s, and its
-minimality is a least fixpoint over integers when every kept rule has at
-most one head atom and no aggregate, otherwise the column of the kept
-rules over the subspace of the candidate's own subsets. A coherence test
+at s is the list of rules whose body holds at s, each head cut to s, with
+each kept aggregate under G turned into the mask of its domain atoms true
+at s; semantics._minimal decides its minimality. A coherence test
 stops at the first stable model; brave and cautious queries first
 restrict the candidates to those with, or without, the queried atom.
 is_stable runs the same compile and check on its one candidate.
@@ -251,9 +249,8 @@ def solve_via_rewriting(
     try:
         rewriting = _REWRITINGS[method]
     except KeyError:
-        raise ValueError(
-            f"unknown rewriting {method!r}; expected 'rew' or 'str'"
-        ) from None
+        expected = " or ".join(map(repr, _REWRITINGS))
+        raise ValueError(f"unknown rewriting {method!r}; expected {expected}") from None
     rewritten = rewriting(program, minimal_copies=minimal_copies)
     base = atoms_of(program)
     projected = [

@@ -5,10 +5,12 @@ Satisfaction, the reducts and one step of the consequence operator work on
 the AST, for clarity. Everything else works on a compiled form: _compile_at
 turns each rule into atom bitmasks plus its aggregates, and _column builds
 the column of compiled rules over the subsets of any atom set (a big integer
-with one bit per subset). _minimal compares a model with the least model
-when the rules are Horn (_horn), and otherwise asks whether the column over
-the model's subsets keeps only the model's own bit. _stable_at runs it on
-the reduct at a candidate, for is_stable and both routes of reasoner.py:
+with one bit per subset). _minimal takes rules with their heads cut to a
+model; it compares the model with the least model when every rule is
+positive, aggregate-free and left with at most one head atom, and otherwise
+asks whether the column over the model's subsets keeps only the model's own
+bit. _stable_at runs it on the reduct at a candidate, for is_stable and
+both routes of reasoner.py:
 the least fixpoint (_fixpoint_models, also behind tp_least_fixpoint) and
 the enumerator. Aggregate columns come from one circuit, _aggregate_column,
 in O(|dom| log W) big-integer operations; _table builds it over the space
@@ -159,8 +161,9 @@ def tp_step(program: Program, interp: Interpretation) -> Interpretation:
 def ensure_asp_m(program: Program) -> None:
     """Check the shape the fixpoint construction needs: single-atom heads,
     no negation, aggregates that classify as monotone. The syntax of every
-    rule is checked before any aggregate is classified."""
-    aggregates = []
+    rule is checked before any aggregate is classified, and each distinct
+    aggregate is classified once, in the order of first occurrence."""
+    aggregates: dict = {}  # each distinct aggregate, with its first rule
     for index, rule in enumerate(program, start=1):
         if not rule.head:
             raise NotAspMError(f"rule {index} has an empty head: {render_rule(rule)}")
@@ -170,10 +173,10 @@ def ensure_asp_m(program: Program) -> None:
             )
         for lit in rule.body:
             if isinstance(lit, AggregateSpec):
-                aggregates.append((index, rule, lit))
+                aggregates.setdefault(lit, (index, rule))
             elif lit.negation_depth:
                 raise NotAspMError(f"rule {index} uses negation: {render_rule(rule)}")
-    for index, rule, lit in aggregates:
+    for lit, (index, rule) in aggregates.items():
         if classify_aggregate(lit) is not AggregateClass.MONOTONE:
             raise NotAspMError(
                 f"rule {index} uses a non-monotone aggregate: {render_rule(rule)}"
@@ -196,23 +199,25 @@ def tp_least_fixpoint(program: Program) -> Interpretation:
 
 
 def is_horn(program: Program) -> bool:
-    """No negation, no aggregates, at most one head atom per rule. A double
-    negation beside the same positive literal (p :- q, not not q.) leaves
-    the compiled masks Horn, so negation is also looked for in the rules."""
-    return _horn(_compile_at(program)[1]) and not any(
-        getattr(lit, "negation_depth", 0) for rule in program for lit in rule.body
+    """No negation at any depth, no aggregates, at most one head atom per
+    rule: a check of the syntax alone."""
+    return all(
+        len(rule.head) <= 1
+        and all(isinstance(lit, AtomLiteral) and not lit.negation_depth for lit in rule.body)
+        for rule in program
     )
 
 
 def is_minimal_model(interp: Interpretation, program: Program) -> bool:
     """True iff interp is a model and no strict subset of it is one.
 
-    Horn programs (no negation, no aggregates, at most one head atom) are
-    decided by comparing interp with the least model of their rules; a
-    constraint a model of the program satisfies is satisfied by every
-    subset too, because positive bodies are monotone. Any other program is
-    decided by its column over the subsets of interp, in which only the top
-    bit, interp itself, may be set.
+    Below interp a head atom outside it is false, so each head is first cut
+    to interp. A program without negation or aggregates whose cut heads
+    have at most one atom each is decided by comparing interp with the
+    least model of its rules; a rule whose cut head is empty is satisfied
+    by every subset of a model, because positive bodies are monotone. Any
+    other program is decided by its column over the subsets of interp, in
+    which only the top bit, interp itself, may be set.
 
     Overflow: an aggregate whose sum (or scaled avg bound) leaves the
     64-bit range on some subset of interp behind a body prefix that holds
@@ -223,6 +228,7 @@ def is_minimal_model(interp: Interpretation, program: Program) -> bool:
     if not satisfies(interp, program):
         return False
     _, rules, index = _compile_at(program, interp)
+    rules = [(head & index, *body) for head, *body in rules]
     return _minimal(index, rules, _pattern)
 
 
@@ -540,26 +546,17 @@ def _column(index: int, rules: list[tuple], pattern, floor: int = 0) -> int:
     return column
 
 
-def _horn(rules: list[tuple]) -> bool:
-    """Whether every compiled rule has at most one head atom, no aggregate,
-    and a body that is its positive atoms: a negated literal needs an atom
-    false, or, under an even depth, an atom true that no positive literal
-    names. A loop, not all(), since the enumerator asks once per candidate."""
+def _minimal(index: int, rules: list[tuple], pattern) -> bool:
+    """Whether the candidate `index`, a model of the compiled rules with
+    their heads cut to it, is a minimal one. When every rule is positive,
+    aggregate-free and keeps at most one head atom, the least model of the
+    rules decides; otherwise the rules' column over the candidate's subsets,
+    where only its own top bit may be left."""
     for head, must_true, must_false, positive, aggregates in rules:
         if must_false or must_true != positive or aggregates or head & (head - 1):
-            return False
-    return True
-
-
-def _minimal(index: int, rules: list[tuple], pattern) -> bool:
-    """Whether the candidate `index`, a model of the compiled rules, is a
-    minimal one: its least model when the rules are Horn, otherwise the
-    rules' column over its subsets, where only its own top bit may be
-    left."""
-    if _horn(rules):
-        return _least_model(rules, index) == index
-    top = 1 << ((1 << index.bit_count()) - 1)
-    return _column(index, rules, pattern, top) == top
+            top = 1 << ((1 << index.bit_count()) - 1)
+            return _column(index, rules, pattern, top) == top
+    return _least_model(rules, index) == index
 
 
 def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern) -> bool:
@@ -567,7 +564,9 @@ def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern) -> bool
     minimal model of its reduct there. The reduct is compiled rules whose
     bodies are their positive atoms and, under F, their aggregates; under G
     (grounding) each aggregate is replaced by its domain atoms true at the
-    candidate."""
+    candidate. Each head is cut to the candidate: a subset of it satisfies
+    a rule iff it satisfies the rule with the head atoms outside it left
+    out."""
     kept = []
     for head, must_true, must_false, positive, aggregates in rules:
         if index & must_true != must_true or index & must_false:
@@ -579,7 +578,7 @@ def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern) -> bool
                 for _, domain, _, _, _, _ in aggregates:
                     positive |= domain & index
                 aggregates = ()
-        kept.append((head, positive, 0, positive, aggregates))
+        kept.append((head & index, positive, 0, positive, aggregates))
     return _minimal(index, kept, pattern)
 
 

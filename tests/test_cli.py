@@ -21,8 +21,11 @@ import pytest
 import gzasp
 import gzasp.cli
 from gzasp.cli import main
+from gzasp.core import atoms_of
+from gzasp.parser import render
 
 import gen
+import oracles
 from helpers import GOLDEN_REW_TEXT, GOLDEN_STR_TEXT, GOLDEN_TEXT
 
 GADGET_TEXT = "p :- count{p} >= 0.\n"
@@ -356,6 +359,26 @@ class TestStats:
         shown = ", ".join(sorted(f"a{i}" for i in range(21)))  # in name order
         assert f"aggregate count{{{shown}}} >= 1 MONOTONE" in out.splitlines()
 
+    def test_equal_aggregates_are_classified_once(self, tmp_path, monkeypatch, capsys):
+        # one classification, and still one aggregate line per occurrence
+        tables = []
+        table = gzasp.semantics._table
+
+        def counted(spec):
+            tables.append(spec)
+            return table(spec)
+
+        monkeypatch.setattr(gzasp.semantics, "_table", counted)
+        text = "q. p :- count{q, r} >= 1. s :- count{q, r} >= 1. t :- count{q, r} >= 1.\n"
+        assert main(["stats", write_program(tmp_path, text)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[2:6] == [
+            "fragment {} × M",
+            *["aggregate count{q, r} >= 1 MONOTONE"] * 3,
+        ]
+        assert len(tables) == 1
+
     def test_nonconvex_fragment(self, tmp_path, capsys):
         path = write_program(tmp_path, "p :- count{p, q} != 1.\n")
         code = main(["stats", path])
@@ -470,6 +493,54 @@ class TestParserFuzz:
                 assert err.startswith("error: ") and err.count("\n") == 1, (command, text, err)
                 assert err.endswith("\n") and not err.startswith("error: internal"), err
         assert answered > 200
+
+
+class TestOracleDifferential:
+    """Generated programs through every solving command, answers checked
+    against the naive oracles. Every run exits 0, 1 or 2, and an error is
+    one diagnostic line, never a traceback or an internal error."""
+
+    PROGRAMS = 50  # per family
+
+    @pytest.mark.parametrize("family", sorted(gen.FAMILIES))
+    def test_models_and_queries_match_the_oracles(self, family, tmp_path, capsys):
+        rng = random.Random(f"cli differential {family}")
+        path = tmp_path / "program.lp"
+
+        def run(argv: list, expected_out: str, expected_code: int) -> None:
+            code = main([argv[0], str(path), *argv[1:]])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (argv, text)
+            assert "Traceback" not in err and "error: internal" not in err, (argv, err)
+            # these programs are within every guard, so each run is answered
+            assert (code, out, err) == (expected_code, expected_out, ""), (argv, text)
+
+        for _ in range(self.PROGRAMS):
+            program = gen.FAMILIES[family](rng)
+            text = render(program)
+            path.write_text(text)
+            universe = sorted(atoms_of(program))
+            for sem in ("g", "f"):
+                models = sorted(
+                    oracles.naive_stable_models(program, sem),
+                    key=lambda model: (len(model), sorted(model)),
+                )
+                shown = "".join(
+                    "{" + ",".join(atom.name for atom in sorted(model)) + "}\n"
+                    for model in models
+                )
+                vias = ("direct", "rew", "str") if sem == "g" else ("direct",)
+                for via in vias:
+                    run(["models", "--semantics", sem, "--via", via], shown, 0 if models else 1)
+                queries = [(["--mode", "coherent"], bool(models))]
+                if universe:
+                    atom = rng.choice(universe)
+                    holds = [atom in model for model in models]
+                    queries.append((["--mode", "brave", "--atom", atom.name], any(holds)))
+                    queries.append((["--mode", "cautious", "--atom", atom.name], all(holds)))
+                for argv, answer in queries:
+                    shown = "true\n" if answer else "false\n"
+                    run(["query", "--semantics", sem, *argv], shown, 0 if answer else 1)
 
 
 class TestCachedParser:

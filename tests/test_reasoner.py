@@ -91,6 +91,10 @@ class TestModelSet:
         assert repr(ModelSet()) == "ModelSet([])"
 
 
+def _refuse_column(*args):
+    raise AssertionError("a column was built for a minimality check")
+
+
 class TestIsStable:
     GOLDEN = [
         ("", Semantics.G, True),
@@ -122,6 +126,47 @@ class TestIsStable:
             monkeypatch.setattr(module, "g_reduct", refuse)
         for interp, sem, expected in self.GOLDEN:
             assert is_stable(golden_program(), atoms(interp), sem) is expected
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_one_head_atom_inside_takes_the_least_model(self, sem, monkeypatch):
+        # the reduct at {a, c} or {b, c} keeps one head atom of a | b
+        program = parse("a | b :- c. c.")
+        monkeypatch.setattr(semantics, "_column", _refuse_column)
+        for interp in oracles.subsets(atoms_of(program)):
+            if len(interp & atoms("ab")) < 2:
+                expected = interp in oracles.naive_stable_models(program, sem.value)
+                assert is_stable(program, interp, sem) is expected, interp
+        assert is_stable(program, atoms("ac"), sem)
+
+    def test_grounded_aggregate_takes_the_least_model(self, monkeypatch):
+        # under G the count becomes c, and the reduct at {a, c} is Horn
+        program = parse("a | b :- count{c} >= 1. c.")
+        monkeypatch.setattr(semantics, "_column", _refuse_column)
+        assert is_stable(program, atoms("ac"), Semantics.G)
+        assert not is_stable(program, atoms("c"), Semantics.G)
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_cut_heads_do_not_need_the_column(self, sem, monkeypatch):
+        # at {c, a0..a29} a column would have 2**31 bits; never run unpatched
+        program = parse("c.\n" + "".join(f"a{i} | b{i} :- c.\n" for i in range(30)))
+        monkeypatch.setattr(semantics, "_column", _refuse_column)
+        interp = frozenset(Atom(f"a{i}") for i in range(30)) | {Atom("c")}
+        assert is_stable(program, interp, sem)
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_two_head_atoms_inside_reach_the_column(self, sem, monkeypatch):
+        program = parse("a | b. a :- b. b :- a.")
+        built = []
+        column = semantics._column
+
+        def counted(*args):
+            built.append(args[0])
+            return column(*args)
+
+        monkeypatch.setattr(semantics, "_column", counted)
+        assert is_stable(program, atoms("ab"), sem)
+        assert built == [0b11]
+        assert list(stable_models(program, sem)) == [atoms("ab")]
 
     @pytest.mark.parametrize("family", gen.FAMILIES)
     def test_every_interpretation_against_oracles(self, family):
@@ -316,6 +361,22 @@ class TestCheckCoherence:
 
     def test_empty_program(self):
         assert check_coherence(Program(), Semantics.F)
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_equal_aggregates_are_classified_once(self, sem, monkeypatch):
+        program = parse(
+            "q. p :- count{q, r} >= 1. s :- count{q, r} >= 1. t :- count{q, r} >= 1."
+        )
+        tables = []
+        table = semantics._table
+
+        def counted(spec):
+            tables.append(spec)
+            return table(spec)
+
+        monkeypatch.setattr(semantics, "_table", counted)
+        assert check_coherence(program, sem)
+        assert len(tables) == 1
 
     def test_fast_path_errors_propagate_under_g(self):
         # the 21-atom count classifies monotone, so the 22-atom program is
@@ -733,8 +794,9 @@ class TestSolveViaRewriting:
         assert list(solve_via_rewriting(Program(), method)) == [frozenset()]
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             solve_via_rewriting(golden_program(), "xyz")
+        assert str(info.value) == "unknown rewriting 'xyz'; expected 'rew' or 'str'"
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)

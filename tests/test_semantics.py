@@ -276,6 +276,15 @@ class TestTpOperator:
             tp_least_fixpoint(parse(text))
         assert str(info.value).startswith(message)
 
+    def test_repeated_aggregate_is_refused_at_its_first_rule(self):
+        # equal aggregates are classified once; the error names the first use
+        program = parse("q. p :- count{q} >= 1. r :- count{q, s} != 1. t :- count{q, s} != 1.")
+        with pytest.raises(NotAspMError) as info:
+            tp_least_fixpoint(program)
+        assert str(info.value) == (
+            "rule 3 uses a non-monotone aggregate: r :- count{q, s} != 1."
+        )
+
     @pytest.mark.parametrize("wide_first", [True, False])
     def test_wide_aggregate_never_hides_negation(self, wide_first):
         # classification refuses a domain of 25 atoms, but the program is
@@ -313,6 +322,10 @@ class TestIsAspM:
         wide = ", ".join(f"a{i}" for i in range(25))
         with pytest.raises(DomainTooLargeError):
             is_asp_m(parse(f"p :- count{{{wide}}} >= 1."))
+
+
+def refuse_column(*args):
+    raise AssertionError("a column was built")
 
 
 class TestIsMinimalModel:
@@ -369,6 +382,37 @@ class TestIsMinimalModel:
                 interp, program
             ), interp
 
+    def test_one_head_atom_inside_takes_the_least_model(self, monkeypatch):
+        # cut to {a, c} or {b, c}, the disjunction keeps one head atom
+        program = parse("a | b :- c. c.")
+        monkeypatch.setattr(semantics, "_column", refuse_column)
+        assert is_minimal_model(atoms("ac"), program)
+        assert is_minimal_model(atoms("bc"), program)
+        assert not is_minimal_model(atoms("c"), program)
+
+    def test_cut_heads_do_not_need_the_column(self, monkeypatch):
+        # at {c, a0..a29} a column would have 2**31 bits; never run unpatched
+        program = parse("c.\n" + "".join(f"a{i} | b{i} :- c.\n" for i in range(30)))
+        monkeypatch.setattr(semantics, "_column", refuse_column)
+        interp = frozenset(Atom(f"a{i}") for i in range(30)) | {Atom("c")}
+        assert is_minimal_model(interp, program)
+        assert not is_minimal_model(interp - {Atom("a0")}, program)
+
+    def test_two_head_atoms_inside_reach_the_column(self, monkeypatch):
+        program = parse("a | b. a :- b. b :- a.")
+        built = []
+        column = semantics._column
+
+        def counted(*args):
+            built.append(args[0])
+            return column(*args)
+
+        monkeypatch.setattr(semantics, "_column", counted)
+        for interp in oracles.subsets(atoms("ab")):
+            expected = oracles.naive_is_minimal_model(interp, program)
+            assert is_minimal_model(interp, program) is expected, interp
+        assert built == [0b11]  # only {a, b}, the one model, holds both heads
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=40)
     def test_agrees_with_subset_oracle(self, seed):
@@ -420,6 +464,16 @@ class TestIsHorn:
     )
     def test_cases(self, text, expected):
         assert is_horn(parse(text)) is expected
+
+    def test_reads_the_syntax_alone(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("compiled")
+
+        monkeypatch.setattr(semantics, "_compile_at", refuse)
+        assert is_horn(parse("a. b :- a, c. :- a, b."))
+        assert not is_horn(parse("p :- q, not not q."))
+        assert not is_horn(parse("a | b."))
+        assert not is_horn(parse("p :- count{q} >= 0."))
 
     @pytest.mark.parametrize("family", sorted(gen.FAMILIES))
     def test_matches_definition(self, family):
