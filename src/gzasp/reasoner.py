@@ -16,11 +16,13 @@ No reduct is built as a Program. Each rule is compiled once into bitmasks
 over the sorted universe (head atoms, atoms its body needs true, atoms it
 needs false, positive atoms) plus its aggregates (semantics._compile_at),
 and the program column is built from that compiled form. One check then
-decides stability at each candidate s (semantics._stable_at): the reduct
-at s is the list of rules whose body holds at s, each head cut to s, with
-each kept aggregate under G turned into the mask of its domain atoms true
-at s; semantics._minimal decides its minimality. A coherence test
-stops at the first stable model; brave and cautious queries first
+decides stability at each candidate s (semantics._stable_at): the reduct at
+s is the list of rules whose body holds at s, each head cut to s, with each
+kept aggregate under G turned into the mask of its domain atoms true at s;
+semantics._minimal decides its minimality: least-model rounds over the
+rules left with at most one head atom prove s minimal or stop at a smaller
+model, and otherwise a column over the subsets of s decides. A coherence
+test stops at the first stable model; brave and cautious queries first
 restrict the candidates to those with, or without, the queried atom.
 is_stable runs the same compile and check on its one candidate.
 
@@ -164,7 +166,7 @@ def _stable(
     candidates = _set_bits(column, 1 << len(universe))
     del column  # only the scan's word copy stays alive
     for index in candidates:
-        if _stable_at(rules, index, grounding, pattern):
+        if _stable_at(rules, index, grounding, pattern, max_atoms):
             yield _atoms_at(universe, index)
 
 
@@ -173,9 +175,9 @@ def is_stable(program: Program, interp: Interpretation, sem: Semantics) -> bool:
     reduct taken with respect to interp.
 
     Overflow: the model test raises AggregateOverflowError where an
-    aggregate it evaluates at interp overflows. Under F, an aggregate kept
-    in the reduct that overflows on some subset of interp raises too, even
-    where a walk over the subsets would have met a smaller model first."""
+    aggregate it evaluates at interp overflows; the minimality check raises
+    as in is_minimal_model, and refuses a column over more than
+    DEFAULT_MAX_ATOMS atoms with TooManyAtomsError."""
     foreign = frozenset(interp) - atoms_of(program)
     if foreign:
         names = ", ".join(sorted(atom.name for atom in foreign))
@@ -185,7 +187,7 @@ def is_stable(program: Program, interp: Interpretation, sem: Semantics) -> bool:
     if not satisfies(interp, program):
         return False
     _, rules, index = _compile_at(program, interp)
-    return _stable_at(rules, index, sem is Semantics.G, _pattern)
+    return _stable_at(rules, index, sem is Semantics.G, _pattern, DEFAULT_MAX_ATOMS)
 
 
 def stable_models(

@@ -6,17 +6,17 @@ the AST, for clarity. Everything else works on a compiled form: _compile_at
 turns each rule into atom bitmasks plus its aggregates, and _column builds
 the column of compiled rules over the subsets of any atom set (a big integer
 with one bit per subset). _minimal takes rules with their heads cut to a
-model; it compares the model with the least model when every rule is
-positive, aggregate-free and left with at most one head atom, and otherwise
-asks whether the column over the model's subsets keeps only the model's own
-bit. _stable_at runs it on the reduct at a candidate, for is_stable and
-both routes of reasoner.py:
-the least fixpoint (_fixpoint_models, also behind tp_least_fixpoint) and
-the enumerator. Aggregate columns come from one circuit, _aggregate_column,
-in O(|dom| log W) big-integer operations; _table builds it over the space
-of the domain atoms alone, the packed truth table that classify_aggregate
-and aggregate_truth_table read, so the closure tests stay cheap even for
-wide domains."""
+model: rounds of _least_model over those without negation and left with at
+most one head atom prove it minimal, or stop at a smaller model of every
+rule; otherwise the column over the model's subsets must keep only the
+model's own bit. _stable_at runs it on the reduct at a candidate, for
+is_stable and both routes of reasoner.py: the least fixpoint
+(_fixpoint_models, also behind tp_least_fixpoint) and the enumerator.
+Aggregate columns come from one circuit, _aggregate_column, in O(|dom| log
+W) big-integer operations; _table builds it over the space of the domain
+atoms alone, the packed truth table that classify_aggregate and
+aggregate_truth_table read, so the closure tests stay cheap even for wide
+domains."""
 
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .core import (
     _check_int64,
     atoms_of,
 )
-from .errors import DomainTooLargeError, NotAspMError
+from .errors import DomainTooLargeError, NotAspMError, TooManyAtomsError
 from .parser import render_rule
 
 # the widest space the engine enumerates, and an aggregate's truth table
@@ -212,24 +212,24 @@ def is_minimal_model(interp: Interpretation, program: Program) -> bool:
     """True iff interp is a model and no strict subset of it is one.
 
     Below interp a head atom outside it is false, so each head is first cut
-    to interp. A program without negation or aggregates whose cut heads
-    have at most one atom each is decided by comparing interp with the
-    least model of its rules; a rule whose cut head is empty is satisfied
-    by every subset of a model, because positive bodies are monotone. Any
-    other program is decided by its column over the subsets of interp, in
-    which only the top bit, interp itself, may be set.
+    to interp. Least-model rounds over the rules without negation and left
+    with at most one head atom decide when they reach interp, none of those
+    rules having an aggregate (minimal), or stop below it at a model of
+    every rule, constraints included (not minimal). Otherwise the column
+    over the subsets of interp decides, in which only the top bit, interp
+    itself, may be set; above DEFAULT_MAX_ATOMS atoms it is refused.
 
     Overflow: an aggregate whose sum (or scaled avg bound) leaves the
-    64-bit range on some subset of interp behind a body prefix that holds
-    on some subset raises AggregateOverflowError, even where a walk over
-    the subsets would have met a smaller model first. An aggregate that
-    overflows only on atoms outside interp raises nothing.
+    64-bit range on a subset of interp raises AggregateOverflowError where
+    the check meets it: evaluated at a subset the rounds reach, or built
+    into the column behind a body prefix that holds on some subset. An
+    aggregate that overflows only on atoms outside interp raises nothing.
     """
     if not satisfies(interp, program):
         return False
     _, rules, index = _compile_at(program, interp)
     rules = [(head & index, *body) for head, *body in rules]
-    return _minimal(index, rules, _pattern)
+    return _minimal(index, rules, _pattern, DEFAULT_MAX_ATOMS)
 
 
 def aggregate_truth_table(spec: AggregateSpec) -> list[bool]:
@@ -429,18 +429,13 @@ def _compile_at(program: Program, interp: Interpretation = frozenset()) -> tuple
 
 
 def _aggregates_hold(aggregates: tuple, index: int) -> bool:
-    """Whether every aggregate holds at candidate `index`, evaluated in body
-    order up to the first false one.
-
-    The enumerator has already checked the rule's atom literals, so each
-    aggregate reached sits behind a body prefix that is true at the
-    candidate. The program column therefore built its column, checking
-    every subset of its domain for 64-bit overflow, so nothing here raises
-    (on the fixpoint route, ensure_asp_m's classification did that check; in
-    is_stable, satisfies evaluated it at the candidate). That is why
-    stopping at the first stable model never skips an error that full
-    enumeration would raise.
-    """
+    """Whether every aggregate holds at the atom set `index`, evaluated in
+    body order up to the first false one. Each aggregate reached sits behind
+    a body prefix true at a candidate, so the enumerator's program column
+    (the fixpoint route's classification) already checked every subset of
+    its domain for 64-bit overflow: nothing here raises, and stopping at the
+    first stable model never skips an error that full enumeration would
+    raise. is_stable and is_minimal_model build no such column first."""
     for spec, domain, bits, memo, _, _ in aggregates:
         key = index & domain
         truth = memo.get(key)
@@ -455,9 +450,9 @@ def _aggregates_hold(aggregates: tuple, index: int) -> bool:
 def _least_model(rules: list[tuple], stop: int = -1) -> int:
     """Least model, as an atom bitmask, of compiled rules read as their
     positive atoms and aggregates, with at most one head atom and monotone
-    aggregates, by rounds from the empty set. For Horn minimality `stop` is
-    the candidate: it models every rule, so the least model lies inside it
-    and the rounds end as soon as they reach it."""
+    aggregates, by rounds from the empty set (with other aggregates, a set
+    closed under the rules). For minimality `stop` is the candidate: every
+    head is cut to it, so the rounds end as soon as they reach it."""
     derived = 0
     while derived != stop:
         grown = derived
@@ -485,7 +480,7 @@ def _fixpoint_models(program: Program, grounding: bool) -> list[Interpretation]:
     universe, rules, _ = _compile_at(program)
     # without negation a rule's positive mask is all its atom literals
     fixpoint = _least_model(rules)
-    if grounding and not _stable_at(rules, fixpoint, True, _pattern):
+    if grounding and not _stable_at(rules, fixpoint, True, _pattern, DEFAULT_MAX_ATOMS):
         return []
     return [_atoms_at(universe, fixpoint)]
 
@@ -546,20 +541,34 @@ def _column(index: int, rules: list[tuple], pattern, floor: int = 0) -> int:
     return column
 
 
-def _minimal(index: int, rules: list[tuple], pattern) -> bool:
+def _minimal(index: int, rules: list[tuple], pattern, max_atoms: int) -> bool:
     """Whether the candidate `index`, a model of the compiled rules with
-    their heads cut to it, is a minimal one. When every rule is positive,
-    aggregate-free and keeps at most one head atom, the least model of the
-    rules decides; otherwise the rules' column over the candidate's subsets,
-    where only its own top bit may be left."""
-    for head, must_true, must_false, positive, aggregates in rules:
-        if must_false or must_true != positive or aggregates or head & (head - 1):
-            top = 1 << ((1 << index.bit_count()) - 1)
-            return _column(index, rules, pattern, top) == top
-    return _least_model(rules, index) == index
+    their heads cut to it, is a minimal one. Rounds of _least_model run on
+    the rules without negation and left with at most one head atom, which
+    every smaller model also models: reaching the candidate with no
+    aggregate among them proves it minimal, and stopping below it at a
+    model of every rule refutes it. Otherwise the column over the
+    candidate's subsets decides, refused above max_atoms atoms."""
+    horn = [r for r in rules if r[1] == r[3] and not r[2] and not r[0] & (r[0] - 1)]
+    derived = _least_model(horn, index)
+    if derived == index and not any(rule[4] for rule in horn):
+        return True
+    if derived != index and all(
+        must_true & ~derived or must_false & derived or head & derived
+        or not _aggregates_hold(aggregates, derived)
+        for head, must_true, must_false, _, aggregates in rules
+    ):
+        return False
+    dimension = index.bit_count()
+    if dimension > max_atoms:
+        raise TooManyAtomsError(
+            f"interpretation has {dimension} atoms; the minimality guard allows {max_atoms}"
+        )
+    top = 1 << ((1 << dimension) - 1)
+    return _column(index, rules, pattern, top) == top  # only the candidate's own bit
 
 
-def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern) -> bool:
+def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern, max_atoms: int) -> bool:
     """Whether the candidate `index`, a model of the compiled rules, is a
     minimal model of its reduct there. The reduct is compiled rules whose
     bodies are their positive atoms and, under F, their aggregates; under G
@@ -579,7 +588,7 @@ def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern) -> bool
                     positive |= domain & index
                 aggregates = ()
         kept.append((head & index, positive, 0, positive, aggregates))
-    return _minimal(index, kept, pattern)
+    return _minimal(index, kept, pattern, max_atoms)
 
 
 def classify_aggregate(spec: AggregateSpec) -> AggregateClass:

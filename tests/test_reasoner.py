@@ -167,6 +167,67 @@ class TestIsStable:
         assert is_stable(program, atoms("ab"), sem)
         assert built == [0b11]
         assert list(stable_models(program, sem)) == [atoms("ab")]
+        # read as the facts a and b, a | b would pass {a, b} as minimal
+        del built[:]
+        assert not is_stable(parse("a | b."), atoms("ab"), sem)
+        assert built == [0b11]
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_least_model_rounds_decide_both_ways(self, sem, monkeypatch):
+        # a | b drops out of the rounds, which reach {a, b, c} in the first
+        # reduct and stop at {a}, a model of every rule, in the second
+        monkeypatch.setattr(semantics, "_column", _refuse_column)
+        assert is_stable(parse("c. a | b :- c. a :- c. b :- c."), atoms("abc"), sem)
+        assert not is_stable(parse("a | b. a."), atoms("ab"), sem)
+
+    def test_rounds_through_a_nonconvex_aggregate_reach_the_column(self, monkeypatch):
+        # under F the rounds fire a while count{a, b} != 1 holds at {} and
+        # so reach {a, b}, but {b} is a smaller model: the count is 1 there
+        program = parse("a :- count{a, b} != 1. b.")
+        built = []
+        column = semantics._column
+
+        def counted(*args):
+            built.append(args[0])
+            return column(*args)
+
+        monkeypatch.setattr(semantics, "_column", counted)
+        assert not is_stable(program, atoms("ab"), Semantics.F)
+        assert built == [0b11]
+        assert set(stable_models(program, Semantics.F)) == oracles.naive_stable_models(
+            program, "f"
+        )
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_column_is_refused_above_the_guard(self, sem, monkeypatch):
+        # the reduct at all atoms keeps every disjunction, which neither
+        # test decides; no column is built here
+        def pairs(n):
+            return parse("".join(f"a{i} | b{i}.\n" for i in range(n)))
+
+        built = []
+        monkeypatch.setattr(
+            semantics, "_column", lambda index, *args: built.append(index.bit_count()) or 0
+        )
+        assert not is_stable(pairs(12), atoms_of(pairs(12)), sem)
+        assert built == [24]
+        with pytest.raises(TooManyAtomsError) as info:
+            is_stable(pairs(13), atoms_of(pairs(13)), sem)
+        assert str(info.value) == "interpretation has 26 atoms; the minimality guard allows 24"
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_enumerator_checks_follow_its_own_guard(self, sem, monkeypatch):
+        # the enumerator's own guard, not DEFAULT_MAX_ATOMS, bounds its
+        # checks: at max_atoms=26 a 26-atom candidate reaches its column. The
+        # patched columns keep it the only candidate, and minimal
+        program = parse("".join(f"a{i} | b{i}.\n" for i in range(13)))
+        built = []
+        monkeypatch.setattr(reasoner, "_column", lambda index, *args: 1 << index)
+        monkeypatch.setattr(
+            semantics, "_column", lambda index, rules, pattern, top: built.append(index) or top
+        )
+        assert list(stable_models(program, sem, max_atoms=26)) == [atoms_of(program)]
+        assert built == [(1 << 26) - 1]
 
     @pytest.mark.parametrize("family", gen.FAMILIES)
     def test_every_interpretation_against_oracles(self, family):
@@ -222,6 +283,32 @@ class TestStableModels:
         program = parse(GADGET)
         assert list(stable_models(program, Semantics.G)) == []
         assert set(stable_models(program, Semantics.F)) == {atoms("p")}
+
+    def test_most_minimality_checks_build_no_column(self, monkeypatch):
+        # counted, not timed: on 150 seeded programs with a disjunctive rule
+        # the least-model rounds leave 151 (G) and 183 (F) of the 1,208
+        # checks to the column; a test on Horn reducts alone left 454 and 572
+        checks = []
+        columns = []
+        minimal, column = semantics._minimal, semantics._column
+        monkeypatch.setattr(
+            semantics, "_minimal", lambda *args: checks.append(1) or minimal(*args)
+        )
+        monkeypatch.setattr(
+            semantics, "_column", lambda *args: columns.append(1) or column(*args)
+        )
+        rng = random.Random("disjunctive minimality")
+        programs = []
+        while len(programs) < 150:
+            program = gen.random_program(rng)
+            if any(len(rule.head) > 1 for rule in program):
+                programs.append(program)
+        for sem in Semantics:
+            del checks[:], columns[:]
+            for program in programs:
+                stable_models(program, sem)
+            assert len(checks) > 1000
+            assert len(columns) * 5 <= len(checks), sem
 
     def test_atom_guard(self):
         # the guard limits enumeration; monotone programs are answered by

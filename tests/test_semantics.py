@@ -20,7 +20,12 @@ from gzasp.core import (
     Program,
     atoms_of,
 )
-from gzasp.errors import AggregateOverflowError, DomainTooLargeError, NotAspMError
+from gzasp.errors import (
+    AggregateOverflowError,
+    DomainTooLargeError,
+    NotAspMError,
+    TooManyAtomsError,
+)
 from gzasp import semantics
 from gzasp.parser import parse, render
 from gzasp.semantics import (
@@ -399,7 +404,8 @@ class TestIsMinimalModel:
         assert not is_minimal_model(interp - {Atom("a0")}, program)
 
     def test_two_head_atoms_inside_reach_the_column(self, monkeypatch):
-        program = parse("a | b. a :- b. b :- a.")
+        # a | b stays out of the least-model rounds at {a, b}: read as the
+        # facts a and b it would pass {a, b} as minimal
         built = []
         column = semantics._column
 
@@ -408,10 +414,53 @@ class TestIsMinimalModel:
             return column(*args)
 
         monkeypatch.setattr(semantics, "_column", counted)
-        for interp in oracles.subsets(atoms("ab")):
-            expected = oracles.naive_is_minimal_model(interp, program)
-            assert is_minimal_model(interp, program) is expected, interp
-        assert built == [0b11]  # only {a, b}, the one model, holds both heads
+        for text in ("a | b. a :- b. b :- a.", "a | b."):
+            program = parse(text)
+            del built[:]
+            for interp in oracles.subsets(atoms("ab")):
+                expected = oracles.naive_is_minimal_model(interp, program)
+                assert is_minimal_model(interp, program) is expected, interp
+            assert built == [0b11]  # only at {a, b} are both heads inside
+
+    def test_least_model_rounds_decide_both_ways(self, monkeypatch):
+        # a | b keeps two head atoms and drops out of the rounds: in the
+        # first program they still reach {a, b, c}, so it is minimal; in
+        # the second they stop at {a}, a model of every rule, so it is not
+        monkeypatch.setattr(semantics, "_column", refuse_column)
+        assert is_minimal_model(atoms("abc"), parse("c. a | b :- c. a :- c. b :- c."))
+        assert not is_minimal_model(atoms("ab"), parse("a | b. a."))
+
+    def test_smaller_model_must_keep_every_rule(self):
+        # cut to {a, d} the disjunction's head is empty, and the rounds stop
+        # at {d}: odd{a, d} holds there, so {d} breaks that rule and is no
+        # smaller model; {a, d} is minimal
+        program = parse("b | c :- odd{a, d}, d. d.")
+        assert oracles.naive_is_minimal_model(atoms("ad"), program)
+        assert is_minimal_model(atoms("ad"), program)
+
+    def test_rules_with_negation_stay_out_of_the_rounds(self, monkeypatch):
+        # every rule has negation, so none joins the rounds; they stop at {},
+        # which models every rule: no column over the 30 atoms is needed
+        program = parse("".join(f"p{i} :- not not p{i}.\n" for i in range(30)))
+        monkeypatch.setattr(semantics, "_column", refuse_column)
+        assert not is_minimal_model(atoms_of(program), program)
+
+    def test_column_is_refused_above_the_guard(self, monkeypatch):
+        # neither test decides n disjunctions at all 2n atoms; a column is
+        # allowed over 24 atoms and refused over 26, never built here
+        def pairs(n):
+            return parse("".join(f"a{i} | b{i}.\n" for i in range(n)))
+
+        built = []
+        monkeypatch.setattr(
+            semantics, "_column", lambda index, *args: built.append(index.bit_count()) or 0
+        )
+        assert not is_minimal_model(atoms_of(pairs(12)), pairs(12))
+        assert built == [24]
+        with pytest.raises(TooManyAtomsError) as info:
+            is_minimal_model(atoms_of(pairs(13)), pairs(13))
+        assert str(info.value) == "interpretation has 26 atoms; the minimality guard allows 24"
+        assert built == [24]
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40)
