@@ -3,10 +3,11 @@ semantics, negation-elimination rewritings, and desk-scale reasoning.
 
 The package is organized in layers. `core` defines the immutable syntax
 tree, `parser` the text dialect, `semantics` the model-theoretic machinery
-and the engine (aggregate evaluation and circuit, both reducts,
-classification, one rule compile, one stability check), `rewriter` the five
-program transformations, and `reasoner` the enumeration and queries run on
-that engine. `cli` wraps everything for the command line.
+and the solver (aggregate evaluation and circuit, both reducts,
+classification, the least-fixpoint route and the enumerator, with one rule
+compile and one stability check), `rewriter` the five program
+transformations, and `reasoner` the public queries, each one call into the
+solver. `cli` wraps everything for the command line.
 """
 
 from .core import (
@@ -73,7 +74,6 @@ from .semantics import (
     is_minimal_model,
     satisfies,
     tp_least_fixpoint,
-    tp_step,
 )
 
 __version__ = "0.1.0"
@@ -115,7 +115,6 @@ __all__ = [
     "satisfies",
     "f_reduct",
     "g_reduct",
-    "tp_step",
     "tp_least_fixpoint",
     "ensure_asp_m",
     "is_asp_m",

@@ -53,15 +53,18 @@ def _read_input(path: str) -> tuple[Program, bytes]:
 
 
 def _max_atoms(args) -> int:
-    if args.max_atoms is not None:
-        return args.max_atoms
-    raw = os.environ.get(MAX_ATOMS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ATOMS
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{MAX_ATOMS_ENV} must be an integer, got {raw!r}") from None
+    limit, source = args.max_atoms, "--max-atoms"
+    if limit is None:
+        raw, source = os.environ.get(MAX_ATOMS_ENV), MAX_ATOMS_ENV
+        if raw is None:
+            return DEFAULT_MAX_ATOMS
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise CliError(f"{MAX_ATOMS_ENV} must be an integer, got {raw!r}") from None
+    if limit < 0:
+        raise CliError(f"{source} must not be negative, got {limit}")
+    return limit
 
 
 def _format_model(model) -> str:

@@ -141,20 +141,15 @@ def _copied_atoms(program: Program, minimal_copies: bool) -> list[Atom]:
     return sorted(seen)
 
 
-def _padded(program: Program, copied: list[Atom]) -> list[Rule]:
-    """rew's rules, unchecked: every rule with its body padded by the
-    true-copies of its aggregate domains, then two rules per copied atom
-    that derive its true-copy from it either way."""
-    rules = []
-    for rule in program:
-        padding = tuple(
-            AtomLiteral(true_copy(p)) for p in _aggregate_domain_atoms(rule)
-        )
-        rules.append(Rule(rule.head, rule.body + padding))
-    for p in copied:
-        rules.append(Rule({true_copy(p)}, (AtomLiteral(p, 1),)))
-        rules.append(Rule({true_copy(p)}, (AtomLiteral(p),)))
-    return rules
+def _padding(rule: Rule) -> tuple:
+    """The body literals both rewritings append to a rule: the true-copies
+    of its aggregate domains."""
+    return tuple(AtomLiteral(true_copy(p)) for p in _aggregate_domain_atoms(rule))
+
+
+def _copy_rules(p: Atom) -> list[Rule]:
+    """The two rules that derive p's true-copy from p either way."""
+    return [Rule({true_copy(p)}, (AtomLiteral(p, depth),)) for depth in (1, 0)]
 
 
 def rewrite_rew(program: Program, *, minimal_copies: bool = False) -> Program:
@@ -166,7 +161,10 @@ def rewrite_rew(program: Program, *, minimal_copies: bool = False) -> Program:
     """
     copied = _copied_atoms(program, minimal_copies)
     _require_fresh(atoms_of(program), (true_copy(p) for p in copied))
-    return Program(tuple(_padded(program, copied)))
+    rules = [Rule(rule.head, rule.body + _padding(rule)) for rule in program]
+    for p in copied:
+        rules += _copy_rules(p)
+    return Program(tuple(rules))
 
 
 def _guessed(lit):
@@ -189,12 +187,12 @@ def rewrite_str(program: Program, *, minimal_copies: bool = False) -> Program:
         atoms_of(program),
         [true_copy(p) for p in copied] + [guess_copy(p) for p in copied],
     )
-    padded = _padded(program, copied)
-    count = len(program.rules)
-    rules = [Rule(rule.head, tuple(map(_guessed, rule.body))) for rule in padded[:count]]
-    for i, p in enumerate(copied):
+    rules = [
+        Rule(rule.head, tuple(map(_guessed, rule.body)) + _padding(rule)) for rule in program
+    ]
+    for p in copied:
         g = guess_copy(p)
-        rules += padded[count + 2 * i : count + 2 * i + 2]  # p's true-copy rules
+        rules += _copy_rules(p)
         rules.append(Rule({g}, (AtomLiteral(g, 2),)))
         rules.append(Rule(frozenset(), (AtomLiteral(g, 1), AtomLiteral(p))))
         rules.append(Rule(frozenset(), (AtomLiteral(g), AtomLiteral(p, 1))))

@@ -1,29 +1,46 @@
-"""Model-theoretic core: satisfaction, reducts, consequence operator,
-minimal-model checking, and aggregate classification.
+"""Model-theoretic core and the solver: satisfaction, reducts, aggregate
+classification, the minimality and stability checks, and the stable-model
+search behind every query of reasoner.py.
 
-Satisfaction, the reducts and one step of the consequence operator work on
-the AST, for clarity. Everything else works on a compiled form: _compile_at
-turns each rule into atom bitmasks plus its aggregates, and _column builds
-the column of compiled rules over the subsets of any atom set (a big integer
-with one bit per subset). _minimal takes rules with their heads cut to a
-model: rounds of _least_model over those without negation and left with at
-most one head atom prove it minimal, or stop at a smaller model of every
-rule; otherwise the column over the model's subsets must keep only the
-model's own bit. _stable_at runs it on the reduct at a candidate, for
-is_stable and both routes of reasoner.py: the least fixpoint
-(_fixpoint_models, also behind tp_least_fixpoint) and the enumerator.
-Aggregate columns come from one circuit, _aggregate_column, in O(|dom| log
-W) big-integer operations; _table builds it over the space of the domain
-atoms alone, the packed truth table that classify_aggregate and
-aggregate_truth_table read, so the closure tests stay cheap even for wide
-domains."""
+Satisfaction and the reducts work on the AST, for clarity. The solver
+works on a compiled form: _compile_at turns each rule into atom bitmasks
+(head, atoms its body needs true, atoms it needs false, positive atoms)
+plus its aggregates, and no reduct is built as a Program. A column is a
+big integer with one bit per subset of an atom set: bit s holds a truth
+value under the subset at the set bits of s. Conjunction is &, negation is
+xor against the all-ones mask, and _column builds the column of compiled
+rules over the subsets of any atom set. An aggregate's column is one
+circuit, _aggregate_column: an XOR fold for parity, ORs for min and max,
+and for count, sum and avg an adder network whose bit-planes are compared
+with the bound, O(|dom| log W) column operations for weights up to W.
+Over the space of the domain atoms alone it is the packed truth table
+(_table) that classify_aggregate and aggregate_truth_table read.
+
+_stable_models picks the route by the program. In the monotone fragment
+ASP^M the least fixpoint is the only candidate (_fixpoint_models): it is
+the one F-stable model, and G-stable iff it is the least model of its
+G-reduct, so such a program is answered at any size. Any other program is
+enumerated, and refused above the atom guard: the candidates are the set
+bits of the program column, read 64 bits at a time, and _stable_at checks
+each. The reduct at a candidate s is the list of rules whose body holds at
+s, each head cut to s, with each kept aggregate under G turned into the
+mask of its domain atoms true at s. _minimal decides its minimality:
+least-model rounds (_least_model) over the rules left with at most one
+head atom prove s minimal or stop at a smaller model, and otherwise the
+column over the subsets of s decides. A coherence test stops at the first
+stable model; brave and cautious queries first restrict the candidates to
+those with, or without, the queried atom. is_stable, is_minimal_model and
+the G check of the least fixpoint run the same checks on one candidate.
+"""
 
 from __future__ import annotations
 
 import operator
+import sys
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate
+from typing import Iterator
 
 from .core import (
     INT64_MAX,
@@ -31,6 +48,7 @@ from .core import (
     PARITY_FUNCS,
     AggregateFunc,
     AggregateSpec,
+    Atom,
     AtomLiteral,
     Interpretation,
     Program,
@@ -38,7 +56,13 @@ from .core import (
     _check_int64,
     atoms_of,
 )
-from .errors import DomainTooLargeError, NotAspMError, TooManyAtomsError
+from .errors import (
+    AggregateOverflowError,
+    DomainTooLargeError,
+    NotAspMError,
+    PreconditionError,
+    TooManyAtomsError,
+)
 from .parser import render_rule
 
 # the widest space the engine enumerates, and an aggregate's truth table
@@ -148,16 +172,6 @@ def _reduct(program: Program, interp: Interpretation, grounding: bool) -> Progra
     return Program(tuple(kept))
 
 
-def tp_step(program: Program, interp: Interpretation) -> Interpretation:
-    """One application of the immediate-consequence operator: all head atoms
-    of rules whose bodies interp satisfies, disjuncts included."""
-    fired: set = set()
-    for rule in program:
-        if all(satisfies(interp, lit) for lit in rule.body):
-            fired.update(rule.head)
-    return frozenset(fired)
-
-
 def ensure_asp_m(program: Program) -> None:
     """Check the shape the fixpoint construction needs: single-atom heads,
     no negation, aggregates that classify as monotone. The syntax of every
@@ -230,6 +244,21 @@ def is_minimal_model(interp: Interpretation, program: Program) -> bool:
     _, rules, index = _compile_at(program, interp)
     rules = [(head & index, *body) for head, *body in rules]
     return _minimal(index, rules, _pattern, DEFAULT_MAX_ATOMS)
+
+
+def _is_stable(program: Program, interp: Interpretation, grounding: bool) -> bool:
+    """reasoner.is_stable under G (grounding) or F: interp must mention only
+    the program's atoms, model the program and pass _stable_at."""
+    foreign = frozenset(interp) - atoms_of(program)
+    if foreign:
+        names = ", ".join(sorted(atom.name for atom in foreign))
+        raise PreconditionError(
+            f"interpretation mentions atoms outside the program: {names}"
+        )
+    if not satisfies(interp, program):
+        return False
+    _, rules, index = _compile_at(program, interp)
+    return _stable_at(rules, index, grounding, _pattern, DEFAULT_MAX_ATOMS)
 
 
 def aggregate_truth_table(spec: AggregateSpec) -> list[bool]:
@@ -589,6 +618,61 @@ def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern, max_ato
                 aggregates = ()
         kept.append((head & index, positive, 0, positive, aggregates))
     return _minimal(index, kept, pattern, max_atoms)
+
+
+def _set_bits(column: int, width: int) -> Iterator[int]:
+    """Indices of the set bits of a `width`-bit column, lowest first. The
+    column is copied once into native 64-bit words, so a set bit costs a few
+    word operations instead of a copy of the whole column."""
+    words = memoryview(column.to_bytes(max(8, width >> 3), sys.byteorder)).cast("Q")
+    del column  # the words are all the scan needs; free the 2**n-bit int
+    if sys.byteorder == "big":
+        words = words[::-1]  # lowest word first
+    for offset, word in enumerate(words):
+        if word:
+            base = offset << 6
+            while word:
+                low = word & -word
+                yield base + low.bit_length() - 1
+                word ^= low
+
+
+def _stable_models(
+    program: Program,
+    grounding: bool,
+    max_atoms: int,
+    atom: Atom | None = None,
+    holds: bool = True,
+) -> Iterator[Interpretation]:
+    """Stable models under G (grounding) or F, in candidate order; with
+    `atom`, only those where it holds (or, with holds=False, where it does
+    not). Programs outside ASP^M, or with an aggregate that cannot be
+    classified, are enumerated."""
+    try:
+        models = _fixpoint_models(program, grounding)
+    except (NotAspMError, DomainTooLargeError, AggregateOverflowError):
+        pass  # enumerate: its own column raises an overflow, where one is reached
+    else:
+        yield from (model for model in models if atom is None or (atom in model) == holds)
+        return
+    size = len(atoms_of(program))  # refuse before compiling a huge program
+    if size > max_atoms:
+        raise TooManyAtomsError(
+            f"program has {size} atoms; the enumeration guard allows {max_atoms}"
+        )
+    universe, rules, _ = _compile_at(program)
+    # atom columns by (position, dimension), for the space and the subspaces
+    # of the minimality checks; freed with the generator when the solve ends
+    pattern = cache(_pattern)
+    column = _column((1 << len(universe)) - 1, rules, pattern)
+    if atom is not None:
+        restrict = pattern(universe.index(atom), len(universe)) if atom in universe else 0
+        column &= restrict if holds else ~restrict
+    candidates = _set_bits(column, 1 << len(universe))
+    del column  # only the scan's word copy stays alive
+    for index in candidates:
+        if _stable_at(rules, index, grounding, pattern, max_atoms):
+            yield _atoms_at(universe, index)
 
 
 def classify_aggregate(spec: AggregateSpec) -> AggregateClass:

@@ -40,7 +40,6 @@ from gzasp.semantics import (
     f_reduct,
     g_reduct,
     satisfies,
-    tp_step,
 )
 
 
@@ -71,6 +70,16 @@ def naive_stable_models(program: Program, semantics: str) -> set[frozenset]:
         if naive_is_minimal_model(interp, reduct(program, interp)):
             out.add(interp)
     return out
+
+
+def tp_step(program: Program, interp: frozenset) -> frozenset:
+    """One application of the immediate-consequence operator: all head atoms
+    of rules whose bodies interp satisfies, disjuncts included."""
+    fired: set = set()
+    for rule in program:
+        if all(satisfies(interp, lit) for lit in rule.body):
+            fired.update(rule.head)
+    return frozenset(fired)
 
 
 def reference_least_fixpoint(program: Program) -> frozenset:
@@ -381,8 +390,9 @@ def reference_parse(text: str | bytes) -> Program:
 
 def reference_rewrite_str(program: Program, *, minimal_copies: bool = False) -> Program:
     """rewrite_str as first written, building rew's padding and true-copy
-    rules itself. gzasp.rewriter.rewrite_str builds them through rew's
-    helper; the differential test checks that the output is the same."""
+    rules itself. gzasp.rewriter.rewrite_str builds them through the helpers
+    it shares with rew; the differential test checks that the output is the
+    same."""
     copied = _copied_atoms(program, minimal_copies)
     _require_fresh(
         atoms_of(program),

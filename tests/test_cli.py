@@ -127,6 +127,28 @@ class TestModels:
         assert code == 2
         assert "GZASP_MAX_ATOMS" in err
 
+    @pytest.mark.parametrize("command", [["models"], ["query", "--mode", "coherent"]])
+    def test_negative_flag(self, golden_file, capsys, command):
+        code = main([*command, golden_file, "--max-atoms", "-3"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max-atoms must not be negative, got -3\n"
+
+    def test_negative_env(self, golden_file, capsys, monkeypatch):
+        monkeypatch.setenv("GZASP_MAX_ATOMS", "-3")
+        code = main(["models", golden_file])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: GZASP_MAX_ATOMS must not be negative, got -3\n"
+
+    def test_zero_guard_is_a_limit(self, golden_file, capsys):
+        code = main(["models", golden_file, "--max-atoms", "0"])
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert err == "error: program has 3 atoms; the enumeration guard allows 0\n"
+
     def test_timing_line(self, golden_file, capsys):
         code = main(["models", golden_file, "--timing"])
         out, _ = capsys.readouterr()

@@ -287,6 +287,34 @@ class TestRewriteStr:
             expected = oracles.reference_rewrite_str(program, minimal_copies=minimal_copies)
             assert render(rewrite_str(program, minimal_copies=minimal_copies)) == render(expected)
 
+    @pytest.mark.parametrize("minimal_copies", [False, True])
+    @pytest.mark.parametrize("family", gen.FAMILIES)
+    def test_is_rew_with_guessed_aggregates(self, family, minimal_copies):
+        # dropping the three rules that mirror each guess copy, and renaming
+        # each aggregate's p__g back to p, leaves rew rule for rule
+        def unguessed(lit):
+            if not isinstance(lit, AggregateSpec):
+                return lit
+            elements = tuple((w, Atom(p.name.removesuffix("__g"))) for w, p in lit.elements)
+            return AggregateSpec(lit.func, elements, lit.comparator, lit.bound)
+
+        rng = random.Random(f"str-is-rew-{family}")
+        for _ in range(40):
+            program = gen.FAMILIES[family](rng)
+            rew = rewrite_rew(program, minimal_copies=minimal_copies)
+            guessed = {guess_copy(p) for p in atoms_of(program)}
+            rules = rewrite_str(program, minimal_copies=minimal_copies).rules
+            kept = [
+                Rule(rule.head, tuple(map(unguessed, rule.body)))
+                for rule in rules
+                if not any(
+                    isinstance(lit, AtomLiteral) and lit.atom in guessed for lit in rule.body
+                )
+            ]
+            assert kept == list(rew.rules)
+            copied = (len(rew.rules) - len(program.rules)) // 2
+            assert len(rules) - len(kept) == 3 * copied
+
     def test_one_freshness_check_for_both_copies(self):
         # rew meets b__t; str checks true and guess copies together, so a__g comes first
         program = parse("a. b. a__g. b__t.")

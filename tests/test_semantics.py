@@ -40,11 +40,11 @@ from gzasp.semantics import (
     is_minimal_model,
     satisfies,
     tp_least_fixpoint,
-    tp_step,
 )
 
 import gen
 import oracles
+from oracles import tp_step
 from helpers import (
     A,
     B,
