@@ -39,7 +39,6 @@ import operator
 import sys
 from enum import Enum
 from functools import cache, reduce
-from itertools import accumulate
 from typing import Iterator
 
 from .core import (
@@ -236,8 +235,9 @@ def is_minimal_model(interp: Interpretation, program: Program) -> bool:
     Overflow: an aggregate whose sum (or scaled avg bound) leaves the
     64-bit range on a subset of interp raises AggregateOverflowError where
     the check meets it: evaluated at a subset the rounds reach, or built
-    into the column behind a body prefix that holds on some subset. An
-    aggregate that overflows only on atoms outside interp raises nothing.
+    into the column behind a body prefix that holds on some subset, where
+    the error names the first overflowing subset of interp in table order.
+    An aggregate that overflows only on atoms outside interp raises nothing.
     """
     if not satisfies(interp, program):
         return False
@@ -303,13 +303,25 @@ def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int
     func, bound = spec.func, spec.bound
     terms = [(w, column) for (w, _), column in zip(spec.elements, columns) if column]
     if func in (AggregateFunc.SUM, AggregateFunc.AVG):
-        # only subsets of the atoms in the space are evaluated
+        # only subsets of the atoms in the space are evaluated: the column of
+        # those whose sum, or avg's scaled bound, leaves the 64-bit range
         weights = [weight for weight, _ in terms]
         scaled = bound * len(weights) if func is AggregateFunc.AVG else 0
-        extremes = (sum(w for w in weights if w < 0), sum(w for w in weights if w > 0), scaled)
-        if min(extremes) < INT64_MIN or max(extremes) > INT64_MAX:
-            # some subset overflows: raise for the first, as the table would
-            eval_aggregate(spec, _first_overflow(spec))
+        overflow = 0
+        if sum(w for w in weights if w < 0) < INT64_MIN:
+            overflow = _compare_sum(terms, INT64_MIN, full)[0]
+        if sum(w for w in weights if w > 0) > INT64_MAX:
+            overflow |= full ^ _compare_sum(terms, INT64_MAX + 1, full)[0]
+        if not INT64_MIN <= scaled <= INT64_MAX:
+            # a count above the largest with bound * count in range
+            most = (INT64_MAX if bound > 0 else INT64_MIN) // bound
+            overflow |= full ^ _compare_sum([(1, c) for _, c in terms], most + 1, full)[0]
+        if overflow:
+            # the lowest bit is the first overflowing subset in table order,
+            # and eval_aggregate raises there what the table walk would
+            lowest = (overflow & -overflow).bit_length() - 1
+            chosen = [a for (_, a), column in zip(spec.elements, columns) if column >> lowest & 1]
+            eval_aggregate(spec, frozenset(chosen))
     if func in PARITY_FUNCS:
         odd = reduce(operator.xor, (column for _, column in terms), 0)
         return odd if func is AggregateFunc.ODD else odd ^ full
@@ -340,36 +352,6 @@ def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int
     if func in (AggregateFunc.AVG, AggregateFunc.MIN, AggregateFunc.MAX):
         column &= reduce(operator.or_, (column for _, column in terms), 0)  # false on no selection
     return column
-
-
-def _first_overflow(spec: AggregateSpec) -> Interpretation:
-    """The first subset of a sum's or avg's domain, in truth-table order, on
-    which eval_aggregate overflows; some subset must. Greedy from the top
-    bit of the table index: that bit as low as possible, then each lower
-    bit clear while the bits below it can still complete an overflowing
-    subset."""
-    weights = [weight for weight, _ in spec.elements]
-    # the least and greatest sums over the subsets of the first k atoms
-    least = list(accumulate((min(weight, 0) for weight in weights), initial=0))
-    most = list(accumulate((max(weight, 0) for weight in weights), initial=0))
-    scale = spec.bound if spec.func is AggregateFunc.AVG else 0
-
-    def reachable(total: int, count: int, free: int) -> bool:
-        # some subset of the first `free` atoms overflows, added to `count`
-        # chosen atoms of weight `total`
-        return not (
-            INT64_MIN <= total + least[free]
-            and total + most[free] <= INT64_MAX
-            and INT64_MIN <= scale * (count + free) <= INT64_MAX
-        )
-
-    top = next(bit for bit in range(len(weights)) if reachable(0, 0, bit + 1))
-    total, count, chosen = weights[top], 1, [top]
-    for bit in reversed(range(top)):
-        if not reachable(total, count, bit):
-            total, count = total + weights[bit], count + 1
-            chosen.append(bit)
-    return frozenset(spec.domain[bit] for bit in chosen)
 
 
 def _compare_sum(terms: list, bound: int, full: int) -> tuple[int, int]:

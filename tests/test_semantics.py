@@ -28,6 +28,7 @@ from gzasp.errors import (
 )
 from gzasp import semantics
 from gzasp.parser import parse, render
+from gzasp.reasoner import Semantics, is_stable
 from gzasp.semantics import (
     AggregateClass,
     aggregate_truth_table,
@@ -362,6 +363,21 @@ class TestIsMinimalModel:
         program = parse("a :- sum{4611686018427387904 : b, 4611686018427387904 : c} >= 0.")
         assert is_minimal_model(frozenset({Atom("a")}), program)
 
+    def test_overflow_names_a_subset_of_interp(self):
+        # over {b, c, d} the first overflowing subset is {b, c}; over the
+        # whole domain it would be {a, b}, whose sum no subset of interp has
+        program = parse(
+            "b. c. d. a :- not b.\n"
+            "p :- sum{4611686018427387909 : a, 4611686018427387904 : b, "
+            "4611686018427387904 : c, -4611686018427387904 : d} >= 0."
+        )
+        interp = atoms("bcdp")
+        message = f"sum {2**63} exceeds the 64-bit integer range"
+        with pytest.raises(AggregateOverflowError, match=f"^{message}$"):
+            is_minimal_model(interp, program)
+        with pytest.raises(AggregateOverflowError, match=f"^{message}$"):
+            is_stable(program, interp, Semantics.F)
+
     def test_horn_chain_builds_no_column(self, monkeypatch):
         # 200 atoms: a column over the subsets would have 2**200 bits
         chain = "".join(f"x{i} :- x{i - 1}.\n" for i in range(1, 200))
@@ -602,9 +618,16 @@ class TestClassifyAggregate:
                 assert classify_aggregate(spec) is oracles.naive_classify(spec), spec
         assert overflowing > 20
 
-    def test_first_overflow_matches_the_walk(self):
+    def test_first_overflow_matches_the_walk(self, monkeypatch):
         # the first subset, in truth-table order, on which eval_aggregate
-        # raises: found greedily from the weights, and by walking the table
+        # raises: the lowest bit of the circuit's overflow column, where the
+        # truth table evaluates it, and the first the walk over the table meets
+        evaluated = []
+        monkeypatch.setattr(
+            semantics,
+            "eval_aggregate",
+            lambda *args: evaluated.append(args[1]) or eval_aggregate(*args),
+        )
         found = 0
         for func, comparator in gen.AGGREGATE_CASES:
             if func not in (AggregateFunc.SUM, AggregateFunc.AVG):
@@ -616,8 +639,12 @@ class TestClassifyAggregate:
                     chosen = frozenset(a for i, a in enumerate(spec.domain) if index >> i & 1)
                     try:
                         eval_aggregate(spec, chosen)
-                    except AggregateOverflowError:
-                        assert semantics._first_overflow(spec) == chosen, spec
+                    except AggregateOverflowError as err:
+                        evaluated.clear()
+                        with pytest.raises(AggregateOverflowError) as info:
+                            aggregate_truth_table(spec)
+                        assert evaluated == [chosen], spec
+                        assert str(info.value) == str(err), spec
                         found += 1
                         break
         assert found > 100
@@ -638,6 +665,27 @@ class TestClassifyAggregate:
             classify_aggregate(spec)
         assert str(info.value) == f"sum {20 * weight} exceeds the 64-bit integer range"
         assert evaluated == [frozenset(spec.domain)]
+
+    def test_overflow_is_located_with_three_adders(self, monkeypatch):
+        # the spec above: its overflow column comes from at most three adder
+        # networks, and one evaluation at its lowest bit raises
+        weight = 2**63 // 20 + 1
+        spec = AggregateSpec(
+            AggregateFunc.SUM, tuple((weight, Atom(f"x{i:02}")) for i in range(20)), ">=", 0
+        )
+        calls = {"_compare_sum": 0, "eval_aggregate": 0}
+        for name in calls:
+            original = getattr(semantics, name)
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(semantics, name, counting)
+        with pytest.raises(AggregateOverflowError):
+            classify_aggregate(spec)
+        assert calls["_compare_sum"] <= 3
+        assert calls["eval_aggregate"] == 1
 
     def test_domain_bound_comes_before_overflow(self):
         wide = AggregateSpec(
