@@ -22,15 +22,19 @@ the one F-stable model, and G-stable iff it is the least model of its
 G-reduct, so such a program is answered at any size. Any other program is
 enumerated, and refused above the atom guard: the candidates are the set
 bits of the program column, read 64 bits at a time, and _stable_at checks
-each. The reduct at a candidate s is the list of rules whose body holds at
-s, each head cut to s, with each kept aggregate under G turned into the
-mask of its domain atoms true at s. _minimal decides its minimality:
-least-model rounds (_least_model) over the rules left with at most one
-head atom prove s minimal or stop at a smaller model, and otherwise the
-column over the subsets of s decides. A coherence test stops at the first
-stable model; brave and cautious queries first restrict the candidates to
-those with, or without, the queried atom. is_stable, is_minimal_model and
-the G check of the least fixpoint run the same checks on one candidate.
+each. The pass that builds that column keeps only the supported models,
+those of Clark's completion, in which each true atom has a rule whose
+body holds and whose head meets the model only at that atom. Every stable
+model under either reduct is one, and most models are not. The reduct at
+a candidate s is the list of rules whose body holds at s, each head cut to
+s, with each kept aggregate under G turned into the mask of its domain
+atoms true at s. _minimal decides its minimality: least-model rounds
+(_least_model) over the rules left with at most one head atom prove s
+minimal or stop at a smaller model, and otherwise the column over the
+subsets of s decides. A coherence test stops at the first stable model;
+brave and cautious queries first restrict the candidates to those with,
+or without, the queried atom. is_stable, is_minimal_model and the G check
+of the least fixpoint run the same checks on one candidate.
 """
 
 from __future__ import annotations
@@ -501,7 +505,17 @@ def _fixpoint_models(program: Program, grounding: bool) -> list[Interpretation]:
 _REST = ((None, 0, (), None, -1, -1),)
 
 
-def _column(index: int, rules: list[tuple], pattern, floor: int = 0) -> int:
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of `mask`, each as a one-bit mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _column(
+    index: int, rules: list[tuple], pattern, floor: int = 0, supported: bool = False
+) -> int:
     """The column of compiled rules over the subsets of `index`: bit s is
     set iff the subset holding the j-th lowest atom of `index` exactly when
     bit j of s is set models every rule. Atoms outside `index` are false;
@@ -512,12 +526,30 @@ def _column(index: int, rules: list[tuple], pattern, floor: int = 0) -> int:
     false everywhere, so an aggregate's column, and its overflow check, is
     built only behind a prefix that holds on some subset. Rules are added in
     order until the column is down to `floor`, bits the caller knows every
-    rule keeps (0, or a model's own bit)."""
+    rule keeps (0, or a model's own bit).
+
+    With `supported`, only the supported models are kept: those in which
+    every true atom has a rule whose body holds and whose head meets the
+    model only at that atom. Every stable model under either reduct is one
+    (a reduct keeps the rules whose body holds; drop an unsupported atom
+    and every kept rule still holds, so the model is not minimal). An
+    atom's support is the OR of the bodies of its head rules, each where no
+    other head atom of the rule is true, and is folded into one unsupported
+    column at its last head rule. The mask is applied after the last rule,
+    so it never moves the `floor` stop or an aggregate's build."""
     dimension = index.bit_count()
     full = (1 << (1 << dimension)) - 1
     outside = ~index
     column = full
-    for head, must_true, must_false, _, aggregates in rules:
+    if supported:
+        # each head atom's bit, by its last head rule; an atom in no head is
+        # unsupported wherever it is true
+        last = {low: number for number, rule in enumerate(rules) for low in _bits(rule[0] & index)}
+        support: dict = {}
+        unsupported = 0
+        for low in _bits(index & ~sum(last)):
+            unsupported |= pattern((index & (low - 1)).bit_count(), dimension)
+    for number, (head, must_true, must_false, _, aggregates) in enumerate(rules):
         body = full
         for spec, _, bits, _, true, false in aggregates + _REST:
             true &= must_true
@@ -540,15 +572,31 @@ def _column(index: int, rules: list[tuple], pattern, floor: int = 0) -> int:
                 for bit in bits
             ]
             body &= _aggregate_column(spec, columns, full)
-        heads = 0
+        heads = twice = 0  # where some, and where two or more, head atoms hold
         head &= index
+        atoms = head
         while head:
             low = head & -head
-            heads |= pattern((index & (low - 1)).bit_count(), dimension)
+            atom = pattern((index & (low - 1)).bit_count(), dimension)
+            if supported:
+                twice |= heads & atom
+            heads |= atom
             head ^= low
         column &= (body ^ full) | heads
+        if supported:
+            # below a true head atom, "no other head atom holds" is "not twice"
+            alone = body & (twice ^ full) if twice else body
+            for low in _bits(atoms):
+                held = support.pop(low) | alone if low in support else alone
+                if last[low] == number:
+                    atom = pattern((index & (low - 1)).bit_count(), dimension)
+                    unsupported |= atom & (held ^ full)
+                else:
+                    support[low] = held
         if column == floor:
             break
+    if supported:
+        column &= unsupported ^ full
     return column
 
 
@@ -629,7 +677,8 @@ def _stable_models(
     """Stable models under G (grounding) or F, in candidate order; with
     `atom`, only those where it holds (or, with holds=False, where it does
     not). Programs outside ASP^M, or with an aggregate that cannot be
-    classified, are enumerated."""
+    classified, are enumerated: _stable_at checks the supported models, the
+    set bits of the program column built with `supported`, lowest first."""
     try:
         models = _fixpoint_models(program, grounding)
     except (NotAspMError, DomainTooLargeError, AggregateOverflowError):
@@ -646,7 +695,7 @@ def _stable_models(
     # atom columns by (position, dimension), for the space and the subspaces
     # of the minimality checks; freed with the generator when the solve ends
     pattern = cache(_pattern)
-    column = _column((1 << len(universe)) - 1, rules, pattern)
+    column = _column((1 << len(universe)) - 1, rules, pattern, 0, True)  # supported models
     if atom is not None:
         restrict = pattern(universe.index(atom), len(universe)) if atom in universe else 0
         column &= restrict if holds else ~restrict

@@ -63,6 +63,23 @@ def naive_is_minimal_model(interp: frozenset, program: Program) -> bool:
     )
 
 
+def naive_supported_models(program: Program) -> list[frozenset]:
+    """The models of program in which every true atom has a rule whose body
+    holds and whose head meets the model only at that atom (the models of
+    Clark's completion), in the order of `subsets`."""
+    return [
+        interp
+        for interp in naive_models(program)
+        if all(
+            any(
+                rule.head & interp == {atom} and all(satisfies(interp, lit) for lit in rule.body)
+                for rule in program
+            )
+            for atom in interp
+        )
+    ]
+
+
 def naive_stable_models(program: Program, semantics: str) -> set[frozenset]:
     reduct = {"f": f_reduct, "g": g_reduct}[semantics]
     out = set()

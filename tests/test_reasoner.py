@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import random
 import tracemalloc
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -223,8 +224,8 @@ class TestIsStable:
         program = parse("".join(f"a{i} | b{i}.\n" for i in range(13)))
         built = []
 
-        def column(index, rules, pattern, floor=0):
-            if not floor:  # the program column
+        def column(index, rules, pattern, floor=0, supported=False):
+            if supported:  # the program column
                 return 1 << index
             built.append(index)
             return floor
@@ -252,6 +253,17 @@ class TestIsStable:
                 assert semantics.is_minimal_model(interp, program) is (
                     oracles.naive_is_minimal_model(interp, program)
                 ), interp
+
+
+def _disjunctive_programs() -> list[Program]:
+    """150 seeded programs, each with a rule of two or more head atoms."""
+    rng = random.Random("disjunctive minimality")
+    programs = []
+    while len(programs) < 150:
+        program = gen.random_program(rng)
+        if any(len(rule.head) > 1 for rule in program):
+            programs.append(program)
+    return programs
 
 
 class TestStableModels:
@@ -289,32 +301,29 @@ class TestStableModels:
         assert set(stable_models(program, Semantics.F)) == {atoms("p")}
 
     def test_most_minimality_checks_build_no_column(self, monkeypatch):
-        # counted, not timed: on 150 seeded programs with a disjunctive rule
-        # the least-model rounds leave 151 (G) and 183 (F) of the 1,208
-        # checks to the column; a test on Horn reducts alone left 454 and 572
+        # counted, not timed: at all 1,208 models of 150 seeded programs with
+        # a disjunctive rule, the least-model rounds leave 151 (G) and 183
+        # (F) checks to the column; a test on Horn reducts alone left 454
+        # and 572. Every model is checked here, not only the supported ones
+        # the enumerator passes on
         checks = []
         columns = []
         minimal, column = semantics._minimal, semantics._column
         monkeypatch.setattr(
             semantics, "_minimal", lambda *args: checks.append(1) or minimal(*args)
         )
-
-        def counted(index, rules, pattern, floor=0):
-            if floor:  # a minimality column, not the program column
-                columns.append(1)
-            return column(index, rules, pattern, floor)
-
-        monkeypatch.setattr(semantics, "_column", counted)
-        rng = random.Random("disjunctive minimality")
-        programs = []
-        while len(programs) < 150:
-            program = gen.random_program(rng)
-            if any(len(rule.head) > 1 for rule in program):
-                programs.append(program)
+        monkeypatch.setattr(semantics, "_column", lambda *args: columns.append(1) or column(*args))
+        programs = _disjunctive_programs()
         for sem in Semantics:
             del checks[:], columns[:]
             for program in programs:
-                stable_models(program, sem)
+                universe, rules, _ = semantics._compile_at(program)
+                pattern = cache(semantics._pattern)
+                models = column((1 << len(universe)) - 1, rules, pattern)
+                for index in semantics._set_bits(models, 1 << len(universe)):
+                    semantics._stable_at(
+                        rules, index, sem is Semantics.G, pattern, semantics.DEFAULT_MAX_ATOMS
+                    )
             assert len(checks) > 1000
             assert len(columns) * 5 <= len(checks), sem
 
@@ -603,6 +612,73 @@ class TestMonotoneRoute:
         ):
             with pytest.raises(TooManyAtomsError):
                 query(program, *args, sem)
+
+
+class TestSupportFilter:
+    """The enumerator passes to _stable_at only the supported models, the
+    set bits of the program column built with `supported`."""
+
+    @pytest.mark.parametrize("family", sorted(gen.FAMILIES))
+    def test_candidates_are_the_supported_models(self, family, monkeypatch):
+        # the fixpoint route is refused, so every program is enumerated
+        monkeypatch.setattr(semantics, "_fixpoint_models", _no_fixpoint)
+        checked = []
+        stable_at = semantics._stable_at
+        monkeypatch.setattr(
+            semantics,
+            "_stable_at",
+            lambda rules, index, *args: checked.append(index) or stable_at(rules, index, *args),
+        )
+        rng = random.Random(f"supported-{family}")
+        for _ in range(80):
+            program = gen.FAMILIES[family](rng)
+            universe = sorted(atoms_of(program))
+            supported = sorted(
+                oracles.naive_supported_models(program),
+                key=lambda model: sum(1 << universe.index(atom) for atom in model),
+            )
+            for sem in Semantics:
+                del checked[:]
+                list(stable_models(program, sem))
+                assert [semantics._atoms_at(universe, index) for index in checked] == supported
+                assert oracles.naive_stable_models(program, sem.value) <= set(supported)
+
+    def test_checks_at_supported_models_only(self, monkeypatch):
+        # counted, not timed: of the 1,208 models of the programs of
+        # test_most_minimality_checks_build_no_column, 180 are supported
+        checks = []
+        minimal = semantics._minimal
+        monkeypatch.setattr(
+            semantics, "_minimal", lambda *args: checks.append(1) or minimal(*args)
+        )
+        programs = _disjunctive_programs()
+        for sem in Semantics:
+            del checks[:]
+            for program in programs:
+                stable_models(program, sem)
+            assert len(checks) == 180, sem
+
+    def test_unsupported_models_reach_no_check(self, monkeypatch):
+        # p holds in all 2**21 models; its support needs some a{i}, and
+        # while p holds no a{i} is supported (a1..a20 are in no head)
+        checked = []
+        monkeypatch.setattr(semantics, "_stable_at", lambda *args: checked.append(1))
+        wide = ", ".join(f"a{i}" for i in range(21))
+        program = parse(f"p :- count{{{wide}}} >= 1.\na0 :- not p.")
+        for sem in Semantics:
+            assert not check_coherence(program, sem)
+            assert list(stable_models(program, sem)) == []
+        assert checked == []
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_overflow_is_raised_where_no_model_is_supported(self, sem):
+        # a is in no head, so no model is supported; the sum is still built
+        # over the models of the constraint, and overflows at {a, q}
+        program = parse(":- not a.\np :- sum{9223372036854775807 : a, 1 : q} >= 0.")
+        for query in (stable_models, check_coherence):
+            with pytest.raises(AggregateOverflowError) as info:
+                query(program, sem)
+            assert str(info.value) == "sum 9223372036854775808 exceeds the 64-bit integer range"
 
 
 class TestCautiousBrave:
