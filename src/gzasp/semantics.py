@@ -30,11 +30,12 @@ a candidate s is the list of rules whose body holds at s, each head cut to
 s, with each kept aggregate under G turned into the mask of its domain
 atoms true at s. _minimal decides its minimality: least-model rounds
 (_least_model) over the rules left with at most one head atom prove s
-minimal or stop at a smaller model, and otherwise the column over the
-subsets of s decides. A coherence test stops at the first stable model;
-brave and cautious queries first restrict the candidates to those with,
-or without, the queried atom. is_stable, is_minimal_model and the G check
-of the least fixpoint run the same checks on one candidate.
+minimal or stop at a smaller model, and otherwise s is minimal iff the
+reduct plus the constraint `:- s.` has an empty column over the subsets
+of s. A coherence test stops at the first stable model; brave and
+cautious queries first restrict the candidates to those with, or without,
+the queried atom. is_stable, is_minimal_model and the G check of the
+least fixpoint run the same checks on one candidate.
 """
 
 from __future__ import annotations
@@ -232,9 +233,9 @@ def is_minimal_model(interp: Interpretation, program: Program) -> bool:
     to interp. Least-model rounds over the rules without negation and left
     with at most one head atom decide when they reach interp, none of those
     rules having an aggregate (minimal), or stop below it at a model of
-    every rule, constraints included (not minimal). Otherwise the column
-    over the subsets of interp decides, in which only the top bit, interp
-    itself, may be set; above DEFAULT_MAX_ATOMS atoms it is refused.
+    every rule, constraints included (not minimal). Otherwise interp is
+    minimal iff the program plus `:- interp.` has an empty column over the
+    subsets of interp, refused above DEFAULT_MAX_ATOMS atoms.
 
     Overflow: an aggregate whose sum (or scaled avg bound) leaves the
     64-bit range on a subset of interp raises AggregateOverflowError where
@@ -513,9 +514,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _column(
-    index: int, rules: list[tuple], pattern, floor: int = 0, supported: bool = False
-) -> int:
+def _column(index: int, rules: list[tuple], pattern, supported: bool = False) -> int:
     """The column of compiled rules over the subsets of `index`: bit s is
     set iff the subset holding the j-th lowest atom of `index` exactly when
     bit j of s is set models every rule. Atoms outside `index` are false;
@@ -525,8 +524,7 @@ def _column(
     Each body is built in body order and stops at the first prefix that is
     false everywhere, so an aggregate's column, and its overflow check, is
     built only behind a prefix that holds on some subset. Rules are added in
-    order until the column is down to `floor`, bits the caller knows every
-    rule keeps (0, or a model's own bit).
+    order until the column is empty.
 
     With `supported`, only the supported models are kept: those in which
     every true atom has a rule whose body holds and whose head meets the
@@ -536,7 +534,7 @@ def _column(
     atom's support is the OR of the bodies of its head rules, each where no
     other head atom of the rule is true, and is folded into one unsupported
     column at its last head rule. The mask is applied after the last rule,
-    so it never moves the `floor` stop or an aggregate's build."""
+    so it never moves the stop or an aggregate's build."""
     dimension = index.bit_count()
     full = (1 << (1 << dimension)) - 1
     outside = ~index
@@ -593,7 +591,7 @@ def _column(
                     unsupported |= atom & (held ^ full)
                 else:
                     support[low] = held
-        if column == floor:
+        if not column:
             break
     if supported:
         column &= unsupported ^ full
@@ -606,8 +604,9 @@ def _minimal(index: int, rules: list[tuple], pattern, max_atoms: int) -> bool:
     the rules without negation and left with at most one head atom, which
     every smaller model also models: reaching the candidate with no
     aggregate among them proves it minimal, and stopping below it at a
-    model of every rule refutes it. Otherwise the column over the
-    candidate's subsets decides, refused above max_atoms atoms."""
+    model of every rule refutes it. Otherwise it is minimal iff `:- M.` (M
+    the candidate) then the rules have an empty column, refused above
+    max_atoms atoms; `:- M.` first clears M's bit, which every rule keeps."""
     horn = [r for r in rules if r[1] == r[3] and not r[2] and not r[0] & (r[0] - 1)]
     derived = _least_model(horn, index)
     if derived == index and not any(rule[4] for rule in horn):
@@ -623,8 +622,7 @@ def _minimal(index: int, rules: list[tuple], pattern, max_atoms: int) -> bool:
         raise TooManyAtomsError(
             f"interpretation has {dimension} atoms; the minimality guard allows {max_atoms}"
         )
-    top = 1 << ((1 << dimension) - 1)
-    return _column(index, rules, pattern, top) == top  # only the candidate's own bit
+    return not _column(index, [(0, index, 0, index, ())] + rules, pattern)
 
 
 def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern, max_atoms: int) -> bool:
@@ -650,11 +648,12 @@ def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern, max_ato
     return _minimal(index, kept, pattern, max_atoms)
 
 
-def _set_bits(column: int, width: int) -> Iterator[int]:
-    """Indices of the set bits of a `width`-bit column, lowest first. The
-    column is copied once into native 64-bit words, so a set bit costs a few
-    word operations instead of a copy of the whole column."""
-    words = memoryview(column.to_bytes(max(8, width >> 3), sys.byteorder)).cast("Q")
+def _set_bits(column: int) -> Iterator[int]:
+    """Indices of the set bits of a column, lowest first. The column is
+    copied once into native 64-bit words, so a set bit costs a few word
+    operations instead of a copy of the whole column."""
+    size = max(8, (column.bit_length() + 63) >> 6 << 3)  # whole words, at least one
+    words = memoryview(column.to_bytes(size, sys.byteorder)).cast("Q")
     del column  # the words are all the scan needs; free the 2**n-bit int
     if sys.byteorder == "big":
         words = words[::-1]  # lowest word first
@@ -695,11 +694,11 @@ def _stable_models(
     # atom columns by (position, dimension), for the space and the subspaces
     # of the minimality checks; freed with the generator when the solve ends
     pattern = cache(_pattern)
-    column = _column((1 << len(universe)) - 1, rules, pattern, 0, True)  # supported models
+    column = _column((1 << len(universe)) - 1, rules, pattern, True)  # supported models
     if atom is not None:
         restrict = pattern(universe.index(atom), len(universe)) if atom in universe else 0
         column &= restrict if holds else ~restrict
-    candidates = _set_bits(column, 1 << len(universe))
+    candidates = _set_bits(column)
     del column  # only the scan's word copy stays alive
     for index in candidates:
         if _stable_at(rules, index, grounding, pattern, max_atoms):

@@ -202,13 +202,14 @@ class TestIsStable:
     @pytest.mark.parametrize("sem", list(Semantics))
     def test_column_is_refused_above_the_guard(self, sem, monkeypatch):
         # the reduct at all atoms keeps every disjunction, which neither
-        # test decides; no column is built here
+        # test decides; no column is built here, and the double's nonzero
+        # column (a smaller model) refutes
         def pairs(n):
             return parse("".join(f"a{i} | b{i}.\n" for i in range(n)))
 
         built = []
         monkeypatch.setattr(
-            semantics, "_column", lambda index, *args: built.append(index.bit_count()) or 0
+            semantics, "_column", lambda index, *args: built.append(index.bit_count()) or 1
         )
         assert not is_stable(pairs(12), atoms_of(pairs(12)), sem)
         assert built == [24]
@@ -224,11 +225,11 @@ class TestIsStable:
         program = parse("".join(f"a{i} | b{i}.\n" for i in range(13)))
         built = []
 
-        def column(index, rules, pattern, floor=0, supported=False):
+        def column(index, rules, pattern, supported=False):
             if supported:  # the program column
                 return 1 << index
             built.append(index)
-            return floor
+            return 0  # no smaller model: minimal
 
         monkeypatch.setattr(semantics, "_column", column)
         assert list(stable_models(program, sem, max_atoms=26)) == [atoms_of(program)]
@@ -253,6 +254,31 @@ class TestIsStable:
                 assert semantics.is_minimal_model(interp, program) is (
                     oracles.naive_is_minimal_model(interp, program)
                 ), interp
+
+    @pytest.mark.parametrize("family", gen.FAMILIES)
+    def test_column_alone_against_oracles(self, family, monkeypatch):
+        # the minimality rounds derive nothing, so neither polynomial test
+        # decides: the column of the reduct plus `:- M.` does (or the empty
+        # set, a model of every rule, refutes). The fixpoint route, which
+        # passes no stop, keeps the real rounds
+        least_model = semantics._least_model
+
+        def no_rounds(rules, stop=-1):
+            return 0 if stop != -1 else least_model(rules)
+
+        monkeypatch.setattr(semantics, "_least_model", no_rounds)
+        rng = random.Random(f"column alone-{family}")
+        for _ in range(40):
+            program = gen.FAMILIES[family](rng)
+            universe = atoms_of(program)
+            for sem in Semantics:
+                models = oracles.naive_stable_models(program, sem.value)
+                assert set(stable_models(program, sem)) == models
+                for interp in oracles.subsets(universe):
+                    assert is_stable(program, interp, sem) is (interp in models), interp
+                    assert semantics.is_minimal_model(interp, program) is (
+                        oracles.naive_is_minimal_model(interp, program)
+                    ), interp
 
 
 def _disjunctive_programs() -> list[Program]:
@@ -320,12 +346,28 @@ class TestStableModels:
                 universe, rules, _ = semantics._compile_at(program)
                 pattern = cache(semantics._pattern)
                 models = column((1 << len(universe)) - 1, rules, pattern)
-                for index in semantics._set_bits(models, 1 << len(universe)):
+                for index in semantics._set_bits(models):
                     semantics._stable_at(
                         rules, index, sem is Semantics.G, pattern, semantics.DEFAULT_MAX_ATOMS
                     )
             assert len(checks) > 1000
             assert len(columns) * 5 <= len(checks), sem
+
+    def test_aggregate_columns_built_under_f(self, monkeypatch):
+        # counted, not timed: `:- M.` goes first in a minimality column and
+        # clears only M's own bit, so the column empties after the same rule
+        # as one that stops at that bit, and builds the same aggregate
+        # columns; put last, it would build 418 and 334
+        built = []
+        aggregate_column = semantics._aggregate_column
+        monkeypatch.setattr(
+            semantics, "_aggregate_column", lambda *args: built.append(1) or aggregate_column(*args)
+        )
+        for family, expected in (("random", 403), ("mixed", 329)):
+            del built[:]
+            for seed in range(200):
+                stable_models(gen.FAMILIES[family](random.Random(seed)), Semantics.F)
+            assert len(built) == expected, family
 
     def test_atom_guard(self):
         # the guard limits enumeration; monotone programs are answered by

@@ -461,15 +461,34 @@ class TestIsMinimalModel:
         monkeypatch.setattr(semantics, "_column", refuse_column)
         assert not is_minimal_model(atoms_of(program), program)
 
+    def test_zero_atom_column_stops_at_the_constraint(self, monkeypatch):
+        # the rounds decide nothing at {}: the one horn rule has an
+        # aggregate. Over the zero-atom space `:- {}.` already empties the
+        # column, before the count's column is built
+        columns, aggregates = [], []
+        column, aggregate_column = semantics._column, semantics._aggregate_column
+        monkeypatch.setattr(
+            semantics, "_column", lambda *args: columns.append(args[0]) or column(*args)
+        )
+        monkeypatch.setattr(
+            semantics,
+            "_aggregate_column",
+            lambda *args: aggregates.append(1) or aggregate_column(*args),
+        )
+        assert is_minimal_model(frozenset(), parse("p :- count{p} >= 1."))
+        assert columns == [0]
+        assert aggregates == []
+
     def test_column_is_refused_above_the_guard(self, monkeypatch):
         # neither test decides n disjunctions at all 2n atoms; a column is
-        # allowed over 24 atoms and refused over 26, never built here
+        # allowed over 24 atoms and refused over 26, never built here. The
+        # double's nonzero column holds a smaller model
         def pairs(n):
             return parse("".join(f"a{i} | b{i}.\n" for i in range(n)))
 
         built = []
         monkeypatch.setattr(
-            semantics, "_column", lambda index, *args: built.append(index.bit_count()) or 0
+            semantics, "_column", lambda index, *args: built.append(index.bit_count()) or 1
         )
         assert not is_minimal_model(atoms_of(pairs(12)), pairs(12))
         assert built == [24]
