@@ -35,7 +35,8 @@ reduct plus the constraint `:- s.` has an empty column over the subsets
 of s. A coherence test stops at the first stable model; brave and
 cautious queries first restrict the candidates to those with, or without,
 the queried atom. is_stable, is_minimal_model and the G check of the
-least fixpoint run the same checks on one candidate.
+least fixpoint run the same checks on one candidate. A check, like a
+solve, builds each atom column once: it reads them through cache(_pattern).
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ def is_minimal_model(interp: Interpretation, program: Program) -> bool:
         return False
     _, rules, index = _compile_at(program, interp)
     rules = [(head & index, *body) for head, *body in rules]
-    return _minimal(index, rules, _pattern, DEFAULT_MAX_ATOMS)
+    return _minimal(index, rules, cache(_pattern), DEFAULT_MAX_ATOMS)
 
 
 def _is_stable(program: Program, interp: Interpretation, grounding: bool) -> bool:
@@ -263,7 +264,7 @@ def _is_stable(program: Program, interp: Interpretation, grounding: bool) -> boo
     if not satisfies(interp, program):
         return False
     _, rules, index = _compile_at(program, interp)
-    return _stable_at(rules, index, grounding, _pattern, DEFAULT_MAX_ATOMS)
+    return _stable_at(rules, index, grounding, cache(_pattern), DEFAULT_MAX_ATOMS)
 
 
 def aggregate_truth_table(spec: AggregateSpec) -> list[bool]:
@@ -496,7 +497,7 @@ def _fixpoint_models(program: Program, grounding: bool) -> list[Interpretation]:
     universe, rules, _ = _compile_at(program)
     # without negation a rule's positive mask is all its atom literals
     fixpoint = _least_model(rules)
-    if grounding and not _stable_at(rules, fixpoint, True, _pattern, DEFAULT_MAX_ATOMS):
+    if grounding and not _stable_at(rules, fixpoint, True, cache(_pattern), DEFAULT_MAX_ATOMS):
         return []
     return [_atoms_at(universe, fixpoint)]
 
@@ -517,9 +518,8 @@ def _bits(mask: int) -> Iterator[int]:
 def _column(index: int, rules: list[tuple], pattern, supported: bool = False) -> int:
     """The column of compiled rules over the subsets of `index`: bit s is
     set iff the subset holding the j-th lowest atom of `index` exactly when
-    bit j of s is set models every rule. Atoms outside `index` are false;
-    the full space is the subspace of the all-atoms index. `pattern` gives
-    atom columns by (position, dimension).
+    bit j of s is set models every rule. Every atom column is atom(low):
+    `pattern`'s (position, dimension) column inside `index`, 0 outside it.
 
     Each body is built in body order and stops at the first prefix that is
     false everywhere, so an aggregate's column, and its overflow check, is
@@ -537,7 +537,10 @@ def _column(index: int, rules: list[tuple], pattern, supported: bool = False) ->
     so it never moves the stop or an aggregate's build."""
     dimension = index.bit_count()
     full = (1 << (1 << dimension)) - 1
-    outside = ~index
+
+    def atom(low: int) -> int:
+        return pattern((index & (low - 1)).bit_count(), dimension) if index & low else 0
+
     column = full
     if supported:
         # each head atom's bit, by its last head rule; an atom in no head is
@@ -546,39 +549,32 @@ def _column(index: int, rules: list[tuple], pattern, supported: bool = False) ->
         support: dict = {}
         unsupported = 0
         for low in _bits(index & ~sum(last)):
-            unsupported |= pattern((index & (low - 1)).bit_count(), dimension)
+            unsupported |= atom(low)
     for number, (head, must_true, must_false, _, aggregates) in enumerate(rules):
         body = full
         for spec, _, bits, _, true, false in aggregates + _REST:
             true &= must_true
-            if true & outside:
-                body = 0  # needs an atom that is false everywhere
-                break
             while true:
                 low = true & -true
-                body &= pattern((index & (low - 1)).bit_count(), dimension)
+                body &= atom(low)
                 true ^= low
-            false &= must_false & index
+            false &= must_false
             while false:
                 low = false & -false
-                body &= pattern((index & (low - 1)).bit_count(), dimension) ^ full
+                body &= atom(low) ^ full
                 false ^= low
             if not body or spec is None:
                 break
-            columns = [
-                pattern((index & (bit - 1)).bit_count(), dimension) if index & bit else 0
-                for bit in bits
-            ]
-            body &= _aggregate_column(spec, columns, full)
+            body &= _aggregate_column(spec, [atom(bit) for bit in bits], full)
         heads = twice = 0  # where some, and where two or more, head atoms hold
         head &= index
         atoms = head
         while head:
             low = head & -head
-            atom = pattern((index & (low - 1)).bit_count(), dimension)
+            holds = atom(low)
             if supported:
-                twice |= heads & atom
-            heads |= atom
+                twice |= heads & holds
+            heads |= holds
             head ^= low
         column &= (body ^ full) | heads
         if supported:
@@ -587,8 +583,7 @@ def _column(index: int, rules: list[tuple], pattern, supported: bool = False) ->
             for low in _bits(atoms):
                 held = support.pop(low) | alone if low in support else alone
                 if last[low] == number:
-                    atom = pattern((index & (low - 1)).bit_count(), dimension)
-                    unsupported |= atom & (held ^ full)
+                    unsupported |= atom(low) & (held ^ full)
                 else:
                     support[low] = held
         if not column:

@@ -29,6 +29,7 @@ import gen
 import oracles
 from helpers import GOLDEN_REW_TEXT, GOLDEN_STR_TEXT, GOLDEN_TEXT
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 GADGET_TEXT = "p :- count{p} >= 0.\n"
 TWO_CYCLE_TEXT = "p :- not q.\nq :- not p.\n"
 
@@ -614,6 +615,37 @@ class TestOracleDifferential:
                     assert (code, out, err) == (0 if models else 1, expected, ""), (argv, text)
                     answered += 1
         assert overflowing > 10 and answered > 500
+
+
+def readme_transcript() -> list:
+    """(command, output) for each `$ gzasp ...` line of the README's code
+    blocks, the command without its `gzasp` prefix and as the test id."""
+    transcript = []
+    for block in README.read_text(encoding="utf-8").split("```")[1::2]:
+        for entry in block.split("\n$ gzasp ")[1:]:
+            command, _, output = entry.partition("\n")
+            transcript.append(pytest.param(command, output.rstrip("\n") + "\n", id=command))
+    return transcript
+
+
+class TestReadme:
+    """The README's command-line transcript, run on the program it shows
+    as demo.lp."""
+
+    def test_demo_is_the_golden_program(self):
+        assert "```\n" + GOLDEN_TEXT + "```" in README.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("command,output", readme_transcript())
+    def test_transcript(self, command, output, golden_file, capsys):
+        argv = [golden_file if word == "demo.lp" else word for word in command.split()]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        digest = hashlib.sha256(GOLDEN_TEXT.encode()).hexdigest()
+        # the README abbreviates the digest and wraps the --json line
+        out = out.replace(digest, f"{digest[:4]}…{digest[-4:]}")
+        if "--json" in argv:
+            output = output.replace("\n ", " ")
+        assert (out.encode(), err) == (output.encode(), "")
 
 
 class TestCachedParser:

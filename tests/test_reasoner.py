@@ -217,6 +217,22 @@ class TestIsStable:
             is_stable(pairs(13), atoms_of(pairs(13)), sem)
         assert str(info.value) == "interpretation has 26 atoms; the minimality guard allows 24"
 
+    def test_one_check_builds_each_atom_column_once(self, monkeypatch):
+        # counted, not timed: at all 16 atoms of the pairs neither test
+        # decides, and the column reads each atom twice, in `:- M.` and in
+        # a head; without a cache per check it builds 32 atom columns
+        program = parse("".join(f"a{i} | b{i}.\n" for i in range(8)))
+        built = []
+        pattern = semantics._pattern
+        monkeypatch.setattr(
+            semantics, "_pattern", lambda *args: built.append(args) or pattern(*args)
+        )
+        assert not semantics.is_minimal_model(atoms_of(program), program)
+        assert len(built) == 16 == len(set(built))
+        del built[:]
+        assert not is_stable(program, atoms_of(program), Semantics.F)
+        assert len(built) == 16 == len(set(built))
+
     @pytest.mark.parametrize("sem", list(Semantics))
     def test_enumerator_checks_follow_its_own_guard(self, sem, monkeypatch):
         # the enumerator's own guard, not DEFAULT_MAX_ATOMS, bounds its
