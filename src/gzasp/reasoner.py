@@ -79,8 +79,9 @@ def is_stable(program: Program, interp: Interpretation, sem: Semantics) -> bool:
 
     Overflow: the model test raises AggregateOverflowError where an
     aggregate it evaluates at interp overflows; the minimality check raises
-    as in is_minimal_model, naming a subset of interp, and refuses a column
-    over more than DEFAULT_MAX_ATOMS atoms with TooManyAtomsError."""
+    as in is_minimal_model, naming a subset of interp, answers at any size
+    where its least-model rounds decide, and refuses a column over more
+    than DEFAULT_MAX_ATOMS atoms with TooManyAtomsError."""
     return _is_stable(program, interp, sem is Semantics.G)
 
 

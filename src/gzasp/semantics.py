@@ -30,11 +30,12 @@ a candidate s is the list of rules whose body holds at s, each head cut to
 s, with each kept aggregate under G turned into the mask of its domain
 atoms true at s. _minimal decides its minimality: least-model rounds
 (_least_model) over the rules left with at most one head atom prove s
-minimal or stop at a smaller model, and otherwise s is minimal iff the
-reduct plus the constraint `:- s.` has an empty column over the subsets
-of s. A coherence test stops at the first stable model; brave and
-cautious queries first restrict the candidates to those with, or without,
-the queried atom. is_stable, is_minimal_model and the G check of the
+minimal, through aggregates only where each holds on every set between
+the atoms derived and s (the interval test), or stop at a smaller model;
+otherwise s is minimal iff the reduct plus `:- s.` has an empty column.
+A coherence test stops at the first stable model; brave and cautious
+queries first restrict the candidates to those with, or without, the
+queried atom. is_stable, is_minimal_model and the G check of the
 least fixpoint run the same checks on one candidate. A check, like a
 solve, builds each atom column once: it reads them through cache(_pattern).
 """
@@ -232,18 +233,21 @@ def is_minimal_model(interp: Interpretation, program: Program) -> bool:
 
     Below interp a head atom outside it is false, so each head is first cut
     to interp. Least-model rounds over the rules without negation and left
-    with at most one head atom decide when they reach interp, none of those
-    rules having an aggregate (minimal), or stop below it at a model of
-    every rule, constraints included (not minimal). Otherwise interp is
-    minimal iff the program plus `:- interp.` has an empty column over the
-    subsets of interp, refused above DEFAULT_MAX_ATOMS atoms.
+    with at most one head atom decide, at any size, when they reach interp
+    with each aggregate they fire at the derived set G holding on every set
+    between G and interp (minimal), or stop below it at a model of every
+    rule, constraints included (not minimal). Otherwise interp is minimal
+    iff the program plus `:- interp.` has an empty column over the subsets
+    of interp, refused above DEFAULT_MAX_ATOMS atoms.
 
     Overflow: an aggregate whose sum (or scaled avg bound) leaves the
     64-bit range on a subset of interp raises AggregateOverflowError where
     the check meets it: evaluated at a subset the rounds reach, or built
     into the column behind a body prefix that holds on some subset, where
     the error names the first overflowing subset of interp in table order.
-    An aggregate that overflows only on atoms outside interp raises nothing.
+    The interval test declines at it. Where the rounds decide, an aggregate
+    only the column would build raises nothing, nor does one that
+    overflows only on atoms outside interp.
     """
     if not satisfies(interp, program):
         return False
@@ -308,26 +312,21 @@ def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int
     atoms there in domain order (0 for an atom outside the space)."""
     func, bound = spec.func, spec.bound
     terms = [(w, column) for (w, _), column in zip(spec.elements, columns) if column]
-    if func in (AggregateFunc.SUM, AggregateFunc.AVG):
+    if _overflows(spec, terms):
         # only subsets of the atoms in the space are evaluated: the column of
         # those whose sum, or avg's scaled bound, leaves the 64-bit range
-        weights = [weight for weight, _ in terms]
-        scaled = bound * len(weights) if func is AggregateFunc.AVG else 0
-        overflow = 0
-        if sum(w for w in weights if w < 0) < INT64_MIN:
-            overflow = _compare_sum(terms, INT64_MIN, full)[0]
-        if sum(w for w in weights if w > 0) > INT64_MAX:
+        overflow = _compare_sum(terms, INT64_MIN, full)[0]  # 0 unless the negatives reach it
+        if sum(w for w, _ in terms if w > 0) > INT64_MAX:
             overflow |= full ^ _compare_sum(terms, INT64_MAX + 1, full)[0]
-        if not INT64_MIN <= scaled <= INT64_MAX:
+        if func is AggregateFunc.AVG and not INT64_MIN <= bound * len(terms) <= INT64_MAX:
             # a count above the largest with bound * count in range
             most = (INT64_MAX if bound > 0 else INT64_MIN) // bound
             overflow |= full ^ _compare_sum([(1, c) for _, c in terms], most + 1, full)[0]
-        if overflow:
-            # the lowest bit is the first overflowing subset in table order,
-            # and eval_aggregate raises there what the table walk would
-            lowest = (overflow & -overflow).bit_length() - 1
-            chosen = [a for (_, a), column in zip(spec.elements, columns) if column >> lowest & 1]
-            eval_aggregate(spec, frozenset(chosen))
+        # the lowest bit is the first overflowing subset in table order, and
+        # eval_aggregate raises there what the table walk would
+        lowest = (overflow & -overflow).bit_length() - 1
+        chosen = [a for (_, a), column in zip(spec.elements, columns) if column >> lowest & 1]
+        eval_aggregate(spec, frozenset(chosen))
     if func in PARITY_FUNCS:
         odd = reduce(operator.xor, (column for _, column in terms), 0)
         return odd if func is AggregateFunc.ODD else odd ^ full
@@ -358,6 +357,17 @@ def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int
     if func in (AggregateFunc.AVG, AggregateFunc.MIN, AggregateFunc.MAX):
         column &= reduce(operator.or_, (column for _, column in terms), 0)  # false on no selection
     return column
+
+
+def _overflows(spec: AggregateSpec, terms: list) -> bool:
+    """The extremes test: whether a selection of `terms`, (weight, ...)
+    pairs, takes a sum, or avg's bound times the count, out of the 64-bit range."""
+    if spec.func not in (AggregateFunc.SUM, AggregateFunc.AVG):
+        return False
+    scaled = spec.bound * len(terms) if spec.func is AggregateFunc.AVG else 0
+    low = min(scaled, sum(w for w, _ in terms if w < 0))
+    high = max(scaled, sum(w for w, _ in terms if w > 0))
+    return not INT64_MIN <= low <= high <= INT64_MAX
 
 
 def _compare_sum(terms: list, bound: int, full: int) -> tuple[int, int]:
@@ -464,24 +474,47 @@ def _aggregates_hold(aggregates: tuple, index: int) -> bool:
     return True
 
 
-def _least_model(rules: list[tuple], stop: int = -1) -> int:
+def _least_model(rules: list[tuple], stop: int = -1, fires=None) -> int:
     """Least model, as an atom bitmask, of compiled rules read as their
     positive atoms and aggregates, with at most one head atom and monotone
     aggregates, by rounds from the empty set (with other aggregates, a set
     closed under the rules). For minimality `stop` is the candidate: every
-    head is cut to it, so the rounds end as soon as they reach it."""
+    head is cut to it, so the rounds end as soon as they reach it. Given
+    `fires`, fires(head, aggregates, derived) replaces the aggregates' test."""
+    fires = fires or (lambda _, aggregates, derived: _aggregates_hold(aggregates, derived))
     derived = 0
     while derived != stop:
         grown = derived
         for head, _, _, positive, aggregates in rules:
             if positive & grown == positive and (
-                not aggregates or _aggregates_hold(aggregates, grown)
+                not aggregates or fires(head, aggregates, grown)
             ):
                 grown |= head
         if grown == derived:
             break
         derived = grown
     return derived
+
+
+def _holds_between(aggregate: tuple, low: int, high: int, pattern, max_atoms: int) -> bool:
+    """Whether a compiled aggregate holds on every atom set from `low` up to
+    its superset `high`: one circuit over the sub-cube of its domain atoms
+    in high but not low, or with none the memo's point evaluation. False
+    where those exceed max_atoms or its atoms in high can overflow."""
+    spec, domain, bits, _, _, _ = aggregate
+    free = domain & high & ~low
+    dimension = free.bit_count()
+    inside = [pair for pair, bit in zip(spec.elements, bits) if bit & high]
+    if dimension > max_atoms or _overflows(spec, inside):
+        return False
+    if not free:
+        return _aggregates_hold((aggregate,), low)
+    full = (1 << (1 << dimension)) - 1
+    columns = [
+        full if bit & low else bit & free and pattern((free & (bit - 1)).bit_count(), dimension)
+        for bit in bits
+    ]
+    return _aggregate_column(spec, columns, full) == full
 
 
 def _atoms_at(universe: list, index: int) -> Interpretation:
@@ -594,17 +627,27 @@ def _column(index: int, rules: list[tuple], pattern, supported: bool = False) ->
 
 
 def _minimal(index: int, rules: list[tuple], pattern, max_atoms: int) -> bool:
-    """Whether the candidate `index`, a model of the compiled rules with
+    """Whether the candidate M (`index`), a model of the compiled rules with
     their heads cut to it, is a minimal one. Rounds of _least_model run on
     the rules without negation and left with at most one head atom, which
-    every smaller model also models: reaching the candidate with no
-    aggregate among them proves it minimal, and stopping below it at a
-    model of every rule refutes it. Otherwise it is minimal iff `:- M.` (M
-    the candidate) then the rules have an empty column, refused above
-    max_atoms atoms; `:- M.` first clears M's bit, which every rule keeps."""
+    every smaller model S also models. Reaching M proves M minimal when no
+    aggregate is among them, and else when a second pass reaches M, where
+    a rule with aggregates fires at the derived set G only if each holds on
+    every set between G and M: the first atom of M outside S derived came
+    from a rule whose body holds at S, as S lies between G and M. Stopping
+    below M at a model of every rule refutes it. Otherwise M is minimal iff
+    `:- M.` then the rules have an empty column, refused above max_atoms
+    atoms; `:- M.` first clears M's bit, which every rule keeps."""
     horn = [r for r in rules if r[1] == r[3] and not r[2] and not r[0] & (r[0] - 1)]
     derived = _least_model(horn, index)
-    if derived == index and not any(rule[4] for rule in horn):
+
+    def interval(head, aggregates, low):  # a rule whose head is derived adds nothing
+        holding = (_holds_between(a, low, index, pattern, max_atoms) for a in aggregates)
+        return head & ~low and all(holding)
+
+    if derived == index and (  # the empty candidate keeps its one-bit column
+        not any(rule[4] for rule in horn) or index and _least_model(horn, index, interval) == index
+    ):
         return True
     if derived != index and all(
         must_true & ~derived or must_false & derived or head & derived

@@ -8,9 +8,12 @@ against the subset-walking oracles on random programs.
 from __future__ import annotations
 
 import gc
+import importlib
 import random
+import sys
 import tracemalloc
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -276,10 +279,12 @@ class TestIsStable:
         # the minimality rounds derive nothing, so neither polynomial test
         # decides: the column of the reduct plus `:- M.` does (or the empty
         # set, a model of every rule, refutes). The fixpoint route, which
-        # passes no stop, keeps the real rounds
+        # passes no stop, keeps the real rounds. The interval pass runs only
+        # after rounds that reach the candidate, so never here
         least_model = semantics._least_model
 
-        def no_rounds(rules, stop=-1):
+        def no_rounds(rules, stop=-1, fires=None):
+            assert fires is None, "the interval pass ran"
             return 0 if stop != -1 else least_model(rules)
 
         monkeypatch.setattr(semantics, "_least_model", no_rounds)
@@ -295,6 +300,33 @@ class TestIsStable:
                     assert semantics.is_minimal_model(interp, program) is (
                         oracles.naive_is_minimal_model(interp, program)
                     ), interp
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _benchmark_pool(workload: str) -> list:
+    """(program, F-stable models) for each stored program of a benchmark
+    pool, regenerated by perfbench/reference.py and checked against its
+    stored digest. Nothing under perfbench/ is written."""
+    saved = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True
+    try:
+        reference = importlib.import_module("reference")
+        corpus = importlib.import_module("corpus")
+        entries = reference.load_pool(workload)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+        for name in ("reference", "corpus"):
+            sys.modules.pop(name, None)
+    return [
+        (
+            parse(corpus.render(entry["program"])),
+            reference.models_from_masks(entry["f"], [Atom(f"x{i}") for i in range(entry["n"])]),
+        )
+        for entry in entries
+    ]
 
 
 def _disjunctive_programs() -> list[Program]:
@@ -370,20 +402,62 @@ class TestStableModels:
             assert len(columns) * 5 <= len(checks), sem
 
     def test_aggregate_columns_built_under_f(self, monkeypatch):
-        # counted, not timed: `:- M.` goes first in a minimality column and
-        # clears only M's own bit, so the column empties after the same rule
-        # as one that stops at that bit, and builds the same aggregate
-        # columns; put last, it would build 418 and 334
-        built = []
+        # counted, not timed, by where each aggregate column is built. The
+        # program columns build 366 and 278, as before the interval test.
+        # The interval checks build 12 and 16 and leave no minimality column
+        # to build one (before them: 28 and 28); the fixpoint route's
+        # classification builds 9 and 23 truth tables
+        where = ["table"]  # the builder running, innermost last
+        built: dict = {}
+        column, holds_between = semantics._column, semantics._holds_between
         aggregate_column = semantics._aggregate_column
-        monkeypatch.setattr(
-            semantics, "_aggregate_column", lambda *args: built.append(1) or aggregate_column(*args)
-        )
-        for family, expected in (("random", 403), ("mixed", 329)):
-            del built[:]
+
+        def counted_column(index, rules, pattern, supported=False):
+            where.append("program" if supported else "minimality")
+            try:
+                return column(index, rules, pattern, supported)
+            finally:
+                where.pop()
+
+        def counted_interval(*args):
+            where.append("interval")
+            try:
+                return holds_between(*args)
+            finally:
+                where.pop()
+
+        def counted(*args):
+            built[where[-1]] = built.get(where[-1], 0) + 1
+            return aggregate_column(*args)
+
+        monkeypatch.setattr(semantics, "_column", counted_column)
+        monkeypatch.setattr(semantics, "_holds_between", counted_interval)
+        monkeypatch.setattr(semantics, "_aggregate_column", counted)
+        for family, expected in (
+            ("random", {"program": 366, "interval": 12, "table": 9}),
+            ("mixed", {"program": 278, "interval": 16, "table": 23}),
+        ):
+            built.clear()
             for seed in range(200):
                 stable_models(gen.FAMILIES[family](random.Random(seed)), Semantics.F)
-            assert len(built) == expected, family
+            assert built == expected, family
+
+    def test_enum_pool_builds_no_minimality_column_under_f(self, monkeypatch):
+        # counted, not timed: on the benchmark's enum pool every F check that
+        # the rounds do not refute is decided by the interval test (723
+        # minimality columns before it), and the answers are the stored ones
+        pool = _benchmark_pool("enum")
+        column = semantics._column
+
+        def program_column_only(index, rules, pattern, supported=False):
+            if not supported:
+                raise AssertionError("a minimality column was built")
+            return column(index, rules, pattern, supported)
+
+        monkeypatch.setattr(semantics, "_column", program_column_only)
+        assert len(pool) == 14
+        for program, models in pool:
+            assert set(stable_models(program, Semantics.F)) == models
 
     def test_atom_guard(self):
         # the guard limits enumeration; monotone programs are answered by

@@ -7,6 +7,7 @@ checked against the naive oracles in oracles.py.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from gzasp.core import (
     Atom,
     AtomLiteral,
     Program,
+    Rule,
     atoms_of,
 )
 from gzasp.errors import (
@@ -28,7 +30,7 @@ from gzasp.errors import (
 )
 from gzasp import semantics
 from gzasp.parser import parse, render
-from gzasp.reasoner import Semantics, is_stable
+from gzasp.reasoner import Semantics, is_stable, stable_models
 from gzasp.semantics import (
     AggregateClass,
     aggregate_truth_table,
@@ -520,6 +522,145 @@ class TestIsMinimalModel:
         assert is_minimal_model(interp, program) == oracles.naive_is_minimal_model(
             interp, program
         )
+
+
+def _overflows_somewhere(spec: AggregateSpec, chosen: frozenset) -> bool:
+    """Whether eval_aggregate raises on some subset of `chosen`."""
+    for subset in oracles.subsets(chosen):
+        try:
+            eval_aggregate(spec, subset)
+        except AggregateOverflowError:
+            return True
+    return False
+
+
+class TestIntervalTest:
+    """_holds_between: whether an aggregate holds on every atom set from
+    the derived set G up to the candidate M, which lets the least-model
+    rounds prove minimality through a rule that keeps an aggregate."""
+
+    @staticmethod
+    def compiled(spec: AggregateSpec) -> tuple:
+        _, rules, _ = semantics._compile_at(Program((Rule((Atom("p"),), (spec,)),)))
+        return rules[0][4][0]
+
+    def test_agrees_with_brute_force(self):
+        # every function and comparator, domains of 0 to 6 atoms, weights
+        # zero, positive, negative, 40-bit or near the 64-bit edge; G and M
+        # random, M over the domain and one atom outside it. The test
+        # declines wherever a subset of M's domain atoms overflows
+        outcomes = {True: 0, False: 0, "declined": 0}
+        pattern = cache(semantics._pattern)
+        for func, comparator in gen.AGGREGATE_CASES:
+            rng = random.Random(f"interval {func.value} {comparator}")
+            for _ in range(40):
+                spec = gen.random_weighted_aggregate(rng, func, comparator, gen.POOL, max_dom=6)
+                aggregate = self.compiled(spec)
+                universe = sorted(set(spec.domain) | {Atom("p")})
+                high = frozenset(a for a in universe if rng.random() < 0.7)
+                low = frozenset(a for a in high if rng.random() < 0.4)
+                mask = {atom: 1 << i for i, atom in enumerate(universe)}
+                result = semantics._holds_between(
+                    aggregate,
+                    sum(mask[a] for a in low),
+                    sum(mask[a] for a in high),
+                    pattern,
+                    semantics.DEFAULT_MAX_ATOMS,
+                )
+                if _overflows_somewhere(spec, high & set(spec.domain)):
+                    assert result is False, (spec, low, high)
+                    outcomes["declined"] += 1
+                    continue
+                expected = all(
+                    eval_aggregate(spec, low | extra) for extra in oracles.subsets(high - low)
+                )
+                assert result is expected, (spec, low, high)
+                outcomes[expected] += 1
+        assert min(outcomes.values()) > 50, outcomes
+
+    def test_declines_above_max_atoms(self):
+        # count{a, b, c} >= 0 holds everywhere; three free atoms exceed two
+        aggregate = self.compiled(agg("count{a, b, c} >= 0"))
+        pattern = cache(semantics._pattern)
+        every, a = 0b1111, 0b0001  # over a, b, c, p
+        assert semantics._holds_between(aggregate, 0, every, pattern, 3)
+        assert not semantics._holds_between(aggregate, 0, every, pattern, 2)
+        assert semantics._holds_between(aggregate, a, every, pattern, 2)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # {a} models the reduct at {a, b}: the count is 1 there. The
+            # rounds stop at {a}, and the witness test refutes
+            "a :- count{a, b} != 1. b :- count{a, b} != 1.",
+            # with b :- a the first rounds reach {a, b}; the interval from
+            # {} to {a, b} holds a count of 1, so the second pass does not
+            "a :- count{a, b} != 1. b :- count{a, b} != 1. b :- a.",
+        ],
+    )
+    def test_a_gap_inside_the_interval_is_not_accepted(self, text):
+        # a check of the endpoints G and M alone would pass both at {a, b}
+        program = parse(text)
+        assert not is_minimal_model(atoms("ab"), program)
+        assert not is_stable(program, atoms("ab"), Semantics.F)
+        assert set(stable_models(program, Semantics.F)) == oracles.naive_stable_models(
+            program, "f"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "b. a :- count{a, b} >= 1.",  # convex: holds on [{b}, {a, b}]
+            "b. a :- count{a, b} != 0.",  # nonconvex, its gap at {} is below {b}
+            "b. a :- sum{2 : a, -1 : b} < 3, odd{b}.",  # two aggregates, G = {b}
+        ],
+    )
+    def test_rounds_through_an_aggregate_build_no_column(self, text, monkeypatch):
+        program = parse(text)
+        monkeypatch.setattr(semantics, "_column", refuse_column)
+        assert is_minimal_model(atoms("ab"), program)
+        assert is_stable(program, atoms("ab"), Semantics.F)
+
+    def test_first_rounds_still_evaluate_a_rule_with_a_derived_head(self):
+        # the sum holds at {b, c, d, e, p}, but p is derived before its rule
+        # is reached at {b, c, d, p}, where the first rounds evaluate it all
+        # the same; only the interval pass skips it. The column would name
+        # the first overflowing subset, {b, c}
+        program = parse(
+            "b. c. d. p :- b.\n"
+            "p :- sum{4611686018427387904 : b, 4611686018427387904 : c, "
+            "4611686018427387904 : d, -9223372036854775808 : e} >= 0.\n"
+            "e."
+        )
+        message = f"sum {3 * 2**62} exceeds the 64-bit integer range"
+        for check in (
+            lambda: is_minimal_model(atoms("bcdep"), program),
+            lambda: is_stable(program, atoms("bcdep"), Semantics.F),
+        ):
+            with pytest.raises(AggregateOverflowError, match=f"^{message}$"):
+                check()
+
+    def test_a_chain_above_the_guard_is_answered(self, monkeypatch):
+        # 31 atoms: x{i+1} fires once x0..x{i} are derived, where its count
+        # has no free atom; a column would have 2**31 bits
+        chain = "".join(
+            f"x{i + 1} :- x{i}, count{{{', '.join(f'x{j}' for j in range(i + 1))}}} >= {i + 1}.\n"
+            for i in range(30)
+        )
+        program = parse("x0.\n" + chain)
+        monkeypatch.setattr(semantics, "_column", refuse_column)
+        assert is_minimal_model(atoms_of(program), program)
+        assert is_stable(program, atoms_of(program), Semantics.F)
+
+    def test_an_undecided_gap_is_still_refused_above_the_guard(self):
+        # 25 atoms: the rounds reach them all, but the count's interval
+        # from {} holds its gap, so the column decides, and is refused
+        program = parse("a :- count{a, b} != 1. b.\n" + "".join(f"c{i}.\n" for i in range(23)))
+        message = "interpretation has 25 atoms; the minimality guard allows 24"
+        with pytest.raises(TooManyAtomsError, match=f"^{message}$"):
+            is_minimal_model(atoms_of(program), program)
+        with pytest.raises(TooManyAtomsError, match=f"^{message}$"):
+            is_stable(program, atoms_of(program), Semantics.F)
 
 
 def horn_by_definition(program: Program) -> bool:
