@@ -68,7 +68,7 @@ def _max_atoms(args) -> int:
 
 
 def _format_model(model) -> str:
-    return "{" + ",".join(atom.name for atom in sorted(model)) + "}"
+    return "{" + ",".join(sorted(atom.name for atom in model)) + "}"
 
 
 def _cmd_models(args) -> int:
@@ -91,7 +91,7 @@ def _cmd_models(args) -> int:
             "input_sha256": hashlib.sha256(data).hexdigest(),
             "semantics": semantics.value,
             "via": args.via,
-            "models": [[atom.name for atom in sorted(model)] for model in models],
+            "models": [sorted(atom.name for atom in model) for model in models],
             "count": len(models),
         }
         if args.timing:

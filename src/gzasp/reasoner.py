@@ -43,11 +43,11 @@ class ModelSet:
     def __init__(self, models: Iterable[Interpretation] = ()):
         ordered = sorted(
             (frozenset(model) for model in models),
-            key=lambda model: (len(model), tuple(sorted(model))),
+            key=lambda model: (len(model), sorted(atom.name for atom in model)),
         )
         for first, second in zip(ordered, ordered[1:]):
             if first == second:
-                names = ", ".join(atom.name for atom in sorted(first))
+                names = ", ".join(sorted(atom.name for atom in first))
                 raise ValueError(f"duplicate model {{{names}}}")
         self.models = tuple(ordered)
 
@@ -67,7 +67,7 @@ class ModelSet:
 
     def __repr__(self) -> str:
         shown = ", ".join(
-            "{" + ", ".join(atom.name for atom in sorted(model)) + "}"
+            "{" + ", ".join(sorted(atom.name for atom in model)) + "}"
             for model in self.models
         )
         return f"ModelSet([{shown}])"

@@ -22,7 +22,11 @@ the one F-stable model, and G-stable iff it is the least model of its
 G-reduct, so such a program is answered at any size. Any other program is
 enumerated, and refused above the atom guard: the candidates are the set
 bits of the program column, read 64 bits at a time, and _stable_at checks
-each. The pass that builds that column keeps only the supported models,
+each. The column is built in blocks of at most 2**_BLOCK_ATOMS subsets:
+the atoms above the lowest _BLOCK_ATOMS are fixed to each of their
+assignments in increasing order, so candidates keep their order, memory
+holds one block's columns, and a query stops in the first block that
+answers it. The pass that builds a column keeps only the supported models,
 those of Clark's completion, in which each true atom has a rule whose
 body holds and whose head meets the model only at that atom. Every stable
 model under either reduct is one, and most models are not. The reduct at
@@ -74,6 +78,9 @@ from .parser import render_rule
 # the widest space the engine enumerates, and an aggregate's truth table
 # spans, by default: a column over 24 atoms is 2**24 bits, 2 MiB
 DEFAULT_MAX_ATOMS = 24
+
+# the most atoms one enumerator block spans: a column of 2**18 bits, 32 KiB
+_BLOCK_ATOMS = 18
 
 _COMPARE = {
     "<": operator.lt,
@@ -460,9 +467,10 @@ def _aggregates_hold(aggregates: tuple, index: int) -> bool:
     body order up to the first false one. Each aggregate reached sits behind
     a body prefix true at a candidate, so the enumerator's program column
     (the fixpoint route's classification) already checked every subset of
-    its domain for 64-bit overflow: nothing here raises, and stopping at the
-    first stable model never skips an error that full enumeration would
-    raise. is_stable and is_minimal_model build no such column first."""
+    its domain for 64-bit overflow, or its extremes test excluded one:
+    nothing here raises, and stopping at the first stable model never skips
+    an error that full enumeration would raise. is_stable and is_minimal_model
+    build no such column first."""
     for spec, domain, bits, memo, _, _ in aggregates:
         key = index & domain
         truth = memo.get(key)
@@ -500,21 +508,30 @@ def _holds_between(aggregate: tuple, low: int, high: int, pattern, max_atoms: in
     """Whether a compiled aggregate holds on every atom set from `low` up to
     its superset `high`: one circuit over the sub-cube of its domain atoms
     in high but not low, or with none the memo's point evaluation. False
-    where those exceed max_atoms or its atoms in high can overflow."""
-    spec, domain, bits, _, _, _ = aggregate
+    where those exceed max_atoms or its atoms in high can overflow; kept in
+    the memo under the pair of domain bits, which no point's int key equals."""
+    spec, domain, bits, memo, _, _ = aggregate
     free = domain & high & ~low
     dimension = free.bit_count()
-    inside = [pair for pair, bit in zip(spec.elements, bits) if bit & high]
-    if dimension > max_atoms or _overflows(spec, inside):
+    if dimension > max_atoms:
         return False
-    if not free:
-        return _aggregates_hold((aggregate,), low)
-    full = (1 << (1 << dimension)) - 1
-    columns = [
-        full if bit & low else bit & free and pattern((free & (bit - 1)).bit_count(), dimension)
-        for bit in bits
-    ]
-    return _aggregate_column(spec, columns, full) == full
+    key = (low & domain, high & domain)
+    if key in memo:
+        return memo[key]
+    inside = [pair for pair, bit in zip(spec.elements, bits) if bit & high]
+    if _overflows(spec, inside):
+        truth = False
+    elif not free:
+        truth = _aggregates_hold((aggregate,), low)
+    else:
+        full = (1 << (1 << dimension)) - 1
+        columns = [
+            full if bit & low else bit & free and pattern((free & (bit - 1)).bit_count(), dimension)
+            for bit in bits
+        ]
+        truth = _aggregate_column(spec, columns, full) == full
+    memo[key] = truth
+    return truth
 
 
 def _atoms_at(universe: list, index: int) -> Interpretation:
@@ -548,11 +565,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _column(index: int, rules: list[tuple], pattern, supported: bool = False) -> int:
-    """The column of compiled rules over the subsets of `index`: bit s is
-    set iff the subset holding the j-th lowest atom of `index` exactly when
-    bit j of s is set models every rule. Every atom column is atom(low):
-    `pattern`'s (position, dimension) column inside `index`, 0 outside it.
+def _column(index: int, rules: list, pattern, supported: bool = False, fixed: int = 0) -> int:
+    """The column of compiled rules over the subsets of `index`, with the
+    atoms of `fixed` (disjoint from it, the top atoms of an enumerator
+    block) true throughout: bit s is set iff the set holding `fixed` and
+    the j-th lowest atom of `index` exactly when bit j of s is set models
+    every rule. Every atom column is atom(low): `full` in `fixed`,
+    `pattern`'s (position, dimension) column inside `index`, 0 outside both.
 
     Each body is built in body order and stops at the first prefix that is
     false everywhere, so an aggregate's column, and its overflow check, is
@@ -570,18 +589,21 @@ def _column(index: int, rules: list[tuple], pattern, supported: bool = False) ->
     so it never moves the stop or an aggregate's build."""
     dimension = index.bit_count()
     full = (1 << (1 << dimension)) - 1
+    space = index | fixed
 
     def atom(low: int) -> int:
-        return pattern((index & (low - 1)).bit_count(), dimension) if index & low else 0
+        if index & low:
+            return pattern((index & (low - 1)).bit_count(), dimension)
+        return full if fixed & low else 0
 
     column = full
     if supported:
         # each head atom's bit, by its last head rule; an atom in no head is
         # unsupported wherever it is true
-        last = {low: number for number, rule in enumerate(rules) for low in _bits(rule[0] & index)}
+        last = {low: number for number, rule in enumerate(rules) for low in _bits(rule[0] & space)}
         support: dict = {}
         unsupported = 0
-        for low in _bits(index & ~sum(last)):
+        for low in _bits(space & ~sum(last)):
             unsupported |= atom(low)
     for number, (head, must_true, must_false, _, aggregates) in enumerate(rules):
         body = full
@@ -600,7 +622,7 @@ def _column(index: int, rules: list[tuple], pattern, supported: bool = False) ->
                 break
             body &= _aggregate_column(spec, [atom(bit) for bit in bits], full)
         heads = twice = 0  # where some, and where two or more, head atoms hold
-        head &= index
+        head &= space
         atoms = head
         while head:
             low = head & -head
@@ -715,7 +737,11 @@ def _stable_models(
     `atom`, only those where it holds (or, with holds=False, where it does
     not). Programs outside ASP^M, or with an aggregate that cannot be
     classified, are enumerated: _stable_at checks the supported models, the
-    set bits of the program column built with `supported`, lowest first."""
+    set bits of the program column built with `supported`, lowest first, in
+    blocks: the low k = min(n, _BLOCK_ATOMS) atoms span one, the top n - k
+    are fixed to each assignment in turn, and a queried top atom skips the
+    blocks that fix it against the query. If an aggregate can overflow (the
+    extremes test), k = n: one column names the first overflowing subset."""
     try:
         models = _fixpoint_models(program, grounding)
     except (NotAspMError, DomainTooLargeError, AggregateOverflowError):
@@ -729,18 +755,22 @@ def _stable_models(
             f"program has {size} atoms; the enumeration guard allows {max_atoms}"
         )
     universe, rules, _ = _compile_at(program)
-    # atom columns by (position, dimension), for the space and the subspaces
+    # atom columns by (position, dimension), for the blocks and the subspaces
     # of the minimality checks; freed with the generator when the solve ends
     pattern = cache(_pattern)
-    column = _column((1 << len(universe)) - 1, rules, pattern, True)  # supported models
-    if atom is not None:
-        restrict = pattern(universe.index(atom), len(universe)) if atom in universe else 0
-        column &= restrict if holds else ~restrict
-    candidates = _set_bits(column)
-    del column  # only the scan's word copy stays alive
-    for index in candidates:
-        if _stable_at(rules, index, grounding, pattern, max_atoms):
-            yield _atoms_at(universe, index)
+    overflows = any(_overflows(a[0], a[0].elements) for rule in rules for a in rule[4])
+    width = size if overflows else min(size, _BLOCK_ATOMS)  # the low atoms, a block's space
+    queried = 1 << universe.index(atom) if atom in universe else 0
+    for fixed in range(0, 1 << size, 1 << width):  # the top atoms' assignments, in order
+        if queried >> width and bool(fixed & queried) != holds:
+            continue  # the queried atom is fixed against the query
+        column = _column((1 << width) - 1, rules, pattern, True, fixed)  # supported models
+        if atom is not None and not queried >> width:
+            restrict = pattern(queried.bit_length() - 1, width) if queried else 0
+            column &= restrict if holds else ~restrict
+        for index in _set_bits(column):
+            if _stable_at(rules, fixed | index, grounding, pattern, max_atoms):
+                yield _atoms_at(universe, fixed | index)
 
 
 def classify_aggregate(spec: AggregateSpec) -> AggregateClass:

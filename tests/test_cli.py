@@ -20,6 +20,7 @@ import pytest
 
 import gzasp
 import gzasp.cli
+from gzasp import semantics
 from gzasp.cli import main
 from gzasp.core import AtomLiteral, Program, Rule, atoms_of
 from gzasp.errors import AggregateOverflowError
@@ -615,6 +616,81 @@ class TestOracleDifferential:
                     assert (code, out, err) == (0 if models else 1, expected, ""), (argv, text)
                     answered += 1
         assert overflowing > 10 and answered > 500
+
+
+class TestBlockDifferential:
+    """The enumerator's blocks change no byte: with blocks of 2**2 and
+    2**4 subsets every solving command gives the exit code, stdout and
+    stderr it gives with one block (_BLOCK_ATOMS exceeds every program
+    here), on every generated family and on aggregates with weights at the
+    64-bit edge, whose overflow errors must name the same subset."""
+
+    PROGRAMS = 40  # per family
+    WEIGHTED = 60
+
+    @staticmethod
+    def outputs(argv: list, capsys, monkeypatch) -> list:
+        """(code, stdout, stderr) of one command under one block, then
+        under blocks of 2**4 and 2**2 subsets."""
+        seen = []
+        for block in (semantics._BLOCK_ATOMS, 4, 2):
+            monkeypatch.setattr(semantics, "_BLOCK_ATOMS", block)
+            code = main(argv)
+            seen.append((code, *capsys.readouterr()))
+        monkeypatch.undo()  # one block again for the next command
+        return seen
+
+    @pytest.mark.parametrize("family", sorted(gen.FAMILIES))
+    def test_models_and_queries(self, family, tmp_path, capsys, monkeypatch):
+        rng = random.Random(f"blocks {family}")
+        path = tmp_path / "program.lp"
+        for _ in range(self.PROGRAMS):
+            program = gen.FAMILIES[family](rng)
+            path.write_text(render(program))
+            universe = sorted(atoms_of(program))
+            # str triples the atoms: at 6 atoms it spans 2**16 blocks of 2**2
+            rewrite = len(universe) <= 4
+            for sem in ("g", "f"):
+                vias = ("direct", "rew", "str") if sem == "g" and rewrite else ("direct",)
+                runs = [["models", str(path), "--semantics", sem, "--via", via] for via in vias]
+                runs.append(["query", str(path), "--semantics", sem, "--mode", "coherent"])
+                if universe:
+                    atom = rng.choice(universe).name
+                    for mode in ("brave", "cautious"):
+                        runs.append(
+                            ["query", str(path), "--semantics", sem, "--mode", mode, "--atom", atom]
+                        )
+                for argv in runs:
+                    first, *blocked = self.outputs(argv, capsys, monkeypatch)
+                    assert first[0] in (0, 1) and first[2] == "", (argv, first)
+                    assert blocked == [first, first], argv
+
+    def test_weighted_aggregates_raise_the_same_messages(self, tmp_path, capsys, monkeypatch):
+        rng = random.Random("blocks weighted")
+        path = tmp_path / "program.lp"
+        pool = gen.POOL[:5]
+        refused = 0
+        for _ in range(self.WEIGHTED):
+            program = gen.random_program(rng, pool=pool, max_rules=6)
+            func, comparator = rng.choice(gen.AGGREGATE_CASES)
+            body = [gen.random_weighted_aggregate(rng, func, comparator, pool, max_dom=4)]
+            if rng.random() < 0.5:
+                body.insert(rng.randint(0, 1), AtomLiteral(rng.choice(pool), rng.randint(0, 2)))
+            rule = Rule(frozenset({rng.choice(pool)}), tuple(body))
+            program = Program(program.rules + (rule,))
+            path.write_text(render(program))
+            rewrite = len(atoms_of(program)) <= 4
+            for sem in ("g", "f"):
+                vias = ("direct", "rew", "str") if sem == "g" and rewrite else ("direct",)
+                runs = [["models", str(path), "--semantics", sem, "--via", via] for via in vias]
+                for mode in ("coherent", "brave", "cautious"):
+                    atom = [] if mode == "coherent" else ["--atom", rng.choice(pool).name]
+                    runs.append(["query", str(path), "--semantics", sem, "--mode", mode, *atom])
+                for argv in runs:
+                    first, *blocked = self.outputs(argv, capsys, monkeypatch)
+                    assert blocked == [first, first], argv
+                    refused += first[0] == 2
+        assert refused > 20
 
 
 def readme_transcript() -> list:

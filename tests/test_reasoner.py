@@ -244,9 +244,9 @@ class TestIsStable:
         program = parse("".join(f"a{i} | b{i}.\n" for i in range(13)))
         built = []
 
-        def column(index, rules, pattern, supported=False):
-            if supported:  # the program column
-                return 1 << index
+        def column(index, rules, pattern, supported=False, fixed=0):
+            if supported:  # the program column: only the last block's top bit
+                return 1 << index if index | fixed == (1 << 26) - 1 else 0
             built.append(index)
             return 0  # no smaller model: minimal
 
@@ -305,21 +305,26 @@ class TestIsStable:
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _benchmark_pool(workload: str) -> list:
-    """(program, F-stable models) for each stored program of a benchmark
-    pool, regenerated by perfbench/reference.py and checked against its
-    stored digest. Nothing under perfbench/ is written."""
+def _perfbench_modules() -> tuple:
+    """perfbench's reference and corpus modules, imported without writing
+    anything under perfbench/ and dropped from sys.modules again."""
     saved = list(sys.path), sys.dont_write_bytecode
     sys.path.insert(0, str(PERFBENCH))
     sys.dont_write_bytecode = True
     try:
-        reference = importlib.import_module("reference")
-        corpus = importlib.import_module("corpus")
-        entries = reference.load_pool(workload)
+        return importlib.import_module("reference"), importlib.import_module("corpus")
     finally:
         sys.path[:], sys.dont_write_bytecode = saved
         for name in ("reference", "corpus"):
             sys.modules.pop(name, None)
+
+
+def _benchmark_pool(workload: str) -> list:
+    """(program, F-stable models) for each stored program of a benchmark
+    pool, regenerated by perfbench/reference.py and checked against its
+    stored digest."""
+    reference, corpus = _perfbench_modules()
+    entries = reference.load_pool(workload)
     return [
         (
             parse(corpus.render(entry["program"])),
@@ -404,18 +409,19 @@ class TestStableModels:
     def test_aggregate_columns_built_under_f(self, monkeypatch):
         # counted, not timed, by where each aggregate column is built. The
         # program columns build 366 and 278, as before the interval test.
-        # The interval checks build 12 and 16 and leave no minimality column
-        # to build one (before them: 28 and 28); the fixpoint route's
+        # The interval checks build 12 and 15, one circuit per distinct
+        # sub-cube in a solve, and leave no minimality column to build one
+        # (before them: 28 and 28); the fixpoint route's
         # classification builds 9 and 23 truth tables
         where = ["table"]  # the builder running, innermost last
         built: dict = {}
         column, holds_between = semantics._column, semantics._holds_between
         aggregate_column = semantics._aggregate_column
 
-        def counted_column(index, rules, pattern, supported=False):
+        def counted_column(index, rules, pattern, supported=False, fixed=0):
             where.append("program" if supported else "minimality")
             try:
-                return column(index, rules, pattern, supported)
+                return column(index, rules, pattern, supported, fixed)
             finally:
                 where.pop()
 
@@ -435,7 +441,7 @@ class TestStableModels:
         monkeypatch.setattr(semantics, "_aggregate_column", counted)
         for family, expected in (
             ("random", {"program": 366, "interval": 12, "table": 9}),
-            ("mixed", {"program": 278, "interval": 16, "table": 23}),
+            ("mixed", {"program": 278, "interval": 15, "table": 23}),
         ):
             built.clear()
             for seed in range(200):
@@ -449,15 +455,42 @@ class TestStableModels:
         pool = _benchmark_pool("enum")
         column = semantics._column
 
-        def program_column_only(index, rules, pattern, supported=False):
+        def program_column_only(index, rules, pattern, supported=False, fixed=0):
             if not supported:
                 raise AssertionError("a minimality column was built")
-            return column(index, rules, pattern, supported)
+            return column(index, rules, pattern, supported, fixed)
 
         monkeypatch.setattr(semantics, "_column", program_column_only)
         assert len(pool) == 14
         for program, models in pool:
             assert set(stable_models(program, Semantics.F)) == models
+
+    def test_interval_circuits_are_built_once_per_solve(self, monkeypatch):
+        # counted, not timed: one F solve of each enum-pool program builds
+        # 45 distinct sub-cube circuits in the interval test, and each once
+        # (355 when every check built its own)
+        pool = _benchmark_pool("enum")
+        inside = []
+        circuits = []
+        holds_between, aggregate_column = semantics._holds_between, semantics._aggregate_column
+
+        def interval(*args):
+            inside.append(1)
+            try:
+                return holds_between(*args)
+            finally:
+                inside.pop()
+
+        def counted(*args):
+            if inside:
+                circuits.append(args[0])
+            return aggregate_column(*args)
+
+        monkeypatch.setattr(semantics, "_holds_between", interval)
+        monkeypatch.setattr(semantics, "_aggregate_column", counted)
+        for program, models in pool:
+            assert set(stable_models(program, Semantics.F)) == models
+        assert len(circuits) <= 45
 
     def test_atom_guard(self):
         # the guard limits enumeration; monotone programs are answered by
@@ -811,6 +844,108 @@ class TestSupportFilter:
             with pytest.raises(AggregateOverflowError) as info:
                 query(program, sem)
             assert str(info.value) == "sum 9223372036854775808 exceeds the 64-bit integer range"
+
+
+def _half_guessed(seed: int) -> Program:
+    """perfbench's 24-atom half-guessed program of `seed`."""
+    _, corpus = _perfbench_modules()
+    return parse(corpus.render(corpus.half_guessed(random.Random(seed), 24)))
+
+
+class TestBlocks:
+    """The enumerator builds its program column one block at a time: the
+    top atoms fixed to each assignment in turn, the low _BLOCK_ATOMS atoms
+    spanned by the column."""
+
+    @staticmethod
+    def blocks_built(monkeypatch) -> list:
+        """The `fixed` mask of each program column built from now on."""
+        built = []
+        column = semantics._column
+
+        def counted(index, rules, pattern, supported=False, fixed=0):
+            if supported:
+                built.append(fixed)
+            return column(index, rules, pattern, supported, fixed)
+
+        monkeypatch.setattr(semantics, "_column", counted)
+        return built
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_coherence_stops_in_the_block_of_the_first_model(self, sem, monkeypatch):
+        # counted, not timed: at 24 atoms a block fixes the top 6 atoms, and
+        # the first stable model of seed 24 lies in block 8 (of seed 124 in
+        # block 0); seed 224 is incoherent, so all 64 blocks are built
+        built = self.blocks_built(monkeypatch)
+        for seed, first in ((24, 8), (124, 0), (224, None)):
+            program = _half_guessed(seed)
+            universe = sorted(atoms_of(program))
+            models = stable_models(program, sem)
+            indices = [sum(1 << universe.index(atom) for atom in model) for model in models]
+            assert (min(indices) >> 18 if indices else None) == first
+            del built[:]
+            assert check_coherence(program, sem) is (first is not None)
+            blocks = 64 if first is None else first + 1
+            assert built == [fixed << 18 for fixed in range(blocks)]
+
+    def test_a_solve_holds_one_block_at_a_time(self):
+        # one 2**24-bit column is 2 MiB, and the support filter kept up to
+        # ten open (about 100 MiB peak RSS); a block's column is 32 KiB
+        program = _half_guessed(24)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            models = stable_models(program, Semantics.G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(models) == 140
+        assert peak < 8 * 1024 * 1024
+
+    def test_candidates_are_the_supported_models(self, monkeypatch):
+        # the support filter holds per block: a fixed atom in no head, or
+        # with no rule whose body holds in the block, empties the block
+        monkeypatch.setattr(semantics, "_BLOCK_ATOMS", 2)
+        monkeypatch.setattr(semantics, "_fixpoint_models", _no_fixpoint)
+        checked = []
+        monkeypatch.setattr(
+            semantics, "_stable_at", lambda rules, index, *args: checked.append(index)
+        )
+        rng = random.Random("supported in blocks")
+        for _ in range(150):
+            program = gen.random_program(rng)
+            universe = sorted(atoms_of(program))
+            del checked[:]
+            list(stable_models(program, Semantics.F))
+            assert [semantics._atoms_at(universe, index) for index in checked] == sorted(
+                oracles.naive_supported_models(program),
+                key=lambda model: sum(1 << universe.index(atom) for atom in model),
+            )
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_top_atom_queries_skip_the_other_blocks(self, sem, monkeypatch):
+        # with blocks of 2**2 subsets every atom above the lowest two is a
+        # top atom; a query on the highest reads only the blocks that fix it
+        # as asked, and answers as the oracle does
+        monkeypatch.setattr(semantics, "_BLOCK_ATOMS", 2)
+        monkeypatch.setattr(semantics, "_fixpoint_models", _no_fixpoint)
+        built = self.blocks_built(monkeypatch)
+        rng = random.Random(f"top atom queries-{sem.value}")
+        asked = 0
+        while asked < 60:
+            program = gen.random_program(rng)
+            universe = sorted(atoms_of(program))
+            if len(universe) < 3:
+                continue
+            asked += 1
+            top, bit = universe[-1], 1 << len(universe) - 1
+            models = oracles.naive_stable_models(program, sem.value)
+            del built[:]
+            assert brave(program, top, sem) is any(top in model for model in models)
+            assert built and all(fixed & bit for fixed in built)
+            del built[:]
+            assert cautious(program, top, sem) is all(top in model for model in models)
+            assert built and not any(fixed & bit for fixed in built)
 
 
 class TestCautiousBrave:
