@@ -14,7 +14,8 @@ circuit, _aggregate_column: an XOR fold for parity, ORs for min and max,
 and for count, sum and avg an adder network whose bit-planes are compared
 with the bound, O(|dom| log W) column operations for weights up to W.
 Over the space of the domain atoms alone it is the packed truth table
-(_table) that classify_aggregate and aggregate_truth_table read.
+(_table) that aggregate_truth_table reads, and classify_aggregate where
+the truth along one chain of growing subsets (_chain) does not decide.
 
 _stable_models picks the route by the program. In the monotone fragment
 ASP^M the least fixpoint is the only candidate (_fixpoint_models): it is
@@ -774,15 +775,53 @@ def _stable_models(
 
 
 def classify_aggregate(spec: AggregateSpec) -> AggregateClass:
-    """Exhaustively classify an aggregate as MONOTONE, CONVEX or NONCONVEX.
+    """Classify an aggregate as MONOTONE, CONVEX or NONCONVEX: by its truth
+    along one chain of growing subsets where _chain gives one (count, odd,
+    even, min, max, and sums of one sign under <, <=, >= or > that cannot
+    overflow), otherwise by its truth table, which raises any overflow. A
+    domain wider than DEFAULT_MAX_ATOMS is refused either way."""
+    truths = _chain(spec) if len(spec.elements) <= DEFAULT_MAX_ATOMS else None
+    if truths is None:
+        return _table_class(spec)
+    # counted from a false in front: no switch or one rise is monotone, a
+    # rise and a fall (one run of truth) convex, anything more nonconvex
+    switches = sum(map(operator.ne, [False, *truths], truths))
+    if switches <= 1:
+        return AggregateClass.MONOTONE
+    return AggregateClass.CONVEX if switches == 2 else AggregateClass.NONCONVEX
 
-    The truth table is _table's packed column: one big integer, bit per
-    subset. Shifting by a power of two aligns each subset with its neighbour
-    across one domain atom, so closing truth upward (toward subsets) and
-    downward (toward supersets) takes one pass per atom. Truth is monotone
-    iff it already contains its subset closure, and convex iff it holds
-    wherever both closures meet.
-    """
+
+def _chain(spec: AggregateSpec) -> list[bool] | None:
+    """spec's truth along one chain of growing subsets of its domain, or
+    None where the table decides. Truth hangs on one value (count, min, max
+    or sum) that never moves backward as atoms are added, and the chain
+    passes every value listed, so each true-false-true pattern here occurs
+    along real supersets. A one-sign sum under an inequality is true on an
+    up-set or a down-set, so its two ends decide it."""
+    func, bound, compare = spec.func, spec.bound, _COMPARE.get(spec.comparator)
+    weights = [w for w, _ in spec.elements]
+    if func is AggregateFunc.COUNT:
+        return [compare(k, bound) for k in range(len(weights) + 1)]
+    if func in PARITY_FUNCS:
+        return [k % 2 == (func is AggregateFunc.ODD) for k in range(len(weights) + 1)]
+    if func in (AggregateFunc.MIN, AggregateFunc.MAX):  # false on no selection
+        ordered = sorted(set(weights), reverse=func is AggregateFunc.MIN)
+        return [False, *(compare(w, bound) for w in ordered)]
+    if func is AggregateFunc.SUM and spec.comparator not in ("=", "!="):
+        total = sum(weights)  # with one sign, the extremes are 0 and the total
+        one_sign = not min(weights, default=0) < 0 < max(weights, default=0)
+        if one_sign and INT64_MIN <= total <= INT64_MAX:
+            return [compare(0, bound), compare(total, bound)]
+    return None
+
+
+def _table_class(spec: AggregateSpec) -> AggregateClass:
+    """Exhaustively classify an aggregate. Its truth table is _table's packed
+    column: one big integer, bit per subset. Shifting by a power of two
+    aligns each subset with its neighbour across one domain atom, so closing
+    truth upward (toward subsets) and downward (toward supersets) takes one
+    pass per atom. Truth is monotone iff it already contains its subset
+    closure, and convex iff it holds wherever both closures meet."""
     packed, columns, full = _table(spec)
     reaches_up = packed  # some superset is true
     reaches_down = packed  # some subset is true

@@ -386,14 +386,14 @@ class TestStats:
 
     def test_equal_aggregates_are_classified_once(self, tmp_path, monkeypatch, capsys):
         # one classification, and still one aggregate line per occurrence
-        tables = []
-        table = gzasp.semantics._table
+        classified = []
+        classify = gzasp.cli.classify_aggregate
 
         def counted(spec):
-            tables.append(spec)
-            return table(spec)
+            classified.append(spec)
+            return classify(spec)
 
-        monkeypatch.setattr(gzasp.semantics, "_table", counted)
+        monkeypatch.setattr(gzasp.cli, "classify_aggregate", counted)
         text = "q. p :- count{q, r} >= 1. s :- count{q, r} >= 1. t :- count{q, r} >= 1.\n"
         assert main(["stats", write_program(tmp_path, text)]) == 0
         out, err = capsys.readouterr()
@@ -402,7 +402,20 @@ class TestStats:
             "fragment {} × M",
             *["aggregate count{q, r} >= 1 MONOTONE"] * 3,
         ]
-        assert len(tables) == 1
+        assert len(classified) == 1
+
+    def test_wide_count_is_classified_without_a_table(self, tmp_path, monkeypatch, capsys):
+        # a count's class is read off its chain of counts: no 2**24-bit table
+        def refuse(spec):
+            raise AssertionError("a truth table was built")
+
+        monkeypatch.setattr(semantics, "_table", refuse)
+        wide = ", ".join(f"a{i}" for i in range(24))
+        assert main(["stats", write_program(tmp_path, f"p :- count{{{wide}}} != 1.\n")]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        shown = ", ".join(sorted(f"a{i}" for i in range(24)))
+        assert f"aggregate count{{{shown}}} != 1 NONCONVEX" in out.splitlines()
 
     def test_nonconvex_fragment(self, tmp_path, capsys):
         path = write_program(tmp_path, "p :- count{p, q} != 1.\n")

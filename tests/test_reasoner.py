@@ -412,7 +412,8 @@ class TestStableModels:
         # The interval checks build 12 and 15, one circuit per distinct
         # sub-cube in a solve, and leave no minimality column to build one
         # (before them: 28 and 28); the fixpoint route's
-        # classification builds 9 and 23 truth tables
+        # classification builds 2 and 3 truth tables, for the avg and sum
+        # aggregates its chains leave to the table (9 and 23 before them)
         where = ["table"]  # the builder running, innermost last
         built: dict = {}
         column, holds_between = semantics._column, semantics._holds_between
@@ -440,8 +441,8 @@ class TestStableModels:
         monkeypatch.setattr(semantics, "_holds_between", counted_interval)
         monkeypatch.setattr(semantics, "_aggregate_column", counted)
         for family, expected in (
-            ("random", {"program": 366, "interval": 12, "table": 9}),
-            ("mixed", {"program": 278, "interval": 15, "table": 23}),
+            ("random", {"program": 366, "interval": 12, "table": 2}),
+            ("mixed", {"program": 278, "interval": 15, "table": 3}),
         ):
             built.clear()
             for seed in range(200):
@@ -636,16 +637,27 @@ class TestCheckCoherence:
         program = parse(
             "q. p :- count{q, r} >= 1. s :- count{q, r} >= 1. t :- count{q, r} >= 1."
         )
-        tables = []
-        table = semantics._table
+        classified = []
+        classify = semantics.classify_aggregate
 
         def counted(spec):
-            tables.append(spec)
-            return table(spec)
+            classified.append(spec)
+            return classify(spec)
 
-        monkeypatch.setattr(semantics, "_table", counted)
+        monkeypatch.setattr(semantics, "classify_aggregate", counted)
         assert check_coherence(program, sem)
-        assert len(tables) == 1
+        assert len(classified) == 1
+
+    def test_wide_count_is_refused_without_a_table(self, monkeypatch):
+        # the count classifies nonconvex off its chain of counts, so the
+        # guard refuses the 25-atom program with no 2**24-bit table built
+        def refuse(spec):
+            raise AssertionError("a truth table was built")
+
+        monkeypatch.setattr(semantics, "_table", refuse)
+        wide = ", ".join(f"a{i}" for i in range(24))
+        with pytest.raises(TooManyAtomsError):
+            check_coherence(parse(f"p :- count{{{wide}}} != 1."), Semantics.G)
 
     def test_fast_path_errors_propagate_under_g(self):
         # the 21-atom count classifies monotone, so the 22-atom program is

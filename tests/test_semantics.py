@@ -8,12 +8,17 @@ from __future__ import annotations
 
 import random
 from functools import cache
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gzasp.core import (
+    EMPTY_DOMAIN_FUNCS,
+    INT64_MAX,
+    INT64_MIN,
+    UNWEIGHTED_FUNCS,
     AggregateFunc,
     AggregateSpec,
     Atom,
@@ -715,6 +720,47 @@ class TestIsHorn:
         assert seen == {True, False}
 
 
+def small_specs(max_atoms: int, weights):
+    """Every aggregate over up to max_atoms atoms: each function and
+    comparator, each multiset of `weights` (count and parity take weight 1),
+    and each bound from one below the least value the aggregate takes to
+    one above the greatest."""
+    for size in range(max_atoms + 1):
+        atoms = [Atom(f"a{i}") for i in range(size)]
+        for func, comparator in gen.AGGREGATE_CASES:
+            if not size and func not in EMPTY_DOMAIN_FUNCS:
+                continue
+            if func in UNWEIGHTED_FUNCS:
+                multisets = [(1,) * size]
+            else:
+                multisets = combinations_with_replacement(weights, size)
+            for ws in multisets:
+                elements = tuple(zip(ws, atoms))
+                if comparator is None:
+                    yield AggregateSpec(func, elements)
+                    continue
+                if func in (AggregateFunc.COUNT, AggregateFunc.SUM):
+                    low, high = sum(w for w in ws if w < 0), sum(w for w in ws if w > 0)
+                else:
+                    low, high = min(ws), max(ws)
+                for bound in range(low - 1, high + 2):
+                    yield AggregateSpec(func, elements, comparator, bound)
+
+
+def table_classified(spec: AggregateSpec) -> bool:
+    """Whether classify_aggregate reads spec's class from its truth table:
+    avg, and sum with mixed signs, with = or !=, or with extremes outside
+    the 64-bit range."""
+    if spec.func is AggregateFunc.AVG:
+        return True
+    if spec.func is not AggregateFunc.SUM:
+        return False
+    low = sum(w for w, _ in spec.elements if w < 0)
+    high = sum(w for w, _ in spec.elements if w > 0)
+    return (low < 0 < high or spec.comparator in ("=", "!=")
+            or not INT64_MIN <= low <= high <= INT64_MAX)
+
+
 class TestClassifyAggregate:
     def test_golden_monotone(self):
         assert classify_aggregate(agg("count{a, b} >= 1")) is AggregateClass.MONOTONE
@@ -846,6 +892,67 @@ class TestClassifyAggregate:
             classify_aggregate(spec)
         assert calls["_compare_sum"] <= 3
         assert calls["eval_aggregate"] == 1
+
+    def test_chains_equal_the_table(self):
+        # counted, not timed: every aggregate up to 5 atoms with weights -3..3
+        # is routed as documented, and each one the chains classify gets the
+        # class its truth table gives
+        chained = 0
+        for spec in small_specs(5, range(-3, 4)):
+            chain = semantics._chain(spec)
+            assert (chain is None) is table_classified(spec), spec
+            if chain is not None:
+                assert classify_aggregate(spec) is semantics._table_class(spec), spec
+                chained += 1
+        assert chained == 72628
+
+    def test_chains_equal_the_lattice_oracle(self):
+        checked = 0
+        for spec in small_specs(4, range(-2, 3)):
+            if not table_classified(spec):
+                assert classify_aggregate(spec) is oracles.naive_classify(spec), spec
+                checked += 1
+        assert checked == 9374
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=100)
+    def test_chains_equal_the_table_on_random_specs(self, seed):
+        pool = tuple(Atom(f"x{i}") for i in range(8))
+        spec = gen.random_aggregate(random.Random(seed), pool, max_dom=8)
+        assert classify_aggregate(spec) is semantics._table_class(spec)
+
+    def test_table_only_where_the_chains_do_not_apply(self, monkeypatch):
+        tables = []
+        table = semantics._table
+
+        def counted(spec):
+            tables.append(spec)
+            return table(spec)
+
+        monkeypatch.setattr(semantics, "_table", counted)
+        routed = set()
+        for spec in small_specs(3, range(-3, 4)):
+            tables.clear()
+            classify_aggregate(spec)
+            assert tables == ([spec] if table_classified(spec) else []), spec
+            routed.add((spec.func, table_classified(spec)))
+        assert len(routed) == 8  # sum both ways, avg by table, the rest by chain
+        # a one-sign sum whose extremes overflow raises from the table
+        spec = agg(f"sum{{{2**62} : a, {2**62} : b}} >= 0")
+        tables.clear()
+        with pytest.raises(AggregateOverflowError) as info:
+            classify_aggregate(spec)
+        assert str(info.value) == f"sum {2**63} exceeds the 64-bit integer range"
+        assert tables == [spec]
+        # the cap holds for a count too, which the chains could classify
+        wide = AggregateSpec(
+            AggregateFunc.COUNT, tuple((1, Atom(f"x{i:02}")) for i in range(25)), "!=", 1
+        )
+        with pytest.raises(DomainTooLargeError) as info:
+            classify_aggregate(wide)
+        assert str(info.value) == (
+            "aggregate domain has 25 atoms; exhaustive evaluation is capped at 24"
+        )
 
     def test_domain_bound_comes_before_overflow(self):
         wide = AggregateSpec(
