@@ -23,21 +23,21 @@ the one F-stable model, and G-stable iff it is the least model of its
 G-reduct, so such a program is answered at any size. Any other program is
 enumerated, and refused above the atom guard: the candidates are the set
 bits of the program column, read 64 bits at a time, and _stable_at checks
-each. The column is built in blocks of at most 2**_BLOCK_ATOMS subsets:
-the atoms above the lowest _BLOCK_ATOMS are fixed to each of their
-assignments in increasing order, so candidates keep their order, memory
-holds one block's columns, and a query stops in the first block that
-answers it. The pass that builds a column keeps only the supported models,
-those of Clark's completion, in which each true atom has a rule whose
-body holds and whose head meets the model only at that atom. Every stable
-model under either reduct is one, and most models are not. The reduct at
-a candidate s is the list of rules whose body holds at s, each head cut to
-s, with each kept aggregate under G turned into the mask of its domain
-atoms true at s. _minimal decides its minimality: least-model rounds
-(_least_model) over the rules left with at most one head atom prove s
-minimal, through aggregates only where each holds on every set between
-the atoms derived and s (the interval test), or stop at a smaller model;
-otherwise s is minimal iff the reduct plus `:- s.` has an empty column.
+each. The column is built in blocks of at most 2**_BLOCK_ATOMS subsets, the
+atoms above the lowest _BLOCK_ATOMS fixed to each assignment in turn:
+candidates keep their order, memory holds one block's columns, a query stops
+in the first block that answers it, and an overflow error comes before the
+first block, as one column over all atoms would raise it. The pass that builds
+a column keeps only the supported models, those of Clark's completion, in
+which each true atom has a rule whose body holds and whose head meets the
+model only at that atom. Every stable model under either reduct is one, and
+most models are not. The reduct at a candidate s is the list of rules whose
+body holds at s, each head cut to s, with each kept aggregate under G turned
+into the mask of its domain atoms true at s. _minimal decides its minimality:
+least-model rounds (_least_model) over the rules left with at most one head
+atom prove s minimal, through aggregates only where each holds on every set
+between the atoms derived and s (the interval test), or stop at a smaller
+model; otherwise s is minimal iff the reduct plus `:- s.` has an empty column.
 A coherence test stops at the first stable model; brave and cautious
 queries first restrict the candidates to those with, or without, the
 queried atom. is_stable, is_minimal_model and the G check of the
@@ -317,7 +317,10 @@ def _pattern(position: int, dimension: int) -> int:
 
 def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int:
     """The aggregate's column over a space, from the columns of its domain
-    atoms there in domain order (0 for an atom outside the space)."""
+    atoms there in domain order (0 for an atom outside the space). Where the
+    extremes test flags those atoms, the lowest overflowing subset raises;
+    the test is exact only with no column `full` (an atom fixed true), and
+    no caller passes a flagged aggregate with one (see _raise_overflow)."""
     func, bound = spec.func, spec.bound
     terms = [(w, column) for (w, _), column in zip(spec.elements, columns) if column]
     if _overflows(spec, terms):
@@ -466,12 +469,12 @@ def _compile_at(program: Program, interp: Interpretation = frozenset()) -> tuple
 def _aggregates_hold(aggregates: tuple, index: int) -> bool:
     """Whether every aggregate holds at the atom set `index`, evaluated in
     body order up to the first false one. Each aggregate reached sits behind
-    a body prefix true at a candidate, so the enumerator's program column
-    (the fixpoint route's classification) already checked every subset of
-    its domain for 64-bit overflow, or its extremes test excluded one:
-    nothing here raises, and stopping at the first stable model never skips
-    an error that full enumeration would raise. is_stable and is_minimal_model
-    build no such column first."""
+    a body prefix true at a candidate, a model of the rules before it, so
+    the enumerator's _raise_overflow (the fixpoint route's classification)
+    already raised if any subset of its domain overflows: nothing here
+    raises, and stopping at the first stable model never skips an error
+    that full enumeration would raise. is_stable and is_minimal_model run
+    no such check first."""
     for spec, domain, bits, memo, _, _ in aggregates:
         key = index & domain
         truth = memo.get(key)
@@ -507,14 +510,13 @@ def _least_model(rules: list[tuple], stop: int = -1, fires=None) -> int:
 
 def _holds_between(aggregate: tuple, low: int, high: int, pattern, max_atoms: int) -> bool:
     """Whether a compiled aggregate holds on every atom set from `low` up to
-    its superset `high`: one circuit over the sub-cube of its domain atoms
-    in high but not low, or with none the memo's point evaluation. False
-    where those exceed max_atoms or its atoms in high can overflow; kept in
-    the memo under the pair of domain bits, which no point's int key equals."""
+    its superset `high`: whether `:- aggregate.` has an empty column over the
+    sub-cube of its domain atoms in high but not low, with low fixed true, or
+    with none the memo's point evaluation. False where those exceed max_atoms
+    or its atoms in high can overflow; memoised under a pair, unlike a point."""
     spec, domain, bits, memo, _, _ = aggregate
     free = domain & high & ~low
-    dimension = free.bit_count()
-    if dimension > max_atoms:
+    if free.bit_count() > max_atoms:
         return False
     key = (low & domain, high & domain)
     if key in memo:
@@ -525,12 +527,7 @@ def _holds_between(aggregate: tuple, low: int, high: int, pattern, max_atoms: in
     elif not free:
         truth = _aggregates_hold((aggregate,), low)
     else:
-        full = (1 << (1 << dimension)) - 1
-        columns = [
-            full if bit & low else bit & free and pattern((free & (bit - 1)).bit_count(), dimension)
-            for bit in bits
-        ]
-        truth = _aggregate_column(spec, columns, full) == full
+        truth = not _column(free, [(0, 0, 0, 0, (aggregate,))], pattern, fixed=low)
     memo[key] = truth
     return truth
 
@@ -727,6 +724,24 @@ def _set_bits(column: int) -> Iterator[int]:
                 word ^= low
 
 
+def _raise_overflow(rules: list, size: int, width: int, pattern) -> None:
+    """Before the first block of 2**width, raise what one column over all
+    2**size subsets would: build over its domain alone (overflow reads only
+    the domain) the first aggregate in rule and body order that the extremes
+    test flags, whose earlier rules leave some block nonempty and whose body
+    prefix holds in some block. No block build reaches another flagged one."""
+    low, full = (1 << width) - 1, (1 << (1 << width)) - 1
+    blocks = range(0, 1 << size, 1 << width)
+    for number, (_, _, _, _, aggregates) in enumerate(rules):
+        for place, (spec, domain, _, _, true, false) in enumerate(aggregates):
+            if _overflows(spec, spec.elements):
+                if not any(_column(low, rules[:number], pattern, fixed=top) for top in blocks):
+                    return  # no block is reached past these rules
+                prefix = [(0, true, false, 0, aggregates[:place])]  # `:- prefix.`
+                if any(_column(low, prefix, pattern, fixed=top) != full for top in blocks):
+                    _column(domain, [(0, 0, 0, 0, aggregates[place : place + 1])], pattern)
+
+
 def _stable_models(
     program: Program,
     grounding: bool,
@@ -741,8 +756,8 @@ def _stable_models(
     set bits of the program column built with `supported`, lowest first, in
     blocks: the low k = min(n, _BLOCK_ATOMS) atoms span one, the top n - k
     are fixed to each assignment in turn, and a queried top atom skips the
-    blocks that fix it against the query. If an aggregate can overflow (the
-    extremes test), k = n: one column names the first overflowing subset."""
+    blocks that fix it against the query. _raise_overflow first raises the
+    overflow error, if any, that one column over all n atoms would raise."""
     try:
         models = _fixpoint_models(program, grounding)
     except (NotAspMError, DomainTooLargeError, AggregateOverflowError):
@@ -759,8 +774,8 @@ def _stable_models(
     # atom columns by (position, dimension), for the blocks and the subspaces
     # of the minimality checks; freed with the generator when the solve ends
     pattern = cache(_pattern)
-    overflows = any(_overflows(a[0], a[0].elements) for rule in rules for a in rule[4])
-    width = size if overflows else min(size, _BLOCK_ATOMS)  # the low atoms, a block's space
+    width = min(size, _BLOCK_ATOMS)  # the low atoms, a block's space
+    _raise_overflow(rules, size, width, pattern)
     queried = 1 << universe.index(atom) if atom in universe else 0
     for fixed in range(0, 1 << size, 1 << width):  # the top atoms' assignments, in order
         if queried >> width and bool(fixed & queried) != holds:

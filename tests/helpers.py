@@ -11,6 +11,7 @@ the corresponding modules were written; tests treat them as ground truth.
 
 from __future__ import annotations
 
+from gzasp import semantics
 from gzasp.core import AggregateFunc, AggregateSpec, Atom, AtomLiteral, Program, Rule
 
 A = Atom("a")
@@ -21,6 +22,32 @@ C = Atom("c")
 def atoms(names: str) -> frozenset:
     """frozenset of one-letter atoms, e.g. atoms('ac')."""
     return frozenset(Atom(ch) for ch in names)
+
+
+def minimality_columns(monkeypatch, where: list | None = None) -> list:
+    """Patch semantics._column for the rest of the test, and return the list
+    of the minimality columns built from then on, by index: the calls whose
+    first rule is _minimal's `:- M.`, (0, M, 0, M, ()). Every call, also the
+    program column's and the interval test's, is still built. Given `where`,
+    a stack whose top names the builder running, a program column pushes
+    "program" and a minimality column "minimality" on it while it is built;
+    any other call keeps the label below it."""
+    built: list = []
+    stack = [None] if where is None else where
+    column = semantics._column
+
+    def recorded(index, rules, pattern, supported=False, fixed=0):
+        minimality = bool(rules) and rules[0] == (0, index, 0, index, ())
+        if minimality:
+            built.append(index)
+        stack.append("program" if supported else "minimality" if minimality else stack[-1])
+        try:
+            return column(index, rules, pattern, supported, fixed)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(semantics, "_column", recorded)
+    return built
 
 
 def golden_program() -> Program:

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Iterator
 
 import pytest
 
@@ -678,12 +679,14 @@ class TestBlockDifferential:
                     assert first[0] in (0, 1) and first[2] == "", (argv, first)
                     assert blocked == [first, first], argv
 
-    def test_weighted_aggregates_raise_the_same_messages(self, tmp_path, capsys, monkeypatch):
+    @classmethod
+    def weighted_runs(cls, path) -> Iterator[list]:
+        """The commands of the weighted corpus: programs with one aggregate
+        literal whose weights and bound lie at the 64-bit edge, each written
+        to `path` before its commands are given."""
         rng = random.Random("blocks weighted")
-        path = tmp_path / "program.lp"
         pool = gen.POOL[:5]
-        refused = 0
-        for _ in range(self.WEIGHTED):
+        for _ in range(cls.WEIGHTED):
             program = gen.random_program(rng, pool=pool, max_rules=6)
             func, comparator = rng.choice(gen.AGGREGATE_CASES)
             body = [gen.random_weighted_aggregate(rng, func, comparator, pool, max_dom=4)]
@@ -699,11 +702,87 @@ class TestBlockDifferential:
                 for mode in ("coherent", "brave", "cautious"):
                     atom = [] if mode == "coherent" else ["--atom", rng.choice(pool).name]
                     runs.append(["query", str(path), "--semantics", sem, "--mode", mode, *atom])
-                for argv in runs:
-                    first, *blocked = self.outputs(argv, capsys, monkeypatch)
-                    assert blocked == [first, first], argv
-                    refused += first[0] == 2
+                yield from runs
+
+    def test_weighted_aggregates_raise_the_same_messages(self, tmp_path, capsys, monkeypatch):
+        refused = 0
+        for argv in self.weighted_runs(tmp_path / "program.lp"):
+            first, *blocked = self.outputs(argv, capsys, monkeypatch)
+            assert blocked == [first, first], argv
+            refused += first[0] == 2
         assert refused > 20
+
+    def test_no_block_builds_a_flagged_aggregate(self, tmp_path, capsys, monkeypatch):
+        # counted: with a domain atom fixed true the extremes test can flag
+        # an aggregate that overflows on no subset of the block, and the
+        # locator would then name no subset. Overflow errors are decided
+        # before the first block, so no block build reaches such a call
+        calls = []  # (whether some column is full, whether the aggregate is flagged)
+        aggregate_column = semantics._aggregate_column
+
+        def checked(spec, columns, full):
+            terms = [(w, c) for (w, _), c in zip(spec.elements, columns) if c]
+            calls.append((full in columns, semantics._overflows(spec, terms)))
+            return aggregate_column(spec, columns, full)
+
+        monkeypatch.setattr(semantics, "_aggregate_column", checked)
+        for argv in self.weighted_runs(tmp_path / "program.lp"):
+            for block in (4, 2):
+                monkeypatch.setattr(semantics, "_BLOCK_ATOMS", block)
+                main(argv)
+                capsys.readouterr()
+        assert (True, True) not in calls
+        assert calls.count((True, False)) > 1000 and calls.count((False, True)) > 20
+
+    # the column before the sum's rule is nonempty only where t is false,
+    # and the sum's prefix t holds only where t is true: the two hold in
+    # different blocks, and the whole space's column still builds the sum
+    SPLIT_REACH = (
+        "a :- not not a. b :- not not b. t :- not not t.\n"
+        ":- t.\n"
+        "p :- t, sum{9223372036854775807 : a, 1 : b} >= 0.\n"
+    )
+    # the sum's prefix holds everywhere, but every block is empty before its
+    # rule: the whole space's column stops there and never builds the sum
+    EMPTY_BEFORE = (
+        "a :- not not a. b :- not not b.\n"
+        ":- a. :- not a.\n"
+        "p :- sum{9223372036854775807 : a, 1 : b} >= 0.\n"
+    )
+
+    @staticmethod
+    def in_blocks(path: str, capsys, monkeypatch) -> Iterator[tuple]:
+        """(mode, argv, (code, stdout, stderr)) of models and every query on
+        a, b and p, under G and F, with blocks of 2**18, 2**2 and 2**1."""
+        queries = [("coherent", [])] + [
+            (mode, ["--atom", atom]) for mode in ("brave", "cautious") for atom in "abp"
+        ]
+        for block in (18, 2, 1):
+            monkeypatch.setattr(semantics, "_BLOCK_ATOMS", block)
+            for sem in ("g", "f"):
+                runs = [("models", ["models", path])]
+                runs += [(mode, ["query", path, "--mode", mode, *atom]) for mode, atom in queries]
+                for mode, argv in runs:
+                    code = main([*argv, "--semantics", sem])
+                    yield mode, [block, *argv], (code, *capsys.readouterr())
+
+    def test_an_overflow_reached_across_blocks_is_raised(self, tmp_path, capsys, monkeypatch):
+        path = write_program(tmp_path, self.SPLIT_REACH)
+        error = "error: sum 9223372036854775808 exceeds the 64-bit integer range\n"
+        for _, argv, seen in self.in_blocks(path, capsys, monkeypatch):
+            assert seen == (2, "", error), argv
+
+    def test_an_overflow_behind_empty_blocks_never_raises(self, tmp_path, capsys, monkeypatch):
+        # incoherent: no model, nothing is brave and everything is cautious
+        path = write_program(tmp_path, self.EMPTY_BEFORE)
+        expected = {
+            "models": (1, "", ""),
+            "coherent": (1, "false\n", ""),
+            "brave": (1, "false\n", ""),
+            "cautious": (0, "true\n", ""),
+        }
+        for mode, argv, seen in self.in_blocks(path, capsys, monkeypatch):
+            assert seen == expected[mode], argv
 
 
 def readme_transcript() -> list:

@@ -61,6 +61,7 @@ from helpers import (
     GOLDEN_STR_F_STABLE,
     atoms,
     golden_program,
+    minimality_columns,
 )
 
 GADGET = "p :- count{p} >= 0."
@@ -188,14 +189,7 @@ class TestIsStable:
         # under F the rounds fire a while count{a, b} != 1 holds at {} and
         # so reach {a, b}, but {b} is a smaller model: the count is 1 there
         program = parse("a :- count{a, b} != 1. b.")
-        built = []
-        column = semantics._column
-
-        def counted(*args):
-            built.append(args[0])
-            return column(*args)
-
-        monkeypatch.setattr(semantics, "_column", counted)
+        built = minimality_columns(monkeypatch)
         assert not is_stable(program, atoms("ab"), Semantics.F)
         assert built == [0b11]
         assert set(stable_models(program, Semantics.F)) == oracles.naive_stable_models(
@@ -386,12 +380,11 @@ class TestStableModels:
         # and 572. Every model is checked here, not only the supported ones
         # the enumerator passes on
         checks = []
-        columns = []
         minimal, column = semantics._minimal, semantics._column
         monkeypatch.setattr(
             semantics, "_minimal", lambda *args: checks.append(1) or minimal(*args)
         )
-        monkeypatch.setattr(semantics, "_column", lambda *args: columns.append(1) or column(*args))
+        columns = minimality_columns(monkeypatch)
         programs = _disjunctive_programs()
         for sem in Semantics:
             del checks[:], columns[:]
@@ -416,15 +409,8 @@ class TestStableModels:
         # aggregates its chains leave to the table (9 and 23 before them)
         where = ["table"]  # the builder running, innermost last
         built: dict = {}
-        column, holds_between = semantics._column, semantics._holds_between
-        aggregate_column = semantics._aggregate_column
-
-        def counted_column(index, rules, pattern, supported=False, fixed=0):
-            where.append("program" if supported else "minimality")
-            try:
-                return column(index, rules, pattern, supported, fixed)
-            finally:
-                where.pop()
+        holds_between, aggregate_column = semantics._holds_between, semantics._aggregate_column
+        minimality_columns(monkeypatch, where)
 
         def counted_interval(*args):
             where.append("interval")
@@ -437,7 +423,6 @@ class TestStableModels:
             built[where[-1]] = built.get(where[-1], 0) + 1
             return aggregate_column(*args)
 
-        monkeypatch.setattr(semantics, "_column", counted_column)
         monkeypatch.setattr(semantics, "_holds_between", counted_interval)
         monkeypatch.setattr(semantics, "_aggregate_column", counted)
         for family, expected in (
@@ -454,17 +439,11 @@ class TestStableModels:
         # the rounds do not refute is decided by the interval test (723
         # minimality columns before it), and the answers are the stored ones
         pool = _benchmark_pool("enum")
-        column = semantics._column
-
-        def program_column_only(index, rules, pattern, supported=False, fixed=0):
-            if not supported:
-                raise AssertionError("a minimality column was built")
-            return column(index, rules, pattern, supported, fixed)
-
-        monkeypatch.setattr(semantics, "_column", program_column_only)
+        built = minimality_columns(monkeypatch)
         assert len(pool) == 14
         for program, models in pool:
             assert set(stable_models(program, Semantics.F)) == models
+        assert built == []
 
     def test_interval_circuits_are_built_once_per_solve(self, monkeypatch):
         # counted, not timed: one F solve of each enum-pool program builds
@@ -913,6 +892,31 @@ class TestBlocks:
             tracemalloc.stop()
         assert len(models) == 140
         assert peak < 8 * 1024 * 1024
+
+    def test_an_unreached_overflow_keeps_the_blocks(self, monkeypatch):
+        # the sum can leave the 64-bit range, but its prefix x3, not x3 holds
+        # nowhere, so no column builds it: the solve keeps its blocks, its
+        # models and its early stop. Any aggregate the extremes test flagged
+        # once took one 2**24-bit column, about 100 MiB at peak
+        rule = parse(
+            "x0 :- x3, not x3, sum{4611686018427387904 : x1, 4611686018427387904 : x2} >= 0."
+        )
+        built = self.blocks_built(monkeypatch)
+        for seed, count, blocks in ((24, 140, 9), (124, 24, 1), (224, 0, 64)):
+            program = _half_guessed(seed)
+            extended = Program(program.rules + rule.rules)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                models = stable_models(extended, Semantics.G)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 1024 * 1024, seed
+            assert models == stable_models(program, Semantics.G) and len(models) == count
+            del built[:]
+            assert check_coherence(extended, Semantics.G) is (count > 0)
+            assert built == [fixed << 18 for fixed in range(blocks)], seed
 
     def test_candidates_are_the_supported_models(self, monkeypatch):
         # the support filter holds per block: a fixed atom in no head, or
