@@ -402,10 +402,8 @@ def _compare_sum(terms: list, bound: int, full: int) -> tuple[int, int]:
     for weight, column in terms:
         if weight < 0:
             weight, column = -weight, column ^ full
-        while weight:
-            low = weight & -weight
+        for low in _bits(weight):
             buckets[low.bit_length() - 1].append(column)
-            weight ^= low
     for plane, bucket in enumerate(buckets):
         while len(bucket) > 1:
             first, second = bucket.pop(), bucket.pop()
@@ -580,11 +578,11 @@ def _column(index: int, rules: list, pattern, supported: bool = False, fixed: in
     every true atom has a rule whose body holds and whose head meets the
     model only at that atom. Every stable model under either reduct is one
     (a reduct keeps the rules whose body holds; drop an unsupported atom
-    and every kept rule still holds, so the model is not minimal). An
-    atom's support is the OR of the bodies of its head rules, each where no
-    other head atom of the rule is true, and is folded into one unsupported
-    column at its last head rule. The mask is applied after the last rule,
-    so it never moves the stop or an aggregate's build."""
+    and every kept rule still holds, so the model is not minimal). Each
+    head atom's support, the OR of its head rules' bodies where no other
+    head atom of the rule is true, is kept as the rules are read; one pass
+    after the last rule clears where a true atom lacks it, so the filter
+    never moves the stop or an aggregate's build."""
     dimension = index.bit_count()
     full = (1 << (1 << dimension)) - 1
     space = index | fixed
@@ -595,54 +593,33 @@ def _column(index: int, rules: list, pattern, supported: bool = False, fixed: in
         return full if fixed & low else 0
 
     column = full
-    if supported:
-        # each head atom's bit, by its last head rule; an atom in no head is
-        # unsupported wherever it is true
-        last = {low: number for number, rule in enumerate(rules) for low in _bits(rule[0] & space)}
-        support: dict = {}
-        unsupported = 0
-        for low in _bits(space & ~sum(last)):
-            unsupported |= atom(low)
-    for number, (head, must_true, must_false, _, aggregates) in enumerate(rules):
+    support: dict = {}  # each head atom's support, with `supported`
+    for head, must_true, must_false, _, aggregates in rules:
         body = full
         for spec, _, bits, _, true, false in aggregates + _REST:
-            true &= must_true
-            while true:
-                low = true & -true
+            for low in _bits(true & must_true):
                 body &= atom(low)
-                true ^= low
-            false &= must_false
-            while false:
-                low = false & -false
+            for low in _bits(false & must_false):
                 body &= atom(low) ^ full
-                false ^= low
             if not body or spec is None:
                 break
             body &= _aggregate_column(spec, [atom(bit) for bit in bits], full)
         heads = twice = 0  # where some, and where two or more, head atoms hold
-        head &= space
-        atoms = head
-        while head:
-            low = head & -head
+        for low in _bits(head & space):
             holds = atom(low)
-            if supported:
-                twice |= heads & holds
+            twice |= heads & holds
             heads |= holds
-            head ^= low
         column &= (body ^ full) | heads
         if supported:
             # below a true head atom, "no other head atom holds" is "not twice"
             alone = body & (twice ^ full) if twice else body
-            for low in _bits(atoms):
-                held = support.pop(low) | alone if low in support else alone
-                if last[low] == number:
-                    unsupported |= atom(low) & (held ^ full)
-                else:
-                    support[low] = held
+            for low in _bits(head & space):
+                support[low] = support[low] | alone if low in support else alone
         if not column:
             break
-    if supported:
-        column &= unsupported ^ full
+    if supported and column:  # a true atom needs its support
+        for low in _bits(space):
+            column &= (atom(low) ^ full) | support.get(low, 0)
     return column
 
 
@@ -728,18 +705,21 @@ def _raise_overflow(rules: list, size: int, width: int, pattern) -> None:
     """Before the first block of 2**width, raise what one column over all
     2**size subsets would: build over its domain alone (overflow reads only
     the domain) the first aggregate in rule and body order that the extremes
-    test flags, whose earlier rules leave some block nonempty and whose body
-    prefix holds in some block. No block build reaches another flagged one."""
+    test flags, whose body prefix holds in some block and whose earlier rules
+    leave some block nonempty (tested second, as reach only shrinks in rule
+    order). No block build reaches another flagged one."""
     low, full = (1 << width) - 1, (1 << (1 << width)) - 1
     blocks = range(0, 1 << size, 1 << width)
     for number, (_, _, _, _, aggregates) in enumerate(rules):
         for place, (spec, domain, _, _, true, false) in enumerate(aggregates):
-            if _overflows(spec, spec.elements):
-                if not any(_column(low, rules[:number], pattern, fixed=top) for top in blocks):
-                    return  # no block is reached past these rules
-                prefix = [(0, true, false, 0, aggregates[:place])]  # `:- prefix.`
-                if any(_column(low, prefix, pattern, fixed=top) != full for top in blocks):
-                    _column(domain, [(0, 0, 0, 0, aggregates[place : place + 1])], pattern)
+            if true & false or not _overflows(spec, spec.elements):
+                continue  # unflagged, or behind conflicting literals
+            prefix = [(0, true, false, 0, aggregates[:place])]  # `:- prefix.`
+            if place and all(_column(low, prefix, pattern, fixed=top) == full for top in blocks):
+                continue  # no block holds the prefix; literals alone hold in one
+            if not any(_column(low, rules[:number], pattern, fixed=top) for top in blocks):
+                return  # no block is reached past these rules
+            _column(domain, [(0, 0, 0, 0, aggregates[place : place + 1])], pattern)
 
 
 def _stable_models(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import importlib
+import itertools
 import random
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gzasp.core import (
+    COMPARATORS,
     AggregateFunc,
     AggregateSpec,
     Atom,
@@ -843,6 +845,52 @@ def _half_guessed(seed: int) -> Program:
     return parse(corpus.render(corpus.half_guessed(random.Random(seed), 24)))
 
 
+# weights of a sum at the 64-bit edge, and small ones beside them
+_EDGE_WEIGHTS = (2**63 - 1, -(2**63), 2**62, -(2**62), 3 * 2**61, 1, -3, 5)
+
+
+def _flagged_sum(rng: random.Random, pool: tuple) -> AggregateSpec:
+    """A sum over two to four atoms of pool that the extremes test flags."""
+    while True:
+        domain = rng.sample(pool, rng.randint(2, 4))
+        elements = tuple((rng.choice(_EDGE_WEIGHTS), atom) for atom in domain)
+        spec = AggregateSpec(
+            AggregateFunc.SUM, elements, rng.choice(COMPARATORS), rng.randint(-4, 4)
+        )
+        if semantics._overflows(spec, spec.elements):
+            return spec
+
+
+def _flagged_program(rng: random.Random) -> Program:
+    """A random program over at most 8 atoms with two to four more rules,
+    each holding a flagged sum behind conflicting literals, an aggregate
+    that holds nowhere, a random or a flagged aggregate, a literal or
+    nothing, and at times a constraint pair that empties every column from
+    its place on."""
+    pool = gen.POOL[:4] + gen.ALT_POOL[:4]
+    rules = list(gen.random_program(rng, pool=pool, max_atoms=8, max_rules=5).rules)
+    for _ in range(rng.randint(2, 4)):
+        atom = rng.choice(pool)
+        prefix = rng.choice(
+            (
+                [AtomLiteral(atom), AtomLiteral(atom, 1)],
+                [AggregateSpec(AggregateFunc.COUNT, ((1, atom),), ">", 1)],
+                [gen.random_aggregate(rng, pool)],
+                [_flagged_sum(rng, pool)],
+                [AtomLiteral(atom, rng.randint(0, 2))],
+                [],
+            )
+        )
+        rest = [AtomLiteral(rng.choice(pool), rng.randint(0, 1))] if rng.random() < 0.3 else []
+        head = frozenset() if rng.random() < 0.2 else frozenset({rng.choice(pool)})
+        rule = Rule(head, (*prefix, _flagged_sum(rng, pool), *rest))
+        rules.insert(rng.randint(0, len(rules)), rule)
+    if rng.random() < 0.25:
+        place, atom = rng.randint(0, len(rules)), rng.choice(pool)
+        rules[place:place] = [Rule(set(), (AtomLiteral(atom, depth),)) for depth in (0, 1)]
+    return Program(tuple(rules))
+
+
 class TestBlocks:
     """The enumerator builds its program column one block at a time: the
     top atoms fixed to each assignment in turn, the low _BLOCK_ATOMS atoms
@@ -917,6 +965,59 @@ class TestBlocks:
             del built[:]
             assert check_coherence(extended, Semantics.G) is (count > 0)
             assert built == [fixed << 18 for fixed in range(blocks)], seed
+
+    def test_the_pre_pass_builds_nothing_behind_conflicting_literals(self, monkeypatch):
+        # counted: each of the 40 flagged sums sits behind x{j}, not x{j},
+        # a prefix that holds nowhere, so the pre-pass builds no column for
+        # them; it once walked every block for each, 2,920 columns in all
+        sums = "".join(
+            f"x0 :- x{3 + i % 20}, not x{3 + i % 20}, sum{{4611686018427387904 : x1, "
+            f"4611686018427387904 : x2, {i + 1} : x{3 + (i + 7) % 20}}} >= 0.\n"
+            for i in range(40)
+        )
+        program = _half_guessed(24)
+        extended = Program(program.rules + parse(sums).rules)
+        passes, built = [], []  # pre-passes run, and the columns they build
+        column, raise_overflow = semantics._column, semantics._raise_overflow
+
+        def counted(*args):
+            passes.append(1)
+            with monkeypatch.context() as inside:
+                inside.setattr(
+                    semantics, "_column", lambda *a, **k: built.append(1) or column(*a, **k)
+                )
+                raise_overflow(*args)
+
+        monkeypatch.setattr(semantics, "_raise_overflow", counted)
+        assert check_coherence(extended, Semantics.G)
+        models = stable_models(extended, Semantics.G)
+        assert len(models) == 140 and models == stable_models(program, Semantics.G)
+        assert len(passes) == 3 and built == []
+
+    def test_the_pre_pass_raises_what_the_whole_space_raises(self, monkeypatch):
+        # the definition: the error, if any, of one program column over all
+        # 2**n subsets; every block width, query and semantics raises it
+        rng = random.Random("flagged sums")
+        outcomes = []
+        for _ in range(120):
+            program = _flagged_program(rng)
+            universe, rules, _ = semantics._compile_at(program)
+            every = (1 << len(universe)) - 1
+            try:
+                semantics._column(every, rules, cache(semantics._pattern), True)
+                whole = None
+            except GzaspError as error:
+                whole = type(error), str(error)
+            outcomes.append(whole is None)
+            for block, sem in itertools.product((1, 2, semantics._BLOCK_ATOMS), Semantics):
+                with monkeypatch.context() as blocked:
+                    blocked.setattr(semantics, "_BLOCK_ATOMS", block)
+                    answers = _answers(program, sem)
+                if whole is None:
+                    assert not any(isinstance(a, tuple) for a in answers), (program, block)
+                else:
+                    assert answers == [whole] * len(answers), (program, block)
+        assert outcomes.count(True) > 20 and outcomes.count(False) > 20
 
     def test_candidates_are_the_supported_models(self, monkeypatch):
         # the support filter holds per block: a fixed atom in no head, or
