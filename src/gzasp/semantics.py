@@ -38,9 +38,9 @@ least-model rounds (_least_model) over the rules left with at most one head
 atom prove s minimal, through aggregates only where each holds on every set
 between the atoms derived and s (the interval test), or stop at a smaller
 model; otherwise s is minimal iff the reduct plus `:- s.` has an empty column.
-A coherence test stops at the first stable model; brave and cautious
-queries first restrict the candidates to those with, or without, the
-queried atom. is_stable, is_minimal_model and the G check of the
+A coherence test stops at the first stable model; a brave or cautious
+query on p leads the rules with `:- not p.` or `:- p.`, so candidates
+hold, or lack, p. is_stable, is_minimal_model and the G check of the
 least fixpoint run the same checks on one candidate. A check, like a
 solve, builds each atom column once: it reads them through cache(_pattern).
 """
@@ -705,18 +705,20 @@ def _raise_overflow(rules: list, size: int, width: int, pattern) -> None:
     """Before the first block of 2**width, raise what one column over all
     2**size subsets would: build over its domain alone (overflow reads only
     the domain) the first aggregate in rule and body order that the extremes
-    test flags, whose body prefix holds in some block and whose earlier rules
-    leave some block nonempty (tested second, as reach only shrinks in rule
-    order). No block build reaches another flagged one."""
-    low, full = (1 << width) - 1, (1 << (1 << width)) - 1
+    test flags, whose body prefix holds over its own atoms (literals and
+    domains) and whose earlier rules leave some block nonempty (tested
+    second, as reach only shrinks). No block build reaches another flagged one."""
+    low = (1 << width) - 1
     blocks = range(0, 1 << size, 1 << width)
     for number, (_, _, _, _, aggregates) in enumerate(rules):
         for place, (spec, domain, _, _, true, false) in enumerate(aggregates):
             if true & false or not _overflows(spec, spec.elements):
                 continue  # unflagged, or behind conflicting literals
             prefix = [(0, true, false, 0, aggregates[:place])]  # `:- prefix.`
-            if place and all(_column(low, prefix, pattern, fixed=top) == full for top in blocks):
-                continue  # no block holds the prefix; literals alone hold in one
+            own = reduce(operator.or_, (other[1] for other in aggregates[:place]), true | false)
+            built = (_column(own & low, prefix, pattern, fixed=t) for t in blocks if not t & ~own)
+            if place and all(c.bit_count() == 1 << (own & low).bit_count() for c in built):
+                continue  # the prefix holds nowhere; literals alone hold somewhere
             if not any(_column(low, rules[:number], pattern, fixed=top) for top in blocks):
                 return  # no block is reached past these rules
             _column(domain, [(0, 0, 0, 0, aggregates[place : place + 1])], pattern)
@@ -735,9 +737,9 @@ def _stable_models(
     classified, are enumerated: _stable_at checks the supported models, the
     set bits of the program column built with `supported`, lowest first, in
     blocks: the low k = min(n, _BLOCK_ATOMS) atoms span one, the top n - k
-    are fixed to each assignment in turn, and a queried top atom skips the
-    blocks that fix it against the query. _raise_overflow first raises the
-    overflow error, if any, that one column over all n atoms would raise."""
+    are fixed to each assignment in turn, and a query on p leads the rules
+    with `:- not p.` (brave) or `:- p.` (cautious). _raise_overflow first
+    raises what one column of the program's own rules over all n atoms would."""
     try:
         models = _fixpoint_models(program, grounding)
     except (NotAspMError, DomainTooLargeError, AggregateOverflowError):
@@ -757,13 +759,11 @@ def _stable_models(
     width = min(size, _BLOCK_ATOMS)  # the low atoms, a block's space
     _raise_overflow(rules, size, width, pattern)
     queried = 1 << universe.index(atom) if atom in universe else 0
+    query = []  # a leading constraint: `:- not p.` keeps p, `:- p.` drops it
+    if atom is not None and (queried or holds):  # an atom outside is false: `:- .` or none
+        query = [(0, 0, queried, 0, ()) if holds else (0, queried, 0, 0, ())]
     for fixed in range(0, 1 << size, 1 << width):  # the top atoms' assignments, in order
-        if queried >> width and bool(fixed & queried) != holds:
-            continue  # the queried atom is fixed against the query
-        column = _column((1 << width) - 1, rules, pattern, True, fixed)  # supported models
-        if atom is not None and not queried >> width:
-            restrict = pattern(queried.bit_length() - 1, width) if queried else 0
-            column &= restrict if holds else ~restrict
+        column = _column((1 << width) - 1, query + rules, pattern, True, fixed)  # supported models
         for index in _set_bits(column):
             if _stable_at(rules, fixed | index, grounding, pattern, max_atoms):
                 yield _atoms_at(universe, fixed | index)

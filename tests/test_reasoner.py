@@ -264,7 +264,7 @@ class TestIsStable:
                 for interp in oracles.subsets(universe):
                     assert is_stable(program, interp, sem) is (interp in models), interp
                 assert not brave(program, outside, sem)
-                assert cautious(program, outside, sem) is not models
+                assert cautious(program, outside, sem) is (not models)
             for interp in oracles.subsets(universe | {outside}):
                 assert semantics.is_minimal_model(interp, program) is (
                     oracles.naive_is_minimal_model(interp, program)
@@ -966,33 +966,48 @@ class TestBlocks:
             assert check_coherence(extended, Semantics.G) is (count > 0)
             assert built == [fixed << 18 for fixed in range(blocks)], seed
 
-    def test_the_pre_pass_builds_nothing_behind_conflicting_literals(self, monkeypatch):
-        # counted: each of the 40 flagged sums sits behind x{j}, not x{j},
-        # a prefix that holds nowhere, so the pre-pass builds no column for
-        # them; it once walked every block for each, 2,920 columns in all
+    @pytest.mark.parametrize(
+        "prefix, most",
+        [("x{j}, not x{j}", 0), ("count{{x{j}}} > 1", 2)],
+        ids=["conflicting-literals", "count-above-one"],
+    )
+    def test_the_pre_pass_builds_little_behind_a_prefix_that_holds_nowhere(
+        self, prefix, most, monkeypatch
+    ):
+        # counted: each of the 40 flagged sums sits behind a prefix that
+        # holds nowhere. Conflicting literals need no column; count{x{j}} > 1
+        # reads x{j} alone, so its column spans x{j} where x{j} is a low
+        # atom, and no atom in each of the two blocks that fix x{j} where it
+        # is a top atom. The counts once cost 64 columns of 2**18 bits each
         sums = "".join(
-            f"x0 :- x{3 + i % 20}, not x{3 + i % 20}, sum{{4611686018427387904 : x1, "
+            f"x0 :- {prefix.format(j=3 + i % 20)}, sum{{4611686018427387904 : x1, "
             f"4611686018427387904 : x2, {i + 1} : x{3 + (i + 7) % 20}}} >= 0.\n"
             for i in range(40)
         )
         program = _half_guessed(24)
         extended = Program(program.rules + parse(sums).rules)
-        passes, built = [], []  # pre-passes run, and the columns they build
+        passes = []  # of each pre-pass run, the space of each column it builds
         column, raise_overflow = semantics._column, semantics._raise_overflow
 
         def counted(*args):
-            passes.append(1)
+            built = []
+            passes.append(built)
+
+            def build(index, *rest, **fixed):
+                built.append(index)
+                return column(index, *rest, **fixed)
+
             with monkeypatch.context() as inside:
-                inside.setattr(
-                    semantics, "_column", lambda *a, **k: built.append(1) or column(*a, **k)
-                )
+                inside.setattr(semantics, "_column", build)
                 raise_overflow(*args)
 
         monkeypatch.setattr(semantics, "_raise_overflow", counted)
         assert check_coherence(extended, Semantics.G)
         models = stable_models(extended, Semantics.G)
         assert len(models) == 140 and models == stable_models(program, Semantics.G)
-        assert len(passes) == 3 and built == []
+        assert len(passes) == 3 and passes[2] == []
+        assert all(len(built) <= 40 * most for built in passes)
+        assert all(index.bit_count() <= 1 for built in passes for index in built)
 
     def test_the_pre_pass_raises_what_the_whole_space_raises(self, monkeypatch):
         # the definition: the error, if any, of one program column over all
@@ -1042,12 +1057,32 @@ class TestBlocks:
     @pytest.mark.parametrize("sem", list(Semantics))
     def test_top_atom_queries_skip_the_other_blocks(self, sem, monkeypatch):
         # with blocks of 2**2 subsets every atom above the lowest two is a
-        # top atom; a query on the highest reads only the blocks that fix it
-        # as asked, and answers as the oracle does
+        # top atom. A query is a constraint before the rules, so a block
+        # that fixes the queried atom against it is empty at rule 1 and
+        # reads no atom column; brave on an atom outside the program leads
+        # with `:- .`, which does so in every block. Each answer is the
+        # oracle's
         monkeypatch.setattr(semantics, "_BLOCK_ATOMS", 2)
         monkeypatch.setattr(semantics, "_fixpoint_models", _no_fixpoint)
-        built = self.blocks_built(monkeypatch)
+        built = []  # (fixed, first rule, column, atom columns read) of each block
+        column = semantics._column
+
+        def counted(index, rules, pattern, supported=False, fixed=0):
+            if not supported:
+                return column(index, rules, pattern, supported, fixed)
+            reads = []
+
+            def read(*key):
+                reads.append(key)
+                return pattern(*key)
+
+            found = column(index, rules, read, True, fixed)
+            built.append((fixed, rules[0], found, len(reads)))
+            return found
+
+        monkeypatch.setattr(semantics, "_column", counted)
         rng = random.Random(f"top atom queries-{sem.value}")
+        outside = Atom("outside")
         asked = 0
         while asked < 60:
             program = gen.random_program(rng)
@@ -1055,14 +1090,24 @@ class TestBlocks:
             if len(universe) < 3:
                 continue
             asked += 1
-            top, bit = universe[-1], 1 << len(universe) - 1
+            top, bit, half = universe[-1], 1 << len(universe) - 1, 1 << len(universe) - 3
             models = oracles.naive_stable_models(program, sem.value)
+            for query, against, expected in (
+                (brave, 0, any(top in model for model in models)),
+                (cautious, bit, all(top in model for model in models)),
+            ):
+                del built[:]
+                assert query(program, top, sem) is expected
+                stopped = [block for block in built if block[0] & bit == against]
+                # brave reaches the blocks against it first; cautious only
+                # when no model without the atom stopped it before them
+                assert len(stopped) == (half if query is brave or expected else 0)
+                assert all(found == reads == 0 for _, _, found, reads in stopped)
             del built[:]
-            assert brave(program, top, sem) is any(top in model for model in models)
-            assert built and all(fixed & bit for fixed in built)
-            del built[:]
-            assert cautious(program, top, sem) is all(top in model for model in models)
-            assert built and not any(fixed & bit for fixed in built)
+            assert brave(program, outside, sem) is False
+            assert len(built) == 2 * half
+            assert all(block[1:] == ((0, 0, 0, 0, ()), 0, 0) for block in built)
+            assert cautious(program, outside, sem) is (not models)
 
 
 class TestCautiousBrave:
@@ -1132,18 +1177,29 @@ class TestQueriesAgainstOracle:
         "p :- count{a} >= 1, not a, sum{9223372036854775807 : b, 1 : c} >= 0.\n"
     )
 
+    # with blocks of 2**1 subsets the first model, {a}, is in block 0, and
+    # the sum's prefix c, count{b} >= 1 holds only in a later block: a
+    # prefix reads its literals' atoms as well as its aggregates' domains
+    OVERFLOW_AFTER_A_LITERAL = (
+        "a :- not b. b :- not a. c :- not not c.\n"
+        "p :- c, count{b} >= 1, sum{9223372036854775807 : a, 1 : b} >= 0.\n"
+    )
+
     @pytest.mark.parametrize("sem", [Semantics.G, Semantics.F])
-    def test_overflow_is_not_skipped_by_early_exit(self, sem):
-        program = parse(self.OVERFLOW)
+    def test_overflow_is_not_skipped_by_early_exit(self, sem, monkeypatch):
         a = Atom("a")
-        with pytest.raises(AggregateOverflowError):
-            stable_models(program, sem)
-        with pytest.raises(AggregateOverflowError):
-            check_coherence(program, sem)
-        with pytest.raises(AggregateOverflowError):
-            brave(program, a, sem)
-        with pytest.raises(AggregateOverflowError):
-            cautious(program, a, sem)
+        for text, block in ((self.OVERFLOW, None), (self.OVERFLOW_AFTER_A_LITERAL, 1)):
+            if block:
+                monkeypatch.setattr(semantics, "_BLOCK_ATOMS", block)
+            program = parse(text)
+            with pytest.raises(AggregateOverflowError):
+                stable_models(program, sem)
+            with pytest.raises(AggregateOverflowError):
+                check_coherence(program, sem)
+            with pytest.raises(AggregateOverflowError):
+                brave(program, a, sem)
+            with pytest.raises(AggregateOverflowError):
+                cautious(program, a, sem)
 
     # the sum overflows on {b, c}; in body order it follows count{b} >= 1,
     # which holds somewhere, so its column is built whatever comes after it
