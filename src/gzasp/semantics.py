@@ -318,26 +318,12 @@ def _pattern(position: int, dimension: int) -> int:
 def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int:
     """The aggregate's column over a space, from the columns of its domain
     atoms there in domain order (0 for an atom outside the space). Where the
-    extremes test flags those atoms, the lowest overflowing subset raises;
-    the test is exact only with no column `full` (an atom fixed true), and
-    no caller passes a flagged aggregate with one (see _raise_overflow)."""
+    extremes test flags those atoms, the lowest overflowing subset raises.
+    Precondition: none of them is fixed true (column `full`), which the walk
+    would count as optional, where they are flagged (see _raise_overflow)."""
     func, bound = spec.func, spec.bound
     terms = [(w, column) for (w, _), column in zip(spec.elements, columns) if column]
-    if _overflows(spec, terms):
-        # only subsets of the atoms in the space are evaluated: the column of
-        # those whose sum, or avg's scaled bound, leaves the 64-bit range
-        overflow = _compare_sum(terms, INT64_MIN, full)[0]  # 0 unless the negatives reach it
-        if sum(w for w, _ in terms if w > 0) > INT64_MAX:
-            overflow |= full ^ _compare_sum(terms, INT64_MAX + 1, full)[0]
-        if func is AggregateFunc.AVG and not INT64_MIN <= bound * len(terms) <= INT64_MAX:
-            # a count above the largest with bound * count in range
-            most = (INT64_MAX if bound > 0 else INT64_MIN) // bound
-            overflow |= full ^ _compare_sum([(1, c) for _, c in terms], most + 1, full)[0]
-        # the lowest bit is the first overflowing subset in table order, and
-        # eval_aggregate raises there what the table walk would
-        lowest = (overflow & -overflow).bit_length() - 1
-        chosen = [a for (_, a), column in zip(spec.elements, columns) if column >> lowest & 1]
-        eval_aggregate(spec, frozenset(chosen))
+    _first_overflow(spec, [pair for pair, column in zip(spec.elements, columns) if column])
     if func in PARITY_FUNCS:
         odd = reduce(operator.xor, (column for _, column in terms), 0)
         return odd if func is AggregateFunc.ODD else odd ^ full
@@ -370,15 +356,29 @@ def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int
     return column
 
 
-def _overflows(spec: AggregateSpec, terms: list) -> bool:
-    """The extremes test: whether a selection of `terms`, (weight, ...)
-    pairs, takes a sum, or avg's bound times the count, out of the 64-bit range."""
+def _overflows(spec: AggregateSpec, terms: list, taken: tuple = ()) -> bool:
+    """The extremes test: whether a selection of `terms`, (weight, ...) pairs, with all
+    of `taken`, takes a sum, or avg's bound times the count, out of the 64-bit range."""
     if spec.func not in (AggregateFunc.SUM, AggregateFunc.AVG):
         return False
-    scaled = spec.bound * len(terms) if spec.func is AggregateFunc.AVG else 0
-    low = min(scaled, sum(w for w, _ in terms if w < 0))
-    high = max(scaled, sum(w for w, _ in terms if w > 0))
+    base = sum(w for w, _ in taken)
+    scaled = spec.bound * (len(taken) + len(terms)) if spec.func is AggregateFunc.AVG else 0
+    low = min(scaled, base + sum(w for w, _ in terms if w < 0))
+    high = max(scaled, base + sum(w for w, _ in terms if w > 0))
     return not INT64_MIN <= low <= high <= INT64_MAX
+
+
+def _first_overflow(spec: AggregateSpec, elements: list) -> None:
+    """Where the extremes test flags `elements`, (weight, atom) pairs in
+    domain order, raise what eval_aggregate raises at their first overflowing
+    subset in table order. A later element is a more significant bit: walking
+    down, each is left out where those below it and those taken can overflow."""
+    if _overflows(spec, elements):
+        taken: tuple = ()
+        for place in reversed(range(len(elements))):
+            if not _overflows(spec, elements[:place], taken):
+                taken += (elements[place],)
+        eval_aggregate(spec, frozenset(atom for _, atom in taken))
 
 
 def _compare_sum(terms: list, bound: int, full: int) -> tuple[int, int]:
@@ -703,15 +703,15 @@ def _set_bits(column: int) -> Iterator[int]:
 
 def _raise_overflow(rules: list, size: int, width: int, pattern) -> None:
     """Before the first block of 2**width, raise what one column over all
-    2**size subsets would: build over its domain alone (overflow reads only
-    the domain) the first aggregate in rule and body order that the extremes
-    test flags, whose body prefix holds over its own atoms (literals and
-    domains) and whose earlier rules leave some block nonempty (tested
+    2**size subsets would: _first_overflow over the domain alone, all that
+    overflow reads, of the first aggregate in rule and body order that the
+    extremes test flags, whose body prefix holds over its own atoms (literals
+    and domains) and whose earlier rules leave some block nonempty (tested
     second, as reach only shrinks). No block build reaches another flagged one."""
     low = (1 << width) - 1
     blocks = range(0, 1 << size, 1 << width)
     for number, (_, _, _, _, aggregates) in enumerate(rules):
-        for place, (spec, domain, _, _, true, false) in enumerate(aggregates):
+        for place, (spec, _, _, _, true, false) in enumerate(aggregates):
             if true & false or not _overflows(spec, spec.elements):
                 continue  # unflagged, or behind conflicting literals
             prefix = [(0, true, false, 0, aggregates[:place])]  # `:- prefix.`
@@ -721,7 +721,7 @@ def _raise_overflow(rules: list, size: int, width: int, pattern) -> None:
                 continue  # the prefix holds nowhere; literals alone hold somewhere
             if not any(_column(low, rules[:number], pattern, fixed=top) for top in blocks):
                 return  # no block is reached past these rules
-            _column(domain, [(0, 0, 0, 0, aggregates[place : place + 1])], pattern)
+            _first_overflow(spec, spec.elements)
 
 
 def _stable_models(

@@ -966,6 +966,27 @@ class TestBlocks:
             assert check_coherence(extended, Semantics.G) is (count > 0)
             assert built == [fixed << 18 for fixed in range(blocks)], seed
 
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_a_dense_overflow_is_raised_in_little_memory(self, sem):
+        # 24 weights of 2**63 // 24 + 1 overflow only all together. The
+        # pre-pass walks the extremes test to that subset; an adder network
+        # over the sum's 2**24 subsets once peaked at about 222 MiB
+        weight = 2**63 // 24 + 1
+        elements = ", ".join(f"{weight} : x{i}" for i in range(24))
+        rule = parse(f"x0 :- sum{{{elements}}} >= 0.")
+        extended = Program(_half_guessed(24).rules + rule.rules)
+        for query in (check_coherence, stable_models):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with pytest.raises(AggregateOverflowError) as info:
+                    query(extended, sem)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(info.value) == "sum 9223372036854775824 exceeds the 64-bit integer range"
+            assert peak < 8 * 1024 * 1024, query.__name__
+
     @pytest.mark.parametrize(
         "prefix, most",
         [("x{j}, not x{j}", 0), ("count{{x{j}}} > 1", 2)],

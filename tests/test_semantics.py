@@ -830,34 +830,46 @@ class TestClassifyAggregate:
 
     def test_first_overflow_matches_the_walk(self, monkeypatch):
         # the first subset, in truth-table order, on which eval_aggregate
-        # raises: the lowest bit of the circuit's overflow column, where the
-        # truth table evaluates it, and the first the walk over the table meets
+        # raises: the one subset the truth table evaluates, and the first the
+        # walk over the table meets. Each spec is also tried on a random
+        # sub-list of its elements, the space is_stable and is_minimal_model
+        # pass, whose first overflowing subset _first_overflow names
         evaluated = []
         monkeypatch.setattr(
             semantics,
             "eval_aggregate",
             lambda *args: evaluated.append(args[1]) or eval_aggregate(*args),
         )
-        found = 0
+        found = {"table": 0, "sub-list": 0}
         for func, comparator in gen.AGGREGATE_CASES:
             if func not in (AggregateFunc.SUM, AggregateFunc.AVG):
                 continue
             rng = random.Random(f"first overflow {func.value} {comparator}")
             for _ in range(150):
                 spec = gen.random_weighted_aggregate(rng, func, comparator, gen.POOL, max_dom=6)
-                for index in range(1 << len(spec.domain)):
-                    chosen = frozenset(a for i, a in enumerate(spec.domain) if index >> i & 1)
-                    try:
-                        eval_aggregate(spec, chosen)
-                    except AggregateOverflowError as err:
+                inside = [pair for pair in spec.elements if rng.random() < 0.6]
+                for space, elements in (("table", spec.elements), ("sub-list", inside)):
+                    atoms = [a for _, a in elements]
+                    for index in range(1 << len(atoms)):
+                        chosen = frozenset(a for i, a in enumerate(atoms) if index >> i & 1)
+                        try:
+                            eval_aggregate(spec, chosen)
+                        except AggregateOverflowError as err:
+                            evaluated.clear()
+                            with pytest.raises(AggregateOverflowError) as info:
+                                if space == "table":
+                                    aggregate_truth_table(spec)
+                                else:
+                                    semantics._first_overflow(spec, inside)
+                            assert evaluated == [chosen], (spec, elements)
+                            assert str(info.value) == str(err), (spec, elements)
+                            found[space] += 1
+                            break
+                    else:
                         evaluated.clear()
-                        with pytest.raises(AggregateOverflowError) as info:
-                            aggregate_truth_table(spec)
-                        assert evaluated == [chosen], spec
-                        assert str(info.value) == str(err), spec
-                        found += 1
-                        break
-        assert found > 100
+                        semantics._first_overflow(spec, elements)  # raises nothing
+                        assert evaluated == [], (spec, elements)
+        assert found["table"] > 100 and found["sub-list"] > 50
 
     def test_overflow_is_found_with_one_evaluation(self, monkeypatch):
         # 20 weights of 2**63 // 20 + 1: only the whole domain overflows, and
@@ -876,12 +888,15 @@ class TestClassifyAggregate:
         assert str(info.value) == f"sum {20 * weight} exceeds the 64-bit integer range"
         assert evaluated == [frozenset(spec.domain)]
 
-    def test_overflow_is_located_with_three_adders(self, monkeypatch):
-        # the spec above: its overflow column comes from at most three adder
-        # networks, and one evaluation at its lowest bit raises
-        weight = 2**63 // 20 + 1
+    @pytest.mark.parametrize("size", [20, 24])
+    def test_overflow_is_located_without_an_adder(self, size, monkeypatch):
+        # counted: the spec above, and 24 weights of 2**63 // 24 + 1 (an
+        # adder network over its 2**24 subsets once took 1.7 s to raise). The
+        # extremes test walks to the first overflowing subset, and one
+        # evaluation there raises; no adder network is built
+        weight = 2**63 // size + 1
         spec = AggregateSpec(
-            AggregateFunc.SUM, tuple((weight, Atom(f"x{i:02}")) for i in range(20)), ">=", 0
+            AggregateFunc.SUM, tuple((weight, Atom(f"x{i:02}")) for i in range(size)), ">=", 0
         )
         calls = {"_compare_sum": 0, "eval_aggregate": 0}
         for name in calls:
@@ -892,10 +907,10 @@ class TestClassifyAggregate:
                 return original(*args)
 
             monkeypatch.setattr(semantics, name, counting)
-        with pytest.raises(AggregateOverflowError):
+        with pytest.raises(AggregateOverflowError) as info:
             classify_aggregate(spec)
-        assert calls["_compare_sum"] <= 3
-        assert calls["eval_aggregate"] == 1
+        assert str(info.value) == f"sum {size * weight} exceeds the 64-bit integer range"
+        assert calls == {"_compare_sum": 0, "eval_aggregate": 1}
 
     def test_chains_equal_the_table(self):
         # counted, not timed: every aggregate up to 5 atoms with weights -3..3
