@@ -291,13 +291,14 @@ def _table(spec: AggregateSpec) -> tuple[int, list[int], int]:
     column over the space of its domain atoms alone (bit i for the subset at
     the set bits of i), with the columns of those atoms and the all-ones
     mask. A domain wider than DEFAULT_MAX_ATOMS is refused before any
-    overflow is looked for."""
+    overflow is looked for, and an overflow before any column is built."""
     dimension = len(spec.domain)
     if dimension > DEFAULT_MAX_ATOMS:
         raise DomainTooLargeError(
             f"aggregate domain has {dimension} atoms; "
             f"exhaustive evaluation is capped at {DEFAULT_MAX_ATOMS}"
         )
+    _first_overflow(spec, spec.elements)
     full = (1 << (1 << dimension)) - 1
     columns = [_pattern(position, dimension) for position in range(dimension)]
     return _aggregate_column(spec, columns, full), columns, full
@@ -738,8 +739,10 @@ def _stable_models(
     set bits of the program column built with `supported`, lowest first, in
     blocks: the low k = min(n, _BLOCK_ATOMS) atoms span one, the top n - k
     are fixed to each assignment in turn, and a query on p leads the rules
-    with `:- not p.` (brave) or `:- p.` (cautious). _raise_overflow first
-    raises what one column of the program's own rules over all n atoms would."""
+    with `:- not p.` (brave) or `:- p.` (cautious), then the aggregate-free
+    rules over top atoms alone, so a block they rule out reads no low atom.
+    _raise_overflow first raises what one column of the program's own rules,
+    in program order, over all n atoms would."""
     try:
         models = _fixpoint_models(program, grounding)
     except (NotAspMError, DomainTooLargeError, AggregateOverflowError):
@@ -762,8 +765,10 @@ def _stable_models(
     query = []  # a leading constraint: `:- not p.` keeps p, `:- p.` drops it
     if atom is not None and (queried or holds):  # an atom outside is false: `:- .` or none
         query = [(0, 0, queried, 0, ()) if holds else (0, queried, 0, 0, ())]
+    low = (1 << width) - 1
+    ordered = query + sorted(rules, key=lambda r: bool(r[4] or (r[0] | r[1] | r[2]) & low))
     for fixed in range(0, 1 << size, 1 << width):  # the top atoms' assignments, in order
-        column = _column((1 << width) - 1, query + rules, pattern, True, fixed)  # supported models
+        column = _column(low, ordered, pattern, True, fixed)  # supported models
         for index in _set_bits(column):
             if _stable_at(rules, fixed | index, grounding, pattern, max_atoms):
                 yield _atoms_at(universe, fixed | index)

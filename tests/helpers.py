@@ -50,6 +50,39 @@ def minimality_columns(monkeypatch, where: list | None = None) -> list:
     return built
 
 
+def program_blocks(monkeypatch, blocks: list | None = None) -> list:
+    """Patch semantics._column for the rest of the test, and return the list
+    (`blocks`, if given) that each enumerator block built from then on is
+    appended to, as (fixed, decided, column, atom columns read). `decided`
+    tells whether an aggregate-free rule over the fixed top atoms alone rules
+    the block out: its body true and its head false under them."""
+    blocks = [] if blocks is None else blocks
+    column = semantics._column
+
+    def recorded(index, rules, pattern, supported=False, fixed=0):
+        if not supported:
+            return column(index, rules, pattern, supported, fixed)
+        reads = []
+
+        def read(*key):
+            reads.append(key)
+            return pattern(*key)
+
+        found = column(index, rules, read, True, fixed)
+        decided = any(
+            not aggregates
+            and not (head | true | false) & index
+            and fixed & true == true
+            and not fixed & (false | head)
+            for head, true, false, _, aggregates in rules
+        )
+        blocks.append((fixed, decided, found, len(reads)))
+        return found
+
+    monkeypatch.setattr(semantics, "_column", recorded)
+    return blocks
+
+
 def golden_program() -> Program:
     agg = AggregateSpec(AggregateFunc.COUNT, ((1, A), (1, B)), ">=", 1)
     return Program(

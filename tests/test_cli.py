@@ -13,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterator
@@ -29,7 +30,7 @@ from gzasp.parser import render
 
 import gen
 import oracles
-from helpers import GOLDEN_REW_TEXT, GOLDEN_STR_TEXT, GOLDEN_TEXT
+from helpers import GOLDEN_REW_TEXT, GOLDEN_STR_TEXT, GOLDEN_TEXT, program_blocks
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 GADGET_TEXT = "p :- count{p} >= 0.\n"
@@ -418,6 +419,38 @@ class TestStats:
         shown = ", ".join(sorted(f"a{i}" for i in range(24)))
         assert f"aggregate count{{{shown}}} != 1 NONCONVEX" in out.splitlines()
 
+    @pytest.mark.parametrize(
+        "size, err",
+        [
+            (24, "error: sum 9223372036854775824 exceeds the 64-bit integer range\n"),
+            (25, "error: aggregate domain has 25 atoms; exhaustive evaluation is capped at 24\n"),
+        ],
+    )
+    def test_overflowing_wide_sum_is_refused_before_any_column(
+        self, size, err, tmp_path, monkeypatch, capsys
+    ):
+        # size weights of 2**63 // size + 1 overflow only all together. The
+        # error reads the spec alone, so no atom column of the table is
+        # built: 24 of 2**24 bits (2 MiB) each were once built first. A
+        # domain over the cap is refused before any overflow is looked for
+        patterns = []
+        pattern = semantics._pattern
+        monkeypatch.setattr(
+            semantics, "_pattern", lambda *key: patterns.append(key) or pattern(*key)
+        )
+        weight = 2**63 // size + 1
+        elements = ", ".join(f"{weight} : x{i}" for i in range(size))
+        path = write_program(tmp_path, f"x0 :- sum{{{elements}}} >= 0.\n")
+        tracemalloc.start()
+        try:
+            code = main(["stats", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, *capsys.readouterr()) == (2, "", err)
+        assert patterns == []
+        assert peak < 1024 * 1024
+
     def test_nonconvex_fragment(self, tmp_path, capsys):
         path = write_program(tmp_path, "p :- count{p, q} != 1.\n")
         code = main(["stats", path])
@@ -643,10 +676,13 @@ class TestBlockDifferential:
     WEIGHTED = 60
 
     @staticmethod
-    def outputs(argv: list, capsys, monkeypatch) -> list:
+    def outputs(argv: list, capsys, monkeypatch, blocks: list | None = None) -> list:
         """(code, stdout, stderr) of one command under one block, then
-        under blocks of 2**4 and 2**2 subsets."""
+        under blocks of 2**4 and 2**2 subsets. Given `blocks`, each block
+        built is appended to it, as helpers.program_blocks records it."""
         seen = []
+        if blocks is not None:
+            program_blocks(monkeypatch, blocks)
         for block in (semantics._BLOCK_ATOMS, 4, 2):
             monkeypatch.setattr(semantics, "_BLOCK_ATOMS", block)
             code = main(argv)
@@ -654,10 +690,23 @@ class TestBlockDifferential:
         monkeypatch.undo()  # one block again for the next command
         return seen
 
+    # per family, a floor on the blocks stopped at a top-decided rule, with
+    # no atom column read, in the runs without --atom, where no query leads:
+    # those rules lead each block. Read in program order, the rules stopped
+    # 7,548 / 1,724 / 444 / 517 / 585 blocks there
+    TOP_DECIDED = {
+        "large_monotone": 20_000,
+        "mixed": 14_000,
+        "monotone": 7_000,
+        "normal": 5_000,
+        "random": 6_000,
+    }
+
     @pytest.mark.parametrize("family", sorted(gen.FAMILIES))
     def test_models_and_queries(self, family, tmp_path, capsys, monkeypatch):
         rng = random.Random(f"blocks {family}")
         path = tmp_path / "program.lp"
+        blocks: list = []  # of the runs without --atom
         for _ in range(self.PROGRAMS):
             program = gen.FAMILIES[family](rng)
             path.write_text(render(program))
@@ -675,9 +724,12 @@ class TestBlockDifferential:
                             ["query", str(path), "--semantics", sem, "--mode", mode, "--atom", atom]
                         )
                 for argv in runs:
-                    first, *blocked = self.outputs(argv, capsys, monkeypatch)
+                    counted = None if "--atom" in argv else blocks
+                    first, *blocked = self.outputs(argv, capsys, monkeypatch, counted)
                     assert first[0] in (0, 1) and first[2] == "", (argv, first)
                     assert blocked == [first, first], argv
+        stopped = [found or reads for _, decided, found, reads in blocks if decided]
+        assert not any(stopped) and len(stopped) > self.TOP_DECIDED[family]
 
     @classmethod
     def weighted_runs(cls, path) -> Iterator[list]:

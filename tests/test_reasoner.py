@@ -64,6 +64,7 @@ from helpers import (
     atoms,
     golden_program,
     minimality_columns,
+    program_blocks,
 )
 
 GADGET = "p :- count{p} >= 0."
@@ -403,7 +404,8 @@ class TestStableModels:
 
     def test_aggregate_columns_built_under_f(self, monkeypatch):
         # counted, not timed, by where each aggregate column is built. The
-        # program columns build 366 and 278, as before the interval test.
+        # program columns build 344 and 257 (366 and 278 before the rules
+        # over top atoms alone, here `:- .`, led each block).
         # The interval checks build 12 and 15, one circuit per distinct
         # sub-cube in a solve, and leave no minimality column to build one
         # (before them: 28 and 28); the fixpoint route's
@@ -428,8 +430,8 @@ class TestStableModels:
         monkeypatch.setattr(semantics, "_holds_between", counted_interval)
         monkeypatch.setattr(semantics, "_aggregate_column", counted)
         for family, expected in (
-            ("random", {"program": 366, "interval": 12, "table": 2}),
-            ("mixed", {"program": 278, "interval": 15, "table": 3}),
+            ("random", {"program": 344, "interval": 12, "table": 2}),
+            ("mixed", {"program": 257, "interval": 15, "table": 3}),
         ):
             built.clear()
             for seed in range(200):
@@ -1129,6 +1131,29 @@ class TestBlocks:
             assert len(built) == 2 * half
             assert all(block[1:] == ((0, 0, 0, 0, ()), 0, 0) for block in built)
             assert cautious(program, outside, sem) is (not models)
+
+    def test_top_decided_rules_stop_their_blocks(self, monkeypatch):
+        # counted: `--via str` triples the 7 atoms of the benchmark's via
+        # programs, so 21 atoms span 8 blocks with x6, x6__g and x6__t
+        # fixed. The aggregate-free rules over those three lead each block,
+        # so a block that one of them rules out (the copy rules rule out 6
+        # of the 8 in each program) is empty there and reads no atom column
+        built = program_blocks(monkeypatch)
+        reference, corpus = _perfbench_modules()
+        stopped = 0
+        for entry in reference.load_pool("via"):
+            if entry["n"] != 7:
+                continue
+            program = parse(corpus.render(entry["program"]))
+            del built[:]
+            models = solve_via_rewriting(program, "str")
+            assert set(models) == oracles.naive_stable_models(program, "g")
+            assert len(built) == 8
+            for fixed, decided, found, reads in built:
+                if decided:
+                    assert found == reads == 0, (entry["seed"], fixed)
+                    stopped += 1
+        assert stopped == 18
 
 
 class TestCautiousBrave:
