@@ -73,7 +73,7 @@ class NotAspMError(GzaspError):
 
 
 class DomainTooLargeError(GzaspError):
-    """An aggregate's truth table or class asked for beyond DEFAULT_MAX_ATOMS."""
+    """An aggregate's truth table asked for beyond DEFAULT_MAX_ATOMS."""
 
 
 class TooManyAtomsError(GzaspError):

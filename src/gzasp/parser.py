@@ -10,12 +10,12 @@ Grammar (whitespace-insensitive, `%` comments to end of line):
     agg     := ("count"|"sum"|"avg"|"min"|"max") "{" [ elems ] "}" cmp int
              | ("odd"|"even") "{" [ elems ] "}"
     elem    := [ int ":" ] atom
-    atom    := /[a-z][A-Za-z0-9_]*/
+    atom    := /[a-z][A-Za-z0-9_]*/ | /__bot(__[tgf])*/
 
 `not` is a keyword. Aggregate function names double as ordinary atoms when
 not followed by `{`. Atoms starting with `__` are reserved for rewritings
-and rejected on input, with one exception: the distinguished `__bot`, so
-that every program the toolkit can produce parses back to itself.
+and rejected on input, except `__bot` and its copies (the second atom form),
+so that every program the toolkit can produce parses back to itself.
 
 Tokenizing is one `findall` of the token texts. A token's kind is read
 from its first character, and its line and column are worked out only for
@@ -48,7 +48,7 @@ from .errors import (
 __all__ = ["parse", "render", "render_rule", "render_literal", "emit_core2"]
 
 _AGG_NAMES = {func.value: func for func in AggregateFunc}
-_BOTTOM_NAME = "__bot"
+_BOTTOM_NAMES = re.compile(r"__bot(?:__[tgf])*")
 
 # Skip whitespace and comments, then take one token; `.` takes a bad character and
 # the empty text ends the input, so nothing backtracks (and no 3.11-only `*+` is needed).
@@ -130,9 +130,9 @@ class _Parser:
         if atom is None:
             if name[:1] not in _IDENT_START or name == "not":
                 raise self.fail("atom")
-            # the ident token fixes the rest of the name; __bot is the one
-            # reserved name the input may use
-            if not "a" <= name[0] <= "z" and name != _BOTTOM_NAME:
+            # the ident token fixes the rest of the name; __bot and its
+            # copies are the reserved names the input may use
+            if not "a" <= name[0] <= "z" and not _BOTTOM_NAMES.fullmatch(name):
                 where = _position(self.text, pos)
                 if name.startswith(RESERVED_PREFIX):
                     raise ReservedNameError(f"atom '{name}' uses the reserved '__' prefix", *where)

@@ -778,9 +778,9 @@ def classify_aggregate(spec: AggregateSpec) -> AggregateClass:
     """Classify an aggregate as MONOTONE, CONVEX or NONCONVEX: by its truth
     along one chain of growing subsets where _chain gives one (count, odd,
     even, min, max, and sums of one sign under <, <=, >= or > that cannot
-    overflow), otherwise by its truth table, which raises any overflow. A
-    domain wider than DEFAULT_MAX_ATOMS is refused either way."""
-    truths = _chain(spec) if len(spec.elements) <= DEFAULT_MAX_ATOMS else None
+    overflow), at any width, otherwise by its truth table, which raises any
+    overflow and refuses a domain wider than DEFAULT_MAX_ATOMS."""
+    truths = _chain(spec)
     if truths is None:
         return _table_class(spec)
     # counted from a false in front: no switch or one rise is monotone, a

@@ -220,9 +220,9 @@ FAMILIES = {
 # token alone, and separators from every whitespace class the tokenizer meets.
 _WORDS = (
     "a", "b", "q1", "x_Y9", "not", "count", "sum", "avg", "min", "max", "odd",
-    "even", "__bot", "__x", "_y", "Abc", "0", "1", "-3", "12", "007", "-0",
-    "9223372036854775808", ".", ",", "{", "}", "|", ":", ":-", "<", "<=", ">=",
-    ">", "=", "!=",
+    "even", "__bot", "__bot__t", "__bot__g__t", "__bot_t", "__bot__x", "__x",
+    "_y", "Abc", "0", "1", "-3", "12", "007", "-0", "9223372036854775808", ".",
+    ",", "{", "}", "|", ":", ":-", "<", "<=", ">=", ">", "=", "!=",
 )
 _STRAYS = ("!", "-", ";", "?", "#", "\xe9", "\u20ac", "\x00")
 _SEPARATORS = (

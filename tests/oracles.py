@@ -226,7 +226,7 @@ def analytic_parity_class(func: str, domain_size: int) -> AggregateClass:
 
 
 _AGG_NAMES = {func.value: func for func in AggregateFunc}
-_BOTTOM_NAME = "__bot"
+_BOTTOM_NAMES = re.compile(r"__bot(?:__[tgf])*")
 
 _TOKEN_RE = re.compile(
     r"""
@@ -336,11 +336,12 @@ class _Parser:
 
     def _atom_name(self, token: _Token) -> str:
         name = token.text
-        if name.startswith(RESERVED_PREFIX) and name != _BOTTOM_NAME:
+        bottom = _BOTTOM_NAMES.fullmatch(name)
+        if name.startswith(RESERVED_PREFIX) and not bottom:
             raise ReservedNameError(
                 f"atom '{name}' uses the reserved '__' prefix", token.line, token.column
             )
-        if name != _BOTTOM_NAME and not re.fullmatch(r"[a-z][A-Za-z0-9_]*", name):
+        if not bottom and not re.fullmatch(r"[a-z][A-Za-z0-9_]*", name):
             raise ParseError(f"invalid atom '{name}'", token.line, token.column, "atom")
         return name
 

@@ -314,6 +314,32 @@ class TestQuery:
                 assert main(["query", path, "--semantics", sem] + argv) == code
                 assert capsys.readouterr() == (("false\n", "true\n")[code == 0], "")
 
+    def test_hundred_atom_count_in_every_command(self, tmp_path, monkeypatch, capsys):
+        # 101 atoms: the count is classified along its chain, with no truth
+        # table, so each command answers from the least fixpoint, {}
+        def refuse(spec):
+            raise AssertionError("a truth table was built")
+
+        monkeypatch.setattr(semantics, "_table", refuse)
+        wide = ", ".join(f"a{i}" for i in range(100))
+        path = write_program(tmp_path, f"p :- count{{{wide}}} >= 1.\n")
+        for sem in ("g", "f"):
+            for argv, code, out in (
+                (["models", path], 0, "{}\n"),
+                (["query", path, "--mode", "coherent"], 0, "true\n"),
+                (["query", path, "--mode", "brave", "--atom", "p"], 1, "false\n"),
+                (["query", path, "--mode", "cautious", "--atom", "p"], 1, "false\n"),
+            ):
+                assert main(argv + ["--semantics", sem]) == code
+                assert capsys.readouterr() == (out, "")
+        assert main(["stats", path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        shown = ", ".join(sorted(f"a{i}" for i in range(100)))
+        lines = out.splitlines()
+        assert lines[0] == "atoms 101"
+        assert lines[2:4] == ["fragment {} × M", f"aggregate count{{{shown}}} >= 1 MONOTONE"]
+
 
 class TestHelp:
     # the exact help text; sharing the option declarations must keep it
@@ -377,7 +403,7 @@ class TestStats:
         )
 
     def test_wide_monotone_aggregate(self, tmp_path, capsys):
-        # 21 atoms are within the classification cap, which is the atom guard
+        # a 21-atom count is classified along its chain of counts
         wide = ", ".join(f"a{i}" for i in range(21))
         path = write_program(tmp_path, f"p :- count{{{wide}}} >= 1.\n")
         code = main(["stats", path])

@@ -15,6 +15,7 @@ from gzasp.core import (
     AtomLiteral,
     Program,
     Rule,
+    atoms_of,
 )
 from gzasp.errors import (
     DuplicateAggregateElementError,
@@ -26,11 +27,13 @@ from gzasp.errors import (
     UnsupportedConstructError,
 )
 from gzasp.parser import emit_core2, parse, render
-from gzasp.rewriter import rewrite_rew, rewrite_str
+from gzasp.rewriter import rewrite_m, rewrite_n, rewrite_rew, rewrite_str
 
 import gen
 import oracles
 from helpers import A, B, GOLDEN_CORE2_TEXT, GOLDEN_TEXT, golden_program
+
+TWO_CYCLE = "a :- not b.\nb :- not a.\n"
 
 
 class TestParse:
@@ -96,6 +99,23 @@ class TestParse:
         rule = parse("p :- count{p, __bot} != 1.").rules[0]
         assert Atom("__bot") in rule.body[0].domain
 
+    @pytest.mark.parametrize(
+        "text, rewrite, copies",
+        [
+            (TWO_CYCLE, lambda p: rewrite_rew(rewrite_n(p)), {"__bot__t"}),
+            (TWO_CYCLE, lambda p: rewrite_str(rewrite_n(p)), {"__bot__t", "__bot__g"}),
+            ("p :- not __bot.", rewrite_m, {"__bot__f"}),
+            ("p :- not __bot.", lambda p: rewrite_rew(rewrite_m(p)), {"__bot__f", "__bot__f__t"}),
+        ],
+        ids=["n-rew", "n-str", "m", "m-rew"],
+    )
+    def test_rewritings_of_bottom_parse_back(self, text, rewrite, copies):
+        # the rewritings copy __bot as they copy any atom; the copies parse
+        rewritten = rewrite(parse(text))
+        assert copies <= {atom.name for atom in atoms_of(rewritten)}
+        assert parse(render(rewritten)) == rewritten
+        assert oracles.reference_parse(render(rewritten)) == rewritten
+
     def test_bytes_input(self):
         assert parse(b"a.") == parse("a.")
 
@@ -131,8 +151,9 @@ class TestParseErrors:
             parse("__x.")
         with pytest.raises(ReservedNameError):
             parse("p :- count{__y} >= 1.")
-        with pytest.raises(ReservedNameError):
-            parse("p :- not __bottom.")
+        for name in ("__bottom", "__bot_t", "__bot__x", "__bot__t_", "__bot__T"):
+            with pytest.raises(ReservedNameError):
+                parse(f"p :- not {name}.")
 
     def test_uppercase_start_rejected(self):
         with pytest.raises(ParseError):

@@ -573,7 +573,7 @@ class TestGsmAspM:
             Rule({m[0]}, (AtomLiteral(m[1], 1),)),
             Rule(frozenset(), (AtomLiteral(m[1]),)),
             Rule({m[2], m[3]}, ()),
-            Rule({m[4]}, (AggregateSpec(AggregateFunc.COUNT, tuple((1, a) for a in m), ">=", 1),)),
+            Rule({m[4]}, (AggregateSpec(AggregateFunc.SUM, tuple((1, a) for a in m), "=", 1),)),
             Rule({m[5]}, (AggregateSpec(AggregateFunc.SUM, ((2**62, m[0]), (2**62, m[1])), ">=", 0),)),
             Rule({m[6]}, (AggregateSpec(AggregateFunc.COUNT, ((1, m[7]),), "<=", 0),)),
         ]
@@ -694,6 +694,10 @@ def _no_column(*args):
     raise AssertionError("enumerated a monotone program")
 
 
+def _no_table(spec):
+    raise AssertionError("built a truth table")
+
+
 class TestMonotoneRoute:
     """semantics._stable_models answers ASP^M programs by their least
     fixpoint, in all four modes under both reducts, and enumerates
@@ -746,19 +750,28 @@ class TestMonotoneRoute:
         for sem in Semantics:
             assert list(stable_models(program, sem)) == [frozenset()]
 
-    def test_aggregate_wider_than_the_guard_is_enumerated(self, monkeypatch):
-        # a 25-atom domain is not classified, so the program is enumerated,
-        # and its 26 atoms are refused before compiling
-        def refuse(*args):
-            raise AssertionError("compiled before the guard")
-
-        monkeypatch.setattr(semantics, "_compile_at", refuse)
+    def test_aggregate_wider_than_the_guard_takes_the_fixpoint(self, monkeypatch):
+        # a 25-atom count is classified along its chain, with no truth
+        # table, so the 26-atom program is answered by its least fixpoint
+        monkeypatch.setattr(semantics, "_table", _no_table)
+        monkeypatch.setattr(semantics, "_column", _no_column)
         wide = ", ".join(f"a{i}" for i in range(25))
         program = parse(f"p :- count{{{wide}}} >= 1.")
         for sem in Semantics:
-            with pytest.raises(TooManyAtomsError) as info:
-                stable_models(program, sem)
-            assert str(info.value) == "program has 26 atoms; the enumeration guard allows 24"
+            assert list(stable_models(program, sem)) == [frozenset()]
+
+    def test_hundred_atom_count_in_every_route(self, monkeypatch):
+        monkeypatch.setattr(semantics, "_table", _no_table)
+        monkeypatch.setattr(semantics, "_column", _no_column)
+        wide = ", ".join(f"a{i}" for i in range(100))
+        program = parse(f"p :- count{{{wide}}} >= 1.")
+        p = Atom("p")
+        for sem in Semantics:
+            assert list(stable_models(program, sem)) == [frozenset()]
+            assert check_coherence(program, sem)
+            assert not brave(program, p, sem) and not cautious(program, p, sem)
+        assert list(gsm_asp_m(program)) == [frozenset()]
+        assert semantics.tp_least_fixpoint(program) == frozenset()
 
     @pytest.mark.parametrize("sem", list(Semantics))
     def test_outside_the_fragment_is_refused_above_the_guard(self, sem):

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gzasp.core import (
+    COMPARATORS,
     EMPTY_DOMAIN_FUNCS,
     INT64_MAX,
     INT64_MIN,
+    PARITY_FUNCS,
     UNWEIGHTED_FUNCS,
     AggregateFunc,
     AggregateSpec,
@@ -301,8 +303,8 @@ class TestTpOperator:
 
     @pytest.mark.parametrize("wide_first", [True, False])
     def test_wide_aggregate_never_hides_negation(self, wide_first):
-        # classification refuses a domain of 25 atoms, but the program is
-        # outside the fragment by its negation alone, whichever rule is first
+        # the syntax of every rule is checked before the 25-atom count is
+        # classified, so its negation is named whichever rule is first
         wide = ", ".join(f"a{i}" for i in range(25))
         rules = [f"p :- count{{{wide}}} >= 1.", "a0 :- not p."]
         if not wide_first:
@@ -332,10 +334,16 @@ class TestIsAspM:
     def test_outside_the_fragment(self, text):
         assert not is_asp_m(parse(text))
 
-    def test_wide_domain_is_not_classified(self):
+    def test_only_a_wide_table_is_refused(self):
+        # a wide count is classified along its chain at any width; only an
+        # aggregate whose class needs its truth table is refused
         wide = ", ".join(f"a{i}" for i in range(25))
-        with pytest.raises(DomainTooLargeError):
-            is_asp_m(parse(f"p :- count{{{wide}}} >= 1."))
+        assert is_asp_m(parse(f"p :- count{{{wide}}} >= 1."))
+        with pytest.raises(DomainTooLargeError) as info:
+            is_asp_m(parse(f"p :- avg{{{wide}}} >= 1."))
+        assert str(info.value) == (
+            "aggregate domain has 25 atoms; exhaustive evaluation is capped at 24"
+        )
 
 
 def refuse_column(*args):
@@ -792,16 +800,22 @@ class TestClassifyAggregate:
         assert classify_aggregate(agg("even{a, b}")) is AggregateClass.NONCONVEX
 
     def test_domain_bound(self):
+        # the cap is the truth table's: the wide count is classified along
+        # its chain, and only a table, or a class read off one, is refused
         wide = AggregateSpec(
             AggregateFunc.COUNT,
             tuple((1, Atom(f"x{i}")) for i in range(25)),
             ">=",
             1,
         )
-        with pytest.raises(DomainTooLargeError):
-            classify_aggregate(wide)
-        with pytest.raises(DomainTooLargeError):
-            aggregate_truth_table(wide)
+        exact = AggregateSpec(AggregateFunc.SUM, wide.elements, "=", 1)
+        assert classify_aggregate(wide) is AggregateClass.MONOTONE
+        for refused in (lambda: classify_aggregate(exact), lambda: aggregate_truth_table(wide)):
+            with pytest.raises(DomainTooLargeError) as info:
+                refused()
+            assert str(info.value) == (
+                "aggregate domain has 25 atoms; exhaustive evaluation is capped at 24"
+            )
 
     def test_truth_table_order(self):
         # bit i of the index selects the i-th domain atom in canonical order
@@ -963,15 +977,69 @@ class TestClassifyAggregate:
             classify_aggregate(spec)
         assert str(info.value) == f"sum {2**63} exceeds the 64-bit integer range"
         assert tables == [spec]
-        # the cap holds for a count too, which the chains could classify
+        # the cap is the table's: a wide count takes its chain, and a wide
+        # sum under != is refused where its table would be built
         wide = AggregateSpec(
             AggregateFunc.COUNT, tuple((1, Atom(f"x{i:02}")) for i in range(25)), "!=", 1
         )
+        tables.clear()
+        assert classify_aggregate(wide) is AggregateClass.NONCONVEX
+        assert tables == []
+        wide = AggregateSpec(AggregateFunc.SUM, wide.elements, "!=", 1)
         with pytest.raises(DomainTooLargeError) as info:
             classify_aggregate(wide)
         assert str(info.value) == (
             "aggregate domain has 25 atoms; exhaustive evaluation is capped at 24"
         )
+        assert tables == [wide]
+
+    @pytest.mark.parametrize("width", [25, 40, 64])
+    def test_wide_classes_without_a_table(self, width, monkeypatch):
+        # above the table's cap the chains classify at any width: count and
+        # parity against their analytic classes; min and max against a spec
+        # over one atom per distinct weight, and a one-sign sum against four
+        # atoms with its total, each of at most 5 atoms and classified by
+        # its table before any table is refused
+        rng = random.Random(f"wide classes {width}")
+        pool = tuple(Atom(f"x{i:02}") for i in range(width))
+        ones = tuple((1, atom) for atom in pool)
+        expected = []
+        for comparator in COMPARATORS:
+            for bound in range(-1, width + 2):
+                spec = AggregateSpec(AggregateFunc.COUNT, ones, comparator, bound)
+                expected.append((spec, oracles.analytic_count_class(width, comparator, bound)))
+        for func in PARITY_FUNCS:
+            spec = AggregateSpec(func, ones)
+            expected.append((spec, oracles.analytic_parity_class(func.value, width)))
+        for func in (AggregateFunc.MIN, AggregateFunc.MAX):
+            for _ in range(4):
+                values = rng.sample(range(-3, 4), rng.randint(1, 5))
+                weights = values + [rng.choice(values) for _ in range(width - len(values))]
+                rng.shuffle(weights)
+                elements, few = tuple(zip(weights, pool)), tuple(zip(sorted(values), pool))
+                for comparator in COMPARATORS:
+                    for bound in range(-4, 5):
+                        small = AggregateSpec(func, few, comparator, bound)
+                        spec = AggregateSpec(func, elements, comparator, bound)
+                        expected.append((spec, semantics._table_class(small)))
+        for sign in (1, -1):
+            weights = [sign * rng.randint(0, 3) for _ in range(width)]
+            elements, total = tuple(zip(weights, pool)), sum(weights)
+            share, rest = divmod(abs(total), 4)
+            few = tuple(zip([sign * share] * 3 + [sign * (share + rest)], pool))
+            for comparator in ("<", "<=", ">=", ">"):
+                for bound in range(min(0, total) - 1, max(0, total) + 2):
+                    small = AggregateSpec(AggregateFunc.SUM, few, comparator, bound)
+                    spec = AggregateSpec(AggregateFunc.SUM, elements, comparator, bound)
+                    expected.append((spec, semantics._table_class(small)))
+
+        def refuse(spec):
+            raise AssertionError("a truth table was built")
+
+        monkeypatch.setattr(semantics, "_table", refuse)
+        for spec, cls in expected:
+            assert classify_aggregate(spec) is cls, spec
+        assert {cls for _, cls in expected} == set(AggregateClass)
 
     def test_domain_bound_comes_before_overflow(self):
         wide = AggregateSpec(
