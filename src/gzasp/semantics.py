@@ -23,7 +23,8 @@ the one F-stable model, and G-stable iff it is the least model of its
 G-reduct, so such a program is answered at any size. Any other program is
 enumerated, and refused above the atom guard: the candidates are the set
 bits of the program column, read 64 bits at a time, and _stable_at checks
-each. The column is built in blocks of at most 2**_BLOCK_ATOMS subsets, the
+each. The column spans one atom per class that every model respects
+(_classes), and is built in blocks of at most 2**_BLOCK_ATOMS subsets, the
 atoms above the lowest _BLOCK_ATOMS fixed to each assignment in turn:
 candidates keep their order, memory holds one block's columns, a query stops
 in the first block that answers it, and an overflow error comes before the
@@ -428,18 +429,18 @@ def _compare_sum(terms: list, bound: int, full: int) -> tuple[int, int]:
     return less, equal
 
 
-def _compile_at(program: Program, interp: Interpretation = frozenset()) -> tuple:
-    """(universe, rules, index): the sorted atoms of the program and interp;
-    each rule as (head, must_true, must_false, positive, aggregates), atom
-    bitmasks over the universe (a literal at even negation depth needs its
-    atom true, at odd depth false; positive holds the depth-0 atoms, the
-    only literals either reduct keeps) and the body aggregates in body
-    order, each as (spec, domain mask, domain bits in domain order, memo,
-    must_true, must_false of the literals before it in the body); and
-    interp as a candidate, the bitmask of its atoms. The memo, shared by
-    equal aggregates, maps the candidate's domain bits to the aggregate's
-    truth there."""
-    universe = sorted(atoms_of(program).union(interp))
+def _compile_at(program: Program, interp: Interpretation = frozenset(), order=None) -> tuple:
+    """(universe, rules, index): the atoms of the program and interp, in
+    `order` (a list of them) or sorted; each rule as (head, must_true,
+    must_false, positive, aggregates), atom bitmasks over the universe (a
+    literal at even negation depth needs its atom true, at odd depth false;
+    positive holds the depth-0 atoms, the only literals either reduct
+    keeps) and the body aggregates in body order, each as (spec, domain
+    mask, domain bits in domain order, memo, must_true, must_false of the
+    literals before it in the body); and interp as a candidate, the bitmask
+    of its atoms. The memo, shared by equal aggregates, maps the candidate's
+    domain bits to the aggregate's truth there."""
+    universe = order or sorted(atoms_of(program).union(interp))
     position = {atom: i for i, atom in enumerate(universe)}
     compiled = []
     memos: dict = {}
@@ -511,12 +512,20 @@ def _holds_between(aggregate: tuple, low: int, high: int, pattern, max_atoms: in
     """Whether a compiled aggregate holds on every atom set from `low` up to
     its superset `high`: whether `:- aggregate.` has an empty column over the
     sub-cube of its domain atoms in high but not low, with low fixed true, or
-    with none the memo's point evaluation. False where those exceed max_atoms
-    or its atoms in high can overflow; memoised under a pair, unlike a point."""
+    with none the memo's point evaluation. Where those exceed max_atoms, its
+    truth at both ends decides if its chain (_chain) makes it convex, and
+    else it is False, as where its atoms in high can overflow; memoised
+    under a pair, unlike a point."""
     spec, domain, bits, memo, _, _ = aggregate
     free = domain & high & ~low
-    if free.bit_count() > max_atoms:
-        return False
+    if free.bit_count() > max_atoms:  # a convex aggregate holds between its ends
+        truths = _chain(spec)
+        return (
+            truths is not None
+            and _chain_class(truths) is not AggregateClass.NONCONVEX
+            and _aggregates_hold((aggregate,), low)
+            and _aggregates_hold((aggregate,), high)
+        )
     key = (low & domain, high & domain)
     if key in memo:
         return memo[key]
@@ -562,13 +571,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _column(index: int, rules: list, pattern, supported: bool = False, fixed: int = 0) -> int:
+def _column(
+    index: int, rules: list, pattern, supported: bool = False, fixed: int = 0, aliases=None
+) -> int:
     """The column of compiled rules over the subsets of `index`, with the
     atoms of `fixed` (disjoint from it, the top atoms of an enumerator
     block) true throughout: bit s is set iff the set holding `fixed` and
     the j-th lowest atom of `index` exactly when bit j of s is set models
     every rule. Every atom column is atom(low): `full` in `fixed`,
-    `pattern`'s (position, dimension) column inside `index`, 0 outside both.
+    `pattern`'s (position, dimension) column inside `index`, its
+    representative's for an atom of `aliases` (a map of atom bits, from
+    _classes), 0 elsewhere.
 
     Each body is built in body order and stops at the first prefix that is
     false everywhere, so an aggregate's column, and its overflow check, is
@@ -583,7 +596,8 @@ def _column(index: int, rules: list, pattern, supported: bool = False, fixed: in
     head atom's support, the OR of its head rules' bodies where no other
     head atom of the rule is true, is kept as the rules are read; one pass
     after the last rule clears where a true atom lacks it, so the filter
-    never moves the stop or an aggregate's build."""
+    never moves the stop or an aggregate's build. An alias needs its own
+    support: its rules never support its representative."""
     dimension = index.bit_count()
     full = (1 << (1 << dimension)) - 1
     space = index | fixed
@@ -592,6 +606,13 @@ def _column(index: int, rules: list, pattern, supported: bool = False, fixed: in
         if index & low:
             return pattern((index & (low - 1)).bit_count(), dimension)
         return full if fixed & low else 0
+
+    if aliases:  # an alias reads as its representative, and holds where it can
+        space |= sum(alias for alias, rep in aliases.items() if rep & space)
+        read = atom
+
+        def atom(low: int) -> int:
+            return read(aliases.get(low, low))
 
     column = full
     support: dict = {}  # each head atom's support, with `supported`
@@ -725,6 +746,33 @@ def _raise_overflow(rules: list, size: int, width: int, pattern) -> None:
             _first_overflow(spec, spec.elements)
 
 
+def _classes(rules: list) -> tuple[dict, int]:
+    """(aliases, always): atom classes that every model of the compiled rules
+    respects, as atom bits, read off twins: aggregate-free one-head rules
+    whose literals negate each other's. The constraints `:- a, not b.` and
+    `:- b, not a.` put a and b in one class; `p :- q.` and `p :- not q.`
+    make p true, and with it its class; twins with other literals do neither.
+    Each other class maps its members above its lowest, its representative,
+    to that one in `aliases`; `always` holds the rest."""
+    plain = {(h, t, f) for h, t, f, _, aggregates in rules if not aggregates}
+    twins = [(h, t, f) for h, t, f in plain if t < f and (h, f, t) in plain and not h & (h - 1)]
+    parent: dict = {}  # each member to a lower one of its class
+
+    def root(bit: int) -> int:  # the lowest member
+        while bit in parent:
+            bit = parent[bit]
+        return bit
+
+    for head, true, false in twins:  # true < false: `:- a, not b.` or `p :- not q.`
+        if not head and true and not true & (true - 1) and not false & (false - 1):
+            low, high = sorted((root(true), root(false)))
+            if low != high:
+                parent[high] = low
+    sure = {root(h) for h, t, f in twins if h and not t and not f & (f - 1)}
+    aliases = {bit: root(bit) for bit in parent if root(bit) not in sure}
+    return aliases, sum(sure) | sum(bit for bit in parent if bit not in aliases)
+
+
 def _stable_models(
     program: Program,
     grounding: bool,
@@ -735,14 +783,18 @@ def _stable_models(
     """Stable models under G (grounding) or F, in candidate order; with
     `atom`, only those where it holds (or, with holds=False, where it does
     not). Programs outside ASP^M, or with an aggregate that cannot be
-    classified, are enumerated: _stable_at checks the supported models, the
-    set bits of the program column built with `supported`, lowest first, in
-    blocks: the low k = min(n, _BLOCK_ATOMS) atoms span one, the top n - k
-    are fixed to each assignment in turn, and a query on p leads the rules
-    with `:- not p.` (brave) or `:- p.` (cautious), then the aggregate-free
-    rules over top atoms alone, so a block they rule out reads no low atom.
-    _raise_overflow first raises what one column of the program's own rules,
-    in program order, over all n atoms would."""
+    classified, are enumerated: _raise_overflow first raises what one column
+    of the program's own rules, in program order, over all n atoms would.
+    The column then spans one representative per atom class (_classes): the
+    m representatives take the low positions, the atoms true in every model
+    the next, and the aliases, read as their representatives, the top. It is
+    built in blocks: the low k = min(m, _BLOCK_ATOMS) representatives span
+    one, the atoms true throughout and the top m - k are fixed to each
+    assignment in turn, and a query on p leads the rules with `:- not p.`
+    (brave) or `:- p.` (cautious), then the aggregate-free rules over top
+    atoms alone, so a block they rule out reads no low atom. _stable_at
+    checks each supported model there, lowest first, with its aliases set
+    where their representatives are, over all atoms."""
     try:
         models = _fixpoint_models(program, grounding)
     except (NotAspMError, DomainTooLargeError, AggregateOverflowError):
@@ -759,19 +811,30 @@ def _stable_models(
     # atom columns by (position, dimension), for the blocks and the subspaces
     # of the minimality checks; freed with the generator when the solve ends
     pattern = cache(_pattern)
-    width = min(size, _BLOCK_ATOMS)  # the low atoms, a block's space
-    _raise_overflow(rules, size, width, pattern)
+    _raise_overflow(rules, size, min(size, _BLOCK_ATOMS), pattern)
+    aliases, always = _classes(rules)
+    if aliases or always:  # representatives first, then the atoms true throughout
+        order = sorted(range(size), key=lambda i: 2 if 1 << i in aliases else always >> i & 1)
+        universe, rules, _ = _compile_at(program, order=[universe[i] for i in order])
+        aliases, always = _classes(rules)  # the same classes, at their new positions
+    dimension = size - len(aliases) - always.bit_count()
+    width = min(dimension, _BLOCK_ATOMS)  # the low representatives, a block's space
     queried = 1 << universe.index(atom) if atom in universe else 0
     query = []  # a leading constraint: `:- not p.` keeps p, `:- p.` drops it
     if atom is not None and (queried or holds):  # an atom outside is false: `:- .` or none
         query = [(0, 0, queried, 0, ()) if holds else (0, queried, 0, 0, ())]
     low = (1 << width) - 1
-    ordered = query + sorted(rules, key=lambda r: bool(r[4] or (r[0] | r[1] | r[2]) & low))
-    for fixed in range(0, 1 << size, 1 << width):  # the top atoms' assignments, in order
-        column = _column(low, ordered, pattern, True, fixed)  # supported models
+    spanned = low | sum(alias for alias, rep in aliases.items() if rep & low)
+    ordered = query + sorted(rules, key=lambda r: bool(r[4] or (r[0] | r[1] | r[2]) & spanned))
+    for top in range(0, 1 << dimension, 1 << width):  # the top atoms' assignments, in order
+        fixed = top | always
+        column = _column(low, ordered, pattern, True, fixed, aliases)  # supported models
         for index in _set_bits(column):
-            if _stable_at(rules, fixed | index, grounding, pattern, max_atoms):
-                yield _atoms_at(universe, fixed | index)
+            index |= fixed
+            if aliases:  # each alias holds where its representative does
+                index |= sum(alias for alias, rep in aliases.items() if index & rep)
+            if _stable_at(rules, index, grounding, pattern, max_atoms):
+                yield _atoms_at(universe, index)
 
 
 def classify_aggregate(spec: AggregateSpec) -> AggregateClass:
@@ -781,10 +844,12 @@ def classify_aggregate(spec: AggregateSpec) -> AggregateClass:
     overflow), at any width, otherwise by its truth table, which raises any
     overflow and refuses a domain wider than DEFAULT_MAX_ATOMS."""
     truths = _chain(spec)
-    if truths is None:
-        return _table_class(spec)
-    # counted from a false in front: no switch or one rise is monotone, a
-    # rise and a fall (one run of truth) convex, anything more nonconvex
+    return _table_class(spec) if truths is None else _chain_class(truths)
+
+
+def _chain_class(truths: list[bool]) -> AggregateClass:
+    """The class of these truths along a chain, counted from a false in front:
+    no switch or one rise is monotone, a rise and a fall convex, more nonconvex."""
     switches = sum(map(operator.ne, [False, *truths], truths))
     if switches <= 1:
         return AggregateClass.MONOTONE

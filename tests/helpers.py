@@ -11,6 +11,9 @@ the corresponding modules were written; tests treat them as ground truth.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 from gzasp import semantics
 from gzasp.core import AggregateFunc, AggregateSpec, Atom, AtomLiteral, Program, Rule
 
@@ -36,13 +39,13 @@ def minimality_columns(monkeypatch, where: list | None = None) -> list:
     stack = [None] if where is None else where
     column = semantics._column
 
-    def recorded(index, rules, pattern, supported=False, fixed=0):
+    def recorded(index, rules, pattern, supported=False, fixed=0, aliases=None):
         minimality = bool(rules) and rules[0] == (0, index, 0, index, ())
         if minimality:
             built.append(index)
         stack.append("program" if supported else "minimality" if minimality else stack[-1])
         try:
-            return column(index, rules, pattern, supported, fixed)
+            return column(index, rules, pattern, supported, fixed, aliases)
         finally:
             stack.pop()
 
@@ -55,25 +58,30 @@ def program_blocks(monkeypatch, blocks: list | None = None) -> list:
     (`blocks`, if given) that each enumerator block built from then on is
     appended to, as (fixed, decided, column, atom columns read). `decided`
     tells whether an aggregate-free rule over the fixed top atoms alone rules
-    the block out: its body true and its head false under them."""
+    the block out: its body true and its head false under them, with each
+    alias read as its representative."""
     blocks = [] if blocks is None else blocks
     column = semantics._column
 
-    def recorded(index, rules, pattern, supported=False, fixed=0):
+    def recorded(index, rules, pattern, supported=False, fixed=0, aliases=None):
         if not supported:
-            return column(index, rules, pattern, supported, fixed)
+            return column(index, rules, pattern, supported, fixed, aliases)
         reads = []
 
         def read(*key):
             reads.append(key)
             return pattern(*key)
 
-        found = column(index, rules, read, True, fixed)
+        def represented(mask: int) -> int:
+            bits = semantics._bits(mask)
+            return reduce(operator.or_, ((aliases or {}).get(bit, bit) for bit in bits), 0)
+
+        found = column(index, rules, read, True, fixed, aliases)
         decided = any(
             not aggregates
-            and not (head | true | false) & index
-            and fixed & true == true
-            and not fixed & (false | head)
+            and not represented(head | true | false) & index
+            and fixed & represented(true) == represented(true)
+            and not fixed & represented(false | head)
             for head, true, false, _, aggregates in rules
         )
         blocks.append((fixed, decided, found, len(reads)))
@@ -81,6 +89,13 @@ def program_blocks(monkeypatch, blocks: list | None = None) -> list:
 
     monkeypatch.setattr(semantics, "_column", recorded)
     return blocks
+
+
+def without_classes(monkeypatch) -> None:
+    """Patch semantics._classes for the rest of the test to find no atom
+    class, so the enumerator spans every atom, as it does for a program
+    with none."""
+    monkeypatch.setattr(semantics, "_classes", lambda rules: ({}, 0))
 
 
 def golden_program() -> Program:

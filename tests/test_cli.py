@@ -30,7 +30,13 @@ from gzasp.parser import render
 
 import gen
 import oracles
-from helpers import GOLDEN_REW_TEXT, GOLDEN_STR_TEXT, GOLDEN_TEXT, program_blocks
+from helpers import (
+    GOLDEN_REW_TEXT,
+    GOLDEN_STR_TEXT,
+    GOLDEN_TEXT,
+    program_blocks,
+    without_classes,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 GADGET_TEXT = "p :- count{p} >= 0.\n"
@@ -692,34 +698,43 @@ class TestOracleDifferential:
 
 
 class TestBlockDifferential:
-    """The enumerator's blocks change no byte: with blocks of 2**2 and
-    2**4 subsets every solving command gives the exit code, stdout and
-    stderr it gives with one block (_BLOCK_ATOMS exceeds every program
-    here), on every generated family and on aggregates with weights at the
-    64-bit edge, whose overflow errors must name the same subset."""
+    """The enumerator's blocks and atom classes change no byte: with blocks
+    of 2**2 and 2**4 subsets, and with no atom classes, every solving
+    command gives the exit code, stdout and stderr it gives with one block
+    (_BLOCK_ATOMS exceeds every program here) and its classes, on every
+    generated family and on aggregates with weights at the 64-bit edge,
+    whose overflow errors must name the same subset."""
 
     PROGRAMS = 40  # per family
     WEIGHTED = 60
 
     @staticmethod
-    def outputs(argv: list, capsys, monkeypatch, blocks: list | None = None) -> list:
+    def outputs(argv: list, capsys, monkeypatch, blocks: dict | None = None) -> list:
         """(code, stdout, stderr) of one command under one block, then
-        under blocks of 2**4 and 2**2 subsets. Given `blocks`, each block
-        built is appended to it, as helpers.program_blocks records it."""
+        under blocks of 2**4 and 2**2 subsets, first with atom classes and
+        then without. Given `blocks`, each block built is appended to
+        blocks[True] with classes and to blocks[False] without, as
+        helpers.program_blocks records it."""
         seen = []
-        if blocks is not None:
-            program_blocks(monkeypatch, blocks)
-        for block in (semantics._BLOCK_ATOMS, 4, 2):
-            monkeypatch.setattr(semantics, "_BLOCK_ATOMS", block)
-            code = main(argv)
-            seen.append((code, *capsys.readouterr()))
-        monkeypatch.undo()  # one block again for the next command
+        one = semantics._BLOCK_ATOMS
+        for classes in (True, False):
+            if not classes:
+                without_classes(monkeypatch)
+            if blocks is not None:
+                program_blocks(monkeypatch, blocks[classes])
+            for block in (one, 4, 2):
+                monkeypatch.setattr(semantics, "_BLOCK_ATOMS", block)
+                code = main(argv)
+                seen.append((code, *capsys.readouterr()))
+            monkeypatch.undo()  # one block and the classes again
         return seen
 
     # per family, a floor on the blocks stopped at a top-decided rule, with
-    # no atom column read, in the runs without --atom, where no query leads:
-    # those rules lead each block. Read in program order, the rules stopped
-    # 7,548 / 1,724 / 444 / 517 / 585 blocks there
+    # no atom column read, in the runs without --atom and without classes,
+    # where no query leads: those rules lead each block. Read in program
+    # order, the rules stopped 7,548 / 1,724 / 444 / 517 / 585 blocks there.
+    # With classes the str and rew programs span a block or a few, so the
+    # floors count the runs over every atom
     TOP_DECIDED = {
         "large_monotone": 20_000,
         "mixed": 14_000,
@@ -732,7 +747,7 @@ class TestBlockDifferential:
     def test_models_and_queries(self, family, tmp_path, capsys, monkeypatch):
         rng = random.Random(f"blocks {family}")
         path = tmp_path / "program.lp"
-        blocks: list = []  # of the runs without --atom
+        blocks: dict = {True: [], False: []}  # of the runs without --atom, by classes
         for _ in range(self.PROGRAMS):
             program = gen.FAMILIES[family](rng)
             path.write_text(render(program))
@@ -753,9 +768,10 @@ class TestBlockDifferential:
                     counted = None if "--atom" in argv else blocks
                     first, *blocked = self.outputs(argv, capsys, monkeypatch, counted)
                     assert first[0] in (0, 1) and first[2] == "", (argv, first)
-                    assert blocked == [first, first], argv
-        stopped = [found or reads for _, decided, found, reads in blocks if decided]
-        assert not any(stopped) and len(stopped) > self.TOP_DECIDED[family]
+                    assert blocked == [first] * 5, argv
+        for classes, built in blocks.items():
+            assert not any(found or reads for _, decided, found, reads in built if decided), classes
+        assert sum(decided for _, decided, _, _ in blocks[False]) > self.TOP_DECIDED[family]
 
     @classmethod
     def weighted_runs(cls, path) -> Iterator[list]:
@@ -786,7 +802,7 @@ class TestBlockDifferential:
         refused = 0
         for argv in self.weighted_runs(tmp_path / "program.lp"):
             first, *blocked = self.outputs(argv, capsys, monkeypatch)
-            assert blocked == [first, first], argv
+            assert blocked == [first] * 5, argv
             refused += first[0] == 2
         assert refused > 20
 

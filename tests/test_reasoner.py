@@ -65,6 +65,7 @@ from helpers import (
     golden_program,
     minimality_columns,
     program_blocks,
+    without_classes,
 )
 
 GADGET = "p :- count{p} >= 0."
@@ -241,7 +242,7 @@ class TestIsStable:
         program = parse("".join(f"a{i} | b{i}.\n" for i in range(13)))
         built = []
 
-        def column(index, rules, pattern, supported=False, fixed=0):
+        def column(index, rules, pattern, supported=False, fixed=0, aliases=None):
             if supported:  # the program column: only the last block's top bit
                 return 1 << index if index | fixed == (1 << 26) - 1 else 0
             built.append(index)
@@ -404,8 +405,10 @@ class TestStableModels:
 
     def test_aggregate_columns_built_under_f(self, monkeypatch):
         # counted, not timed, by where each aggregate column is built. The
-        # program columns build 344 and 257 (366 and 278 before the rules
-        # over top atoms alone, here `:- .`, led each block).
+        # program columns build 343 and 257 (366 and 278 before the rules
+        # over top atoms alone, here `:- .`, led each block; 344 and 257
+        # before atom classes: `a :- a.` and `a :- not a.` fix a in random
+        # seed 86, so `a :- not a, odd{a}, ...` stops before its odd{a}).
         # The interval checks build 12 and 15, one circuit per distinct
         # sub-cube in a solve, and leave no minimality column to build one
         # (before them: 28 and 28); the fixpoint route's
@@ -430,7 +433,7 @@ class TestStableModels:
         monkeypatch.setattr(semantics, "_holds_between", counted_interval)
         monkeypatch.setattr(semantics, "_aggregate_column", counted)
         for family, expected in (
-            ("random", {"program": 344, "interval": 12, "table": 2}),
+            ("random", {"program": 343, "interval": 12, "table": 2}),
             ("mixed", {"program": 257, "interval": 15, "table": 3}),
         ):
             built.clear()
@@ -773,6 +776,19 @@ class TestMonotoneRoute:
         assert list(gsm_asp_m(program)) == [frozenset()]
         assert semantics.tp_least_fixpoint(program) == frozenset()
 
+    def test_is_stable_agrees_above_the_guard(self, monkeypatch):
+        # the count's 30 free atoms exceed the minimality guard, but along
+        # its chain it is monotone, so the interval test decides it from
+        # its ends: is_stable accepts the one F-stable model. It declined,
+        # and the column refused the 30 atoms with TooManyAtomsError
+        monkeypatch.setattr(semantics, "_table", _no_table)
+        monkeypatch.setattr(semantics, "_column", _no_column)
+        wide = ", ".join(f"a{i}" for i in range(30))
+        chain = "".join(f"a{i} :- a{i - 1}.\n" for i in range(1, 30))
+        program = parse(f"a0 :- count{{{wide}}} >= 0.\n{chain}")
+        assert stable_models(program, Semantics.F) == ModelSet([atoms_of(program)])
+        assert is_stable(program, atoms_of(program), Semantics.F)
+
     @pytest.mark.parametrize("sem", list(Semantics))
     def test_outside_the_fragment_is_refused_above_the_guard(self, sem):
         program = parse("".join(f"p{i} :- not not p{i}.\n" for i in range(25)))
@@ -917,10 +933,10 @@ class TestBlocks:
         built = []
         column = semantics._column
 
-        def counted(index, rules, pattern, supported=False, fixed=0):
+        def counted(index, rules, pattern, supported=False, fixed=0, aliases=None):
             if supported:
                 built.append(fixed)
-            return column(index, rules, pattern, supported, fixed)
+            return column(index, rules, pattern, supported, fixed, aliases)
 
         monkeypatch.setattr(semantics, "_column", counted)
         return built
@@ -1103,16 +1119,16 @@ class TestBlocks:
         built = []  # (fixed, first rule, column, atom columns read) of each block
         column = semantics._column
 
-        def counted(index, rules, pattern, supported=False, fixed=0):
+        def counted(index, rules, pattern, supported=False, fixed=0, aliases=None):
             if not supported:
-                return column(index, rules, pattern, supported, fixed)
+                return column(index, rules, pattern, supported, fixed, aliases)
             reads = []
 
             def read(*key):
                 reads.append(key)
                 return pattern(*key)
 
-            found = column(index, rules, read, True, fixed)
+            found = column(index, rules, read, True, fixed, aliases)
             built.append((fixed, rules[0], found, len(reads)))
             return found
 
@@ -1146,11 +1162,13 @@ class TestBlocks:
             assert cautious(program, outside, sem) is (not models)
 
     def test_top_decided_rules_stop_their_blocks(self, monkeypatch):
-        # counted: `--via str` triples the 7 atoms of the benchmark's via
-        # programs, so 21 atoms span 8 blocks with x6, x6__g and x6__t
-        # fixed. The aggregate-free rules over those three lead each block,
-        # so a block that one of them rules out (the copy rules rule out 6
-        # of the 8 in each program) is empty there and reads no atom column
+        # counted: without atom classes, `--via str` triples the 7 atoms of
+        # the benchmark's via programs, so 21 atoms span 8 blocks with x6,
+        # x6__g and x6__t fixed. The aggregate-free rules over those three
+        # lead each block, so a block that one of them rules out (the copy
+        # rules rule out 6 of the 8 in each program) is empty there and
+        # reads no atom column. With classes the 7 representatives span one
+        without_classes(monkeypatch)
         built = program_blocks(monkeypatch)
         reference, corpus = _perfbench_modules()
         stopped = 0
@@ -1167,6 +1185,175 @@ class TestBlocks:
                     assert found == reads == 0, (entry["seed"], fixed)
                     stopped += 1
         assert stopped == 18
+
+
+class TestAtomClasses:
+    """The enumerator spans one representative per atom class that
+    semantics._classes reads off the compiled rules; the others are fixed
+    true or read as their representatives."""
+
+    @staticmethod
+    def spans(monkeypatch) -> list:
+        """(index, fixed) of each program column built from now on."""
+        built = []
+        column = semantics._column
+
+        def counted(index, rules, pattern, supported=False, fixed=0, aliases=None):
+            if supported:
+                built.append((index, fixed))
+            return column(index, rules, pattern, supported, fixed, aliases)
+
+        monkeypatch.setattr(semantics, "_column", counted)
+        return built
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    @pytest.mark.parametrize("sure, other", [("x", "y"), ("y", "x")])
+    def test_a_class_with_an_atom_true_throughout_is_true_throughout(
+        self, sem, sure, other, monkeypatch
+    ):
+        # `sure` holds in every model, and the constraints put `other` in its
+        # class, so both are fixed true and the column spans q and r alone.
+        # With y sure, x is the class's first atom: were x left a
+        # representative, y's class mate would not be fixed
+        program = parse(
+            f"q :- not r. r :- not q. {sure} :- q. {sure} :- not q.\n"
+            f":- x, not y. :- y, not x. {other} :- not not {other}."
+        )
+        universe, rules, _ = semantics._compile_at(program)
+        aliases, always = semantics._classes(rules)
+        assert aliases == {} and semantics._atoms_at(universe, always) == atoms("xy")
+        built = self.spans(monkeypatch)
+        models = {atoms("qxy"), atoms("rxy")}
+        assert set(stable_models(program, sem)) == models
+        assert models == oracles.naive_stable_models(program, sem.value)
+        assert built == [(0b11, 0b1100)]
+        without_classes(monkeypatch)
+        assert set(stable_models(program, sem)) == models
+
+    def test_one_constraint_merges_nothing(self):
+        # `:- a, not b.` alone allows {b}; with `:- b, not a.` b joins a
+        guesses = "a :- not not a. b :- not not b.\n"
+        for constraints, aliases, models in (
+            (":- a, not b.", {}, ["", "b", "ab"]),
+            (":- a, not b. :- b, not a.", {0b10: 0b01}, ["", "ab"]),
+        ):
+            program = parse(guesses + constraints)
+            assert semantics._classes(semantics._compile_at(program)[1]) == (aliases, 0)
+            for sem in Semantics:
+                assert set(stable_models(program, sem)) == {atoms(m) for m in models}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # bodies (q, r | not r) and (r | not q, r) differ in q alone,
+            # but both are false everywhere: p is in no model
+            "p :- q, r, not r. p :- r, not q, not r. q :- not not q.",
+            # the constraint pair's analogue: (a, b | not b) and (b | not a, b)
+            ":- a, b, not b. :- b, not a, not b. a :- not not a. b :- not not b.",
+            # a body of one atom on both sides: p :- q. and p :- not not q.
+            "p :- q. p :- not not q. q :- not r. r :- not q.",
+        ],
+    )
+    def test_rules_that_share_an_atom_are_no_twins(self, text, monkeypatch):
+        # only `p :- q.` with `p :- not q.`, and `:- a, not b.` with
+        # `:- b, not a.`, each literal a single atom, fix or join atoms
+        program = parse(text)
+        assert semantics._classes(semantics._compile_at(program)[1]) == ({}, 0)
+        built = self.spans(monkeypatch)
+        for sem in Semantics:
+            assert set(stable_models(program, sem)) == oracles.naive_stable_models(
+                program, sem.value
+            )
+        assert all(fixed == 0 for _, fixed in built)
+
+    def test_twin_shaped_programs_match_the_oracle(self):
+        # seeded programs over five atoms of short random rules, most with
+        # their mirror (each literal's truth negated), so many programs fix
+        # or join atoms or nearly do; the G and F models match the oracle
+        rng = random.Random("twins")
+
+        def literal(atom: str) -> tuple:
+            return atom, rng.choice((0, 0, 1, 2))
+
+        def render(head: str, body: list) -> str:
+            lits = ", ".join("not " * depth + atom for atom, depth in body)
+            return f"{head} :- {lits}." if lits else f"{head}."
+
+        fixed = joined = 0
+        for _ in range(250):
+            rules = []
+            for _ in range(rng.randint(2, 6)):
+                head = rng.choice(("", "", *"abcde"))
+                body = [literal(rng.choice("abcde")) for _ in range(rng.randint(1, 3))]
+                rules.append(render(head, body))
+                if rng.random() < 0.6:  # its mirror: each literal's truth negated
+                    mirror = [(a, 1 if d % 2 == 0 else rng.choice((0, 2))) for a, d in body]
+                    rules.append(render(head, mirror))
+            program = parse("\n".join(rules))
+            aliases, always = semantics._classes(semantics._compile_at(program)[1])
+            fixed, joined = fixed + bool(always), joined + bool(aliases)
+            for sem in Semantics:
+                assert set(stable_models(program, sem)) == oracles.naive_stable_models(
+                    program, sem.value
+                ), ("\n".join(rules), sem)
+        assert fixed > 100 and joined > 10  # 116 and 12
+
+    def test_a_column_leaves_no_garbage_cycle(self):
+        # counted: each column call's atom reader once referred to itself,
+        # so its 2**n-bit columns lived until the cyclic collector ran; the
+        # query workload's peak RSS rose 3 MiB
+        program = parse(":- a, not b. :- b, not a. a :- not not a. b :- not not b. c :- a.")
+        _, rules, _ = semantics._compile_at(program)
+        aliases, always = semantics._classes(rules)
+        assert aliases == {0b010: 0b001}
+        gc.collect()
+        gc.disable()
+        try:
+            for index, alias in ((0b101, aliases), (0b111, {})):
+                assert semantics._column(index, rules, cache(semantics._pattern), True, 0, alias)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_an_alias_needs_its_own_support(self, monkeypatch):
+        # b is in a's class but in no head, so {a, b} is a model and not a
+        # supported one: the empty set is the only candidate
+        checked = []
+        monkeypatch.setattr(
+            semantics, "_stable_at", lambda rules, index, *args: checked.append(index)
+        )
+        program = parse(":- a, not b. :- b, not a. a :- not not a.")
+        for sem in Semantics:
+            del checked[:]
+            stable_models(program, sem)
+            assert checked == [0]
+
+    def test_rewritings_span_the_input_atoms(self, monkeypatch):
+        # counted: rew's n copies p__t hold in every model, and str's n
+        # guesses p__g mirror their atoms, so each block column of both
+        # spans the n input atoms, with the copies fixed; the 12 to 24 atoms
+        # of the rewritten programs spanned 1 to 64 blocks of 2**18. The
+        # candidates are those checked over every atom: were p__g's own rule
+        # read as p's support, p would be supported wherever it holds
+        checked = []
+        stable_at = semantics._stable_at
+        monkeypatch.setattr(
+            semantics, "_stable_at", lambda *args: checked.append(1) or stable_at(*args)
+        )
+        built = self.spans(monkeypatch)
+        reference, corpus = _perfbench_modules()
+        for entry in reference.load_pool("via"):
+            program, n = parse(corpus.render(entry["program"])), entry["n"]
+            direct = stable_models(program, Semantics.G)
+            for method in ("rew", "str"):
+                del built[:], checked[:]
+                assert solve_via_rewriting(program, method) == direct, (entry["seed"], method)
+                assert built == [((1 << n) - 1, (1 << 2 * n) - (1 << n))], method
+                with monkeypatch.context() as spanning:
+                    without_classes(spanning)
+                    candidates = len(checked)
+                    assert solve_via_rewriting(program, method) == direct
+                    assert len(checked) == 2 * candidates > 0, method
 
 
 class TestCautiousBrave:

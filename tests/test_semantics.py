@@ -592,14 +592,32 @@ class TestIntervalTest:
                 outcomes[expected] += 1
         assert min(outcomes.values()) > 50, outcomes
 
-    def test_declines_above_max_atoms(self):
-        # count{a, b, c} >= 0 holds everywhere; three free atoms exceed two
-        aggregate = self.compiled(agg("count{a, b, c} >= 0"))
+    def test_declines_above_max_atoms(self, monkeypatch):
+        # count{a, b, c} != 1 is nonconvex along its chain, and the mixed
+        # sum has no chain: each holds on its interval, and declines where
+        # the free atoms exceed max_atoms. Along their chains count >= 0 is
+        # monotone and count <= 2 convex, so above it their truth at both
+        # ends decides, and no truth table is built
         pattern = cache(semantics._pattern)
-        every, a = 0b1111, 0b0001  # over a, b, c, p
-        assert semantics._holds_between(aggregate, 0, every, pattern, 3)
-        assert not semantics._holds_between(aggregate, 0, every, pattern, 2)
-        assert semantics._holds_between(aggregate, a, every, pattern, 2)
+        every, ab, abp = 0b1111, 0b0011, 0b1011  # over a, b, c, p
+        nonconvex = self.compiled(agg("count{a, b, c} != 1"))
+        assert semantics._holds_between(nonconvex, ab, every, pattern, 1)
+        assert not semantics._holds_between(nonconvex, ab, every, pattern, 0)
+        mixed = self.compiled(agg("sum{1 : a, -1 : b, 1 : c} >= -1"))
+        assert semantics._holds_between(mixed, 0, every, pattern, 3)
+        assert not semantics._holds_between(mixed, 0, every, pattern, 2)
+
+        def refuse(spec):
+            raise AssertionError(f"a truth table was built for {spec}")
+
+        monkeypatch.setattr(semantics, "_table", refuse)
+        for text, high, expected in (
+            ("count{a, b, c} >= 0", every, True),
+            ("count{a, b, c} <= 2", abp, True),
+            ("count{a, b, c} <= 2", every, False),
+        ):
+            aggregate = self.compiled(agg(text))
+            assert semantics._holds_between(aggregate, 0, high, pattern, 1) is expected, text
 
     @pytest.mark.parametrize(
         "text",
