@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -104,11 +103,11 @@ class AggregateFunc(Enum):
 
 
 # Parity tests take no comparator and ignore weights entirely.
-PARITY_FUNCS = frozenset({AggregateFunc.ODD, AggregateFunc.EVEN})
+PARITY_FUNCS = (AggregateFunc.ODD, AggregateFunc.EVEN)
 # These ignore weights, so weights are canonicalized to 1 at construction.
-UNWEIGHTED_FUNCS = frozenset({AggregateFunc.COUNT, AggregateFunc.ODD, AggregateFunc.EVEN})
+UNWEIGHTED_FUNCS = (AggregateFunc.COUNT, AggregateFunc.ODD, AggregateFunc.EVEN)
 # Only count/sum make sense over an empty domain.
-EMPTY_DOMAIN_FUNCS = frozenset({AggregateFunc.COUNT, AggregateFunc.SUM})
+EMPTY_DOMAIN_FUNCS = (AggregateFunc.COUNT, AggregateFunc.SUM)
 
 COMPARATORS = ("<", "<=", ">=", ">", "=", "!=")
 
@@ -126,7 +125,9 @@ class AggregateSpec:
     """A weighted aggregate literal such as ``sum{2 : a, 3 : b} >= 5``.
 
     ``elements`` holds (weight, atom) pairs over pairwise distinct atoms and
-    is kept sorted by atom name. odd/even take neither comparator nor bound.
+    is kept sorted by atom name; ``domain`` holds its atoms in that order.
+    odd/even take neither comparator nor bound. The hash is taken once, at
+    construction; atoms hash by identity, so a pickle rebuilds it there.
     """
 
     func: AggregateFunc
@@ -135,38 +136,42 @@ class AggregateSpec:
     bound: int | None = None
 
     def __post_init__(self) -> None:
-        elements = tuple(tuple(pair) for pair in self.elements)
+        func = self.func
+        elements = tuple(map(tuple, self.elements))
         seen: set[Atom] = set()
         for _, atom in elements:
             if atom in seen:
                 raise DuplicateAggregateElementError(
-                    f"atom '{atom}' listed twice in {self.func.value} aggregate"
+                    f"atom '{atom}' listed twice in {func.value} aggregate"
                 )
             seen.add(atom)
-        if not elements and self.func not in EMPTY_DOMAIN_FUNCS:
-            raise EmptyAggregateDomainError(
-                f"{self.func.value} aggregate needs a nonempty domain"
-            )
+        if not elements and func not in EMPTY_DOMAIN_FUNCS:
+            raise EmptyAggregateDomainError(f"{func.value} aggregate needs a nonempty domain")
         for weight, _ in elements:
-            _check_int64(weight, "weight")
-        if self.func in PARITY_FUNCS:
+            if not INT64_MIN <= weight <= INT64_MAX:
+                _check_int64(weight, "weight")
+        if func in PARITY_FUNCS:
             if self.comparator is not None or self.bound is not None:
-                raise ValueError(f"{self.func.value} takes no comparator or bound")
+                raise ValueError(f"{func.value} takes no comparator or bound")
         else:
             if self.comparator not in COMPARATORS:
                 raise ValueError(f"bad comparator: {self.comparator!r}")
             if not isinstance(self.bound, int):
                 raise ValueError(f"bad bound: {self.bound!r}")
             _check_int64(self.bound, "bound")
-        if self.func in UNWEIGHTED_FUNCS:
-            elements = tuple((1, atom) for _, atom in elements)
         elements = tuple(sorted(elements, key=lambda pair: pair[1].name))
-        object.__setattr__(self, "elements", elements)
+        if func in UNWEIGHTED_FUNCS:
+            elements = tuple([(1, atom) for _, atom in elements])
+        fields = self.__dict__  # frozen: written past __setattr__
+        fields["elements"] = elements
+        fields["domain"] = tuple([atom for _, atom in elements])
+        fields["_hash"] = hash((func, elements, self.comparator, self.bound))
 
-    @cached_property
-    def domain(self) -> tuple[Atom, ...]:
-        """The aggregate's atoms, in canonical order."""
-        return tuple(atom for _, atom in self.elements)
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (AggregateSpec, (self.func, self.elements, self.comparator, self.bound))
 
 
 @dataclass(frozen=True)
@@ -191,16 +196,17 @@ class Rule:
     body: tuple = ()
 
     def __post_init__(self) -> None:
-        head = frozenset(self.head)
+        head, body = self.head, self.body
+        if type(head) is not frozenset:  # a frozenset or a tuple is kept as it is
+            object.__setattr__(self, "head", head := frozenset(head))
         for atom in head:
             if not isinstance(atom, Atom):
                 raise TypeError(f"head member is not an atom: {atom!r}")
-        body = tuple(self.body)
+        if type(body) is not tuple:
+            object.__setattr__(self, "body", body := tuple(body))
         for lit in body:
             if not isinstance(lit, (AtomLiteral, AggregateSpec)):
                 raise TypeError(f"body member is not a literal: {lit!r}")
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "body", body)
 
 
 @dataclass(frozen=True)

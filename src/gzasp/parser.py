@@ -70,15 +70,14 @@ def _position(text: str, index: int) -> tuple[int, int]:
 
 
 class _Parser:
-    """Recursive descent over the token texts; `pos` indexes the current
-    token. A letter or `_` starts an ident, a digit or `-` an int; the rest
-    is recognised by its text alone. `atoms` and `literals` keep what this
+    """Recursive descent over the token texts, each method from the token
+    index `pos` it is given. A letter or `_` starts an ident, a digit or `-`
+    an int; the rest is recognised by its text alone. `atoms` and `literals` keep what this
     parse built by name, so a name is checked at its first occurrence only."""
 
     def __init__(self, text: str):
         self.text = text
         self.texts = texts = _TOKEN_RE.findall(text)
-        self.pos = 0
         self.atoms: dict[str, Atom] = {}
         self.literals: dict[tuple[str, int], AtomLiteral] = {}
         bad = {token for token in set(texts) if len(token) == 1} - _SINGLE_TOKENS
@@ -88,48 +87,51 @@ class _Parser:
                 f"unexpected character {texts[index]!r}", *_position(text, index)
             )
 
-    def fail(self, expected: str, pos: int | None = None) -> ParseError:
-        pos = self.pos if pos is None else pos
+    def fail(self, expected: str, pos: int) -> ParseError:
         shown = repr(self.texts[pos]) if self.texts[pos] else "end of input"
         return ParseError(f"unexpected {shown}", *_position(self.text, pos), expected)
 
     def program(self) -> Program:
+        """The rules. Atoms and literals this parse has built are taken here,
+        the rest, and every error inside a literal, by the methods below."""
+        texts, atoms, literals = self.texts, self.atoms, self.literals
         rules = []
-        texts = self.texts
-        while texts[self.pos]:
-            rules.append(self.rule())
+        pos = 0
+        while texts[pos]:
+            head: list[Atom] = []
+            if texts[pos] != ":-" and texts[pos] != ".":
+                head.append(atoms.get(texts[pos]) or self.atom(pos))
+                pos += 1
+                while texts[pos] == "|":
+                    head.append(atoms.get(texts[pos + 1]) or self.atom(pos + 1))
+                    pos += 2
+            body: list = []
+            if texts[pos] == ":-":
+                pos += 1
+                while texts[pos] != "." or body:  # past a ',', a literal must follow
+                    literal = literals.get((texts[pos], 0))
+                    if literal is None or texts[pos + 1] == "{":
+                        literal, pos = self.literal(pos)
+                    else:
+                        pos += 1
+                    body.append(literal)
+                    if texts[pos] != ",":
+                        break
+                    pos += 1
+            elif not head:
+                raise self.fail("atom or ':-'", pos)
+            if texts[pos] != ".":
+                raise self.fail("'.'", pos)
+            pos += 1
+            rules.append(Rule(frozenset(head), tuple(body)))
         return Program(tuple(rules))
 
-    def rule(self) -> Rule:
-        texts = self.texts
-        head: list[Atom] = []
-        if texts[self.pos] != ":-" and texts[self.pos] != ".":
-            head.append(self.atom())
-            while texts[self.pos] == "|":
-                self.pos += 1
-                head.append(self.atom())
-        body: list = []
-        if texts[self.pos] == ":-":
-            self.pos += 1
-            if texts[self.pos] != ".":
-                body.append(self.literal())
-                while texts[self.pos] == ",":
-                    self.pos += 1
-                    body.append(self.literal())
-        elif not head:
-            raise self.fail("atom or ':-'")
-        if texts[self.pos] != ".":
-            raise self.fail("'.'")
-        self.pos += 1
-        return Rule(frozenset(head), tuple(body))
-
-    def atom(self) -> Atom:
-        pos = self.pos
+    def atom(self, pos: int) -> Atom:
         name = self.texts[pos]
         atom = self.atoms.get(name)
         if atom is None:
             if name[:1] not in _IDENT_START or name == "not":
-                raise self.fail("atom")
+                raise self.fail("atom", pos)
             # the ident token fixes the rest of the name; __bot and its
             # copies are the reserved names the input may use
             if not "a" <= name[0] <= "z" and not _BOTTOM_NAMES.fullmatch(name):
@@ -138,62 +140,53 @@ class _Parser:
                     raise ReservedNameError(f"atom '{name}' uses the reserved '__' prefix", *where)
                 raise ParseError(f"invalid atom '{name}'", *where, "atom")
             atom = self.atoms[name] = Atom(name)
-        self.pos = pos + 1
         return atom
 
-    def literal(self):
+    def literal(self, first: int) -> tuple:
+        """(literal, the index past it), and aggregate() likewise."""
         texts = self.texts
-        pos = first = self.pos
+        pos = first
         while texts[pos] == "not":
             pos += 1
-        self.pos = pos
         name = texts[pos]
         if name in _AGG_NAMES and texts[pos + 1] == "{":
             if pos != first:
                 raise NegatedAggregateError(
                     "aggregates cannot be negated", *_position(self.text, pos)
                 )
-            return self.aggregate()
+            return self.aggregate(pos)
         key = (name, pos - first)
         literal = self.literals.get(key)
         if literal is None:
-            literal = self.literals[key] = AtomLiteral(self.atom(), pos - first)
-        else:
-            self.pos = pos + 1
-        return literal
+            literal = self.literals[key] = AtomLiteral(self.atom(pos), pos - first)
+        return literal, pos + 1
 
-    def aggregate(self) -> AggregateSpec:
-        texts = self.texts
-        func = _AGG_NAMES[texts[self.pos]]
-        self.pos += 2  # the name and '{'
+    def aggregate(self, pos: int) -> tuple:
+        texts, atoms = self.texts, self.atoms
+        func = _AGG_NAMES[texts[pos]]
+        pos += 2  # past the name and '{'
         elements: list[tuple[int, Atom]] = []
-        if texts[self.pos] != "}":
-            elements.append(self.element())
-            while texts[self.pos] == ",":
-                self.pos += 1
-                elements.append(self.element())
-        pos = self.pos
+        while texts[pos] != "}" or elements:  # [ int ":" ] atom, one past each ','
+            weight = 1
+            if texts[pos][:1] in _INT_START:
+                weight = int(texts[pos])
+                if texts[pos + 1] != ":":
+                    raise self.fail("':'", pos + 1)
+                pos += 2
+            elements.append((weight, atoms.get(texts[pos]) or self.atom(pos)))
+            pos += 1
+            if texts[pos] != ",":
+                break
+            pos += 1
         if texts[pos] != "}":
-            raise self.fail("'}'")
-        self.pos = pos + 1
+            raise self.fail("'}'", pos)
         if func in PARITY_FUNCS:
-            return AggregateSpec(func, tuple(elements))
+            return AggregateSpec(func, tuple(elements)), pos + 1
         if texts[pos + 1] not in COMPARATORS:
-            raise self.fail("comparator")
+            raise self.fail("comparator", pos + 1)
         if texts[pos + 2][:1] not in _INT_START:
             raise self.fail("integer bound", pos + 2)
-        self.pos = pos + 3
-        return AggregateSpec(func, tuple(elements), texts[pos + 1], int(texts[pos + 2]))
-
-    def element(self) -> tuple[int, Atom]:
-        pos = self.pos
-        if self.texts[pos][:1] not in _INT_START:
-            return (1, self.atom())
-        weight = int(self.texts[pos])
-        if self.texts[pos + 1] != ":":
-            raise self.fail("':'", pos + 1)
-        self.pos = pos + 2
-        return (weight, self.atom())
+        return AggregateSpec(func, tuple(elements), texts[pos + 1], int(texts[pos + 2])), pos + 3
 
 
 def parse(text: str | bytes) -> Program:

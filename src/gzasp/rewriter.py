@@ -124,12 +124,12 @@ def rewrite_m(program: Program) -> Program:
     return Program(tuple(rules))
 
 
-def _aggregate_domain_atoms(rule: Rule) -> list[Atom]:
+def _aggregate_domain_atoms(rule: Rule) -> set[Atom]:
     seen = set()
     for lit in rule.body:
         if isinstance(lit, AggregateSpec):
             seen.update(lit.domain)
-    return sorted(seen)
+    return seen
 
 
 def _copied_atoms(program: Program, minimal_copies: bool) -> list[Atom]:
@@ -143,8 +143,8 @@ def _copied_atoms(program: Program, minimal_copies: bool) -> list[Atom]:
 
 def _padding(rule: Rule) -> tuple:
     """The body literals both rewritings append to a rule: the true-copies
-    of its aggregate domains."""
-    return tuple(AtomLiteral(true_copy(p)) for p in _aggregate_domain_atoms(rule))
+    of its aggregate domains, in atom order."""
+    return tuple(AtomLiteral(true_copy(p)) for p in sorted(_aggregate_domain_atoms(rule)))
 
 
 def _copy_rules(p: Atom) -> list[Rule]:

@@ -325,7 +325,8 @@ def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int
     would count as optional, where they are flagged (see _raise_overflow)."""
     func, bound = spec.func, spec.bound
     terms = [(w, column) for (w, _), column in zip(spec.elements, columns) if column]
-    _first_overflow(spec, [pair for pair, column in zip(spec.elements, columns) if column])
+    if func is AggregateFunc.SUM or func is AggregateFunc.AVG:  # the kinds that overflow
+        _first_overflow(spec, [pair for pair, column in zip(spec.elements, columns) if column])
     if func in PARITY_FUNCS:
         odd = reduce(operator.xor, (column for _, column in terms), 0)
         return odd if func is AggregateFunc.ODD else odd ^ full
@@ -440,22 +441,22 @@ def _compile_at(program: Program, interp: Interpretation = frozenset(), order=No
     literals before it in the body); and interp as a candidate, the bitmask
     of its atoms. The memo, shared by equal aggregates, maps the candidate's
     domain bits to the aggregate's truth there."""
-    universe = order or sorted(atoms_of(program).union(interp))
-    position = {atom: i for i, atom in enumerate(universe)}
+    universe = order or sorted(atoms_of(program).union(interp), key=operator.attrgetter("name"))
+    bit_of = {atom: 1 << i for i, atom in enumerate(universe)}
     compiled = []
     memos: dict = {}
     for rule in program:
         head = must_true = must_false = positive = 0
         for atom in rule.head:
-            head |= 1 << position[atom]
+            head |= bit_of[atom]
         aggregates = []
         for lit in rule.body:
             if isinstance(lit, AggregateSpec):
-                bits = tuple(1 << position[atom] for atom in lit.domain)
+                bits = tuple([bit_of[atom] for atom in lit.domain])
                 memo = memos.setdefault(lit, {})
                 aggregates.append((lit, sum(bits), bits, memo, must_true, must_false))
                 continue
-            bit = 1 << position[lit.atom]
+            bit = bit_of[lit.atom]
             if lit.negation_depth % 2:
                 must_false |= bit
             else:
@@ -463,7 +464,7 @@ def _compile_at(program: Program, interp: Interpretation = frozenset(), order=No
             if not lit.negation_depth:
                 positive |= bit
         compiled.append((head, must_true, must_false, positive, tuple(aggregates)))
-    return universe, compiled, sum(1 << position[atom] for atom in interp)
+    return universe, compiled, sum(bit_of[atom] for atom in interp)
 
 
 def _aggregates_hold(aggregates: tuple, index: int) -> bool:

@@ -432,7 +432,7 @@ def reference_rewrite_str(program: Program, *, minimal_copies: bool = False) -> 
             else:
                 body.append(lit)
         body.extend(
-            AtomLiteral(true_copy(p)) for p in _aggregate_domain_atoms(rule)
+            AtomLiteral(true_copy(p)) for p in sorted(_aggregate_domain_atoms(rule))
         )
         rules.append(Rule(rule.head, tuple(body)))
     for p in copied:

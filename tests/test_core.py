@@ -3,13 +3,18 @@ metric, atom collection, and context equivalence."""
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gzasp
 from gzasp.core import (
     AggregateFunc,
     AggregateSpec,
@@ -90,6 +95,33 @@ class TestAggregateSpec:
         with pytest.raises(AttributeError):
             spec.bound = 3
 
+    def test_a_pickle_finds_its_twin_in_another_process(self):
+        # atoms hash by identity, so a hash carried in the pickle would not
+        # match a twin built in the loading process
+        source = str(Path(gzasp.__file__).resolve().parent.parent)
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (source, inherited))))
+        prelude = "import pickle, sys\nfrom gzasp.core import AggregateFunc, AggregateSpec, Atom\n"
+        build = "AggregateSpec(AggregateFunc.SUM, (({}, Atom('{}')), ({}, Atom('{}'))), '>=', 2)"
+        dump = prelude + f"sys.stdout.buffer.write(pickle.dumps({build.format(2, 'c', 3, 'a')}))"
+        load = prelude + (
+            f"twin = {build.format(3, 'a', 2, 'c')}\n"
+            "copy = pickle.loads(sys.stdin.buffer.read())\n"
+            "print({twin: 'found'}.get(copy, 'missing'), hash(copy) == hash(twin), copy.domain)"
+        )
+
+        def run(code: str, seed: str, given: bytes | None = None) -> bytes:
+            child = subprocess.run(
+                [sys.executable, "-c", code],
+                input=given,
+                capture_output=True,
+                check=True,
+                env=dict(env, PYTHONHASHSEED=seed),
+            )
+            return child.stdout
+
+        assert run(load, "2", run(dump, "1")) == b"found True (Atom('a'), Atom('c'))\n"
+
     def test_parity_takes_no_comparator(self):
         with pytest.raises(ValueError):
             AggregateSpec(AggregateFunc.EVEN, ((1, A),), ">=", 1)
@@ -155,6 +187,132 @@ class TestAtomLiteral:
         with pytest.raises(ValueError) as info:
             AtomLiteral(A, depth)
         assert str(info.value) == f"bad negation depth: {depth!r}"
+
+
+SUM = AggregateFunc.SUM
+TWICE = DuplicateAggregateElementError, "atom '{}' listed twice in sum aggregate"
+OUTSIDE = AggregateOverflowError, "{} {} outside the 64-bit range"
+COMPARED = TypeError, "'<=' not supported between instances of 'int' and '{}'"
+UNPACKED = "not enough values to unpack (expected 2, got 1)"
+
+
+def _raised(build) -> tuple:
+    """(error class, message) of what build() raises."""
+    with pytest.raises(Exception) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+def _error(kind: tuple, *fields) -> tuple:
+    """(error class, message) from a (class, message template) pair."""
+    return kind[0], kind[1].format(*fields)
+
+
+class TestConstructorContract:
+    """The errors each constructor raises, their order and their messages, and
+    the collections it takes in place of tuples."""
+
+    def test_aggregate_takes_lists_sets_and_generators(self):
+        spec = AggregateSpec(SUM, ((2, B), (3, A)), ">=", 2)
+        for elements in ([[2, B], [3, A]], {(2, B), (3, A)}, (pair for pair in ((2, B), (3, A)))):
+            built = AggregateSpec(SUM, elements, ">=", 2)
+            assert built == spec and hash(built) == hash(spec)
+            assert built.elements == ((3, A), (2, B)) and built.domain == (A, B)
+            assert type(built.elements) is tuple
+            assert all(type(pair) is tuple for pair in built.elements)
+
+    @pytest.mark.parametrize(
+        "elements, error",
+        [
+            # the first atom seen twice, in input order
+            (((1, A), (2, B), (3, B), (4, A)), _error(TWICE, "b")),
+            # duplicates are looked for before weights and before later malformed pairs
+            ((("x", A), (1, A)), _error(TWICE, "a")),
+            (((1, A), (1, A), (1,)), _error(TWICE, "a")),
+            (((1,), (1, A), (1, A)), (ValueError, UNPACKED)),
+            (((1, [A]),), (TypeError, "unhashable type: 'list'")),
+            # the first weight out of range, in input order, not atom order
+            (((2**63, C), (-(2**63) - 1, A)), _error(OUTSIDE, "weight", 2**63)),
+            (((1, A), (-(2**63) - 1, B), (2**63, C)), _error(OUTSIDE, "weight", -(2**63) - 1)),
+            (((2**63, A), ("2", B)), _error(OUTSIDE, "weight", 2**63)),
+            # a weight that is no number fails its range comparison
+            (((1, A), ("2", B)), _error(COMPARED, "str")),
+            (((None, A),), _error(COMPARED, "NoneType")),
+        ],
+    )
+    def test_aggregate_element_errors(self, elements, error):
+        assert _raised(lambda: AggregateSpec(SUM, elements, "==", "no bound")) == error
+
+    @pytest.mark.parametrize(
+        "func, comparator, bound, error",
+        [
+            (SUM, "==", 1, (ValueError, "bad comparator: '=='")),
+            (SUM, None, None, (ValueError, "bad comparator: None")),
+            (SUM, ">=", "1", (ValueError, "bad bound: '1'")),
+            (SUM, ">=", 1.5, (ValueError, "bad bound: 1.5")),
+            (SUM, ">=", None, (ValueError, "bad bound: None")),
+            (SUM, ">=", 2**63, _error(OUTSIDE, "bound", 2**63)),
+            (AggregateFunc.ODD, ">=", 1, (ValueError, "odd takes no comparator or bound")),
+            (AggregateFunc.EVEN, None, 0, (ValueError, "even takes no comparator or bound")),
+        ],
+    )
+    def test_aggregate_comparator_and_bound_errors(self, func, comparator, bound, error):
+        assert _raised(lambda: AggregateSpec(func, ((1, A),), comparator, bound)) == error
+
+    def test_aggregate_error_order(self):
+        # the domain before the weights, the weights before comparator and bound
+        assert _raised(lambda: AggregateSpec(AggregateFunc.AVG, (), "==", "x")) == (
+            EmptyAggregateDomainError,
+            "avg aggregate needs a nonempty domain",
+        )
+        overflowing = _raised(lambda: AggregateSpec(SUM, ((2**63, A),), "==", "x"))
+        assert overflowing == _error(OUTSIDE, "weight", 2**63)
+        bad_comparator = (ValueError, "bad comparator: '=='")
+        assert _raised(lambda: AggregateSpec(SUM, ((1, A),), "==", "x")) == bad_comparator
+
+    def test_reordered_twins_hash_alike(self):
+        funcs = AggregateFunc
+        for func, bound in ((SUM, 2), (funcs.COUNT, 1), (funcs.MAX, 3), (funcs.ODD, None)):
+            comparator = None if bound is None else ">="
+            spec = AggregateSpec(func, ((2, C), (3, A), (1, B)), comparator, bound)
+            twin = AggregateSpec(func, [(1, B), (2, C), (3, A)], comparator, bound)
+            assert spec == twin and hash(spec) == hash(twin) and len({spec, twin}) == 1
+        # count and parity ignore weights, so weights that differ make twins too
+        count = AggregateSpec(AggregateFunc.COUNT, ((5, A), (1, B)), ">=", 1)
+        assert hash(count) == hash(AggregateSpec(AggregateFunc.COUNT, ((1, B), (9, A)), ">=", 1))
+
+    def test_rule_takes_lists_sets_and_generators(self):
+        rule = Rule(frozenset({A, B}), (AtomLiteral(B), AtomLiteral(C, 1)))
+        heads = (lambda: [A, B, A], lambda: {A, B}, lambda: (atom for atom in (B, A)))
+        bodies = (lambda: list(rule.body), lambda: (lit for lit in rule.body))
+        for head in heads:
+            for body in bodies:
+                built = Rule(head(), body())
+                assert built == rule and hash(built) == hash(rule)
+                assert type(built.head) is frozenset and type(built.body) is tuple
+
+    def test_rule_keeps_a_frozenset_head_and_a_tuple_body(self):
+        head, body = frozenset({A}), (AtomLiteral(B),)
+        rule = Rule(head, body)
+        assert rule.head is head and rule.body is body
+
+    def test_rule_errors(self):
+        assert _raised(lambda: Rule(["a"], ())) == (TypeError, "head member is not an atom: 'a'")
+        assert _raised(lambda: Rule([A], (AtomLiteral(B), "b", 3))) == (
+            TypeError,
+            "body member is not a literal: 'b'",
+        )
+        # the head is checked before the body
+        assert _raised(lambda: Rule([A, 1], ("b",))) == (TypeError, "head member is not an atom: 1")
+        assert _raised(lambda: Rule(A, ())) == (TypeError, "'Atom' object is not iterable")
+        assert _raised(lambda: Rule((), 5)) == (TypeError, "'int' object is not iterable")
+
+    def test_atom_literal_errors(self):
+        assert _raised(lambda: AtomLiteral([A])) == (TypeError, "not an atom: [Atom('a')]")
+        assert _raised(lambda: AtomLiteral({A}, 1.0)) == (TypeError, "not an atom: {Atom('a')}")
+        for depth in (-1, 1.0, "1", None, [0]):
+            error = (ValueError, f"bad negation depth: {depth!r}")
+            assert _raised(lambda: AtomLiteral(A, depth)) == error
 
 
 class TestAtomsOf:

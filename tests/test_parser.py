@@ -261,6 +261,28 @@ class TestAgainstReferenceParser:
                 assert parse(text) == variant
                 assert outcome(parse, text) == outcome(oracles.reference_parse, text)
 
+    def test_benchmark_scale_monotone_programs(self):
+        # the asp-m shape: hundreds of long rules, with weighted sum and max
+        # elements; rendered, with a comment or a newline between random
+        # tokens, and with one token dropped or replaced anywhere in the text
+        failures = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            size = rng.randrange(200, 401)
+            program = gen.random_large_monotone_program(rng, size, cyclic=seed % 2 == 1)
+            words = [word for rule in program for word in gen._rule_words(rule)]
+            gaps = [rng.choice(("\n", " % note\n")) if rng.random() < 0.2 else " " for _ in words]
+            spaced = "".join(map(str.__add__, words, gaps))
+            stray = rng.choice(("", ",", "}", "{", ":", "|", "not", "7", "max", "."))
+            words[rng.randrange(len(words))] = stray
+            broken = "".join(map(str.__add__, words, gaps))
+            for text in (render(program), spaced, broken):
+                expected = outcome(oracles.reference_parse, text)
+                failures += isinstance(expected, tuple)
+                assert outcome(parse, text) == expected
+            assert parse(spaced) == program
+        assert 3 <= failures <= 12  # a broken text mostly fails, its error deep in the text
+
     def test_fuzzed_inputs(self):
         rng = random.Random(4)
         kinds = {str: 0, bytes: 0}
