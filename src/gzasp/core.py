@@ -150,6 +150,8 @@ class AggregateSpec:
         for weight, _ in elements:
             if not INT64_MIN <= weight <= INT64_MAX:
                 _check_int64(weight, "weight")
+            if not isinstance(weight, int):
+                raise ValueError(f"bad weight: {weight!r}")
         if func in PARITY_FUNCS:
             if self.comparator is not None or self.bound is not None:
                 raise ValueError(f"{func.value} takes no comparator or bound")

@@ -33,18 +33,19 @@ from .errors import PreconditionError
 from .parser import render_rule
 
 BOTTOM = Atom("__bot")
+_TRUE, _GUESS, _FALSE = "__t", "__g", "__f"  # the copies' name suffixes
 
 
 def true_copy(atom: Atom) -> Atom:
-    return Atom(atom.name + "__t")
+    return Atom(atom.name + _TRUE)
 
 
 def guess_copy(atom: Atom) -> Atom:
-    return Atom(atom.name + "__g")
+    return Atom(atom.name + _GUESS)
 
 
 def false_copy(atom: Atom) -> Atom:
-    return Atom(atom.name + "__f")
+    return Atom(atom.name + _FALSE)
 
 
 def _require_plain_normal(program: Program, rewriting: str) -> None:
@@ -65,11 +66,12 @@ def _require_plain_normal(program: Program, rewriting: str) -> None:
 
 
 def _require_fresh(atoms: frozenset, generated) -> None:
-    taken = sorted(set(generated) & atoms)
+    """Raise at the first name of `generated`, in name order, that an atom
+    of `atoms` already has. It compares names, so it builds no atom."""
+    names = {atom.name for atom in atoms}
+    taken = [name for name in generated if name in names]
     if taken:
-        raise PreconditionError(
-            f"generated atom {taken[0]} already occurs in the program"
-        )
+        raise PreconditionError(f"generated atom {min(taken)} already occurs in the program")
 
 
 def _map_negative_literals(program: Program, replace) -> Program:
@@ -97,7 +99,7 @@ def rewrite_n(program: Program) -> Program:
     __bot a shared atom that no rule derives."""
     _require_plain_normal(program, "rewrite_n")
     if any(lit.negation_depth for rule in program for lit in rule.body):
-        _require_fresh(atoms_of(program), (BOTTOM,))
+        _require_fresh(atoms_of(program), (BOTTOM.name,))
 
     def complement(lit: AtomLiteral) -> AggregateSpec:
         return AggregateSpec(
@@ -113,7 +115,7 @@ def rewrite_m(program: Program) -> Program:
     _require_plain_normal(program, "rewrite_m")
     atoms = atoms_of(program)
     base = sorted(atoms)
-    _require_fresh(atoms, (false_copy(p) for p in base))
+    _require_fresh(atoms, (p.name + _FALSE for p in base))
     rewritten = _map_negative_literals(
         program, lambda lit: AtomLiteral(false_copy(lit.atom))
     )
@@ -160,7 +162,7 @@ def rewrite_rew(program: Program, *, minimal_copies: bool = False) -> Program:
     in some aggregate domain instead of for the whole atom set.
     """
     copied = _copied_atoms(program, minimal_copies)
-    _require_fresh(atoms_of(program), (true_copy(p) for p in copied))
+    _require_fresh(atoms_of(program), (p.name + _TRUE for p in copied))
     rules = [Rule(rule.head, rule.body + _padding(rule)) for rule in program]
     for p in copied:
         rules += _copy_rules(p)
@@ -183,10 +185,7 @@ def rewrite_str(program: Program, *, minimal_copies: bool = False) -> Program:
     result never evaluates an aggregate over atoms it helps to derive.
     """
     copied = _copied_atoms(program, minimal_copies)
-    _require_fresh(
-        atoms_of(program),
-        [true_copy(p) for p in copied] + [guess_copy(p) for p in copied],
-    )
+    _require_fresh(atoms_of(program), (p.name + s for s in (_TRUE, _GUESS) for p in copied))
     rules = [
         Rule(rule.head, tuple(map(_guessed, rule.body)) + _padding(rule)) for rule in program
     ]
@@ -302,8 +301,8 @@ def check_size_bounds(program: Program) -> SizeBounds:
     program_size of the real rewriting, and a name clash raises the
     rewritings' own error, rew's first."""
     atoms = atoms_of(program)
-    _require_fresh(atoms, (true_copy(p) for p in atoms))
-    _require_fresh(atoms, (guess_copy(p) for p in atoms))
+    _require_fresh(atoms, (p.name + _TRUE for p in atoms))
+    _require_fresh(atoms, (p.name + _GUESS for p in atoms))
     size_in = program_size(program)
     padded = size_in + sum(len(_aggregate_domain_atoms(rule)) for rule in program)
     atom_count = len(atoms)

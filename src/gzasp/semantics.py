@@ -37,7 +37,8 @@ body holds at s, each head cut to s, with each kept aggregate under G turned
 into the mask of its domain atoms true at s. _minimal decides its minimality:
 least-model rounds (_least_model) over the rules left with at most one head
 atom prove s minimal, through aggregates only where each holds on every set
-between the atoms derived and s (the interval test), or stop at a smaller
+between the atoms derived and s (the interval test: at both ends where its
+chain makes it convex, else one sub-cube column), or stop at a smaller
 model; otherwise s is minimal iff the reduct plus `:- s.` has an empty column.
 A coherence test stops at the first stable model; a brave or cautious
 query on p leads the rules with `:- not p.` or `:- p.`, so candidates
@@ -440,7 +441,7 @@ def _compile_at(program: Program, interp: Interpretation = frozenset(), order=No
     mask, domain bits in domain order, memo, must_true, must_false of the
     literals before it in the body); and interp as a candidate, the bitmask
     of its atoms. The memo, shared by equal aggregates, maps the candidate's
-    domain bits to the aggregate's truth there."""
+    domain bits to its truth there, and None to whether its chain is convex."""
     universe = order or sorted(atoms_of(program).union(interp), key=operator.attrgetter("name"))
     bit_of = {atom: 1 << i for i, atom in enumerate(universe)}
     compiled = []
@@ -511,30 +512,27 @@ def _least_model(rules: list[tuple], stop: int = -1, fires=None) -> int:
 
 def _holds_between(aggregate: tuple, low: int, high: int, pattern, max_atoms: int) -> bool:
     """Whether a compiled aggregate holds on every atom set from `low` up to
-    its superset `high`: whether `:- aggregate.` has an empty column over the
-    sub-cube of its domain atoms in high but not low, with low fixed true, or
-    with none the memo's point evaluation. Where those exceed max_atoms, its
-    truth at both ends decides if its chain (_chain) makes it convex, and
-    else it is False, as where its atoms in high can overflow; memoised
-    under a pair, unlike a point."""
+    its superset `high`, memoised under the pair: at both ends where its
+    chain (_chain) makes it convex, at any width; else False where its free
+    atoms, those of its domain in high but not low, exceed max_atoms or its
+    atoms in high can overflow, and otherwise whether `:- aggregate.` has
+    an empty column over the free atoms with low fixed true."""
     spec, domain, bits, memo, _, _ = aggregate
-    free = domain & high & ~low
-    if free.bit_count() > max_atoms:  # a convex aggregate holds between its ends
+    convex = memo.get(None)  # whether its chain makes it convex
+    if convex is None:
         truths = _chain(spec)
-        return (
-            truths is not None
-            and _chain_class(truths) is not AggregateClass.NONCONVEX
-            and _aggregates_hold((aggregate,), low)
-            and _aggregates_hold((aggregate,), high)
-        )
+        convex = truths is not None and _chain_class(truths) is not AggregateClass.NONCONVEX
+        memo[None] = convex
+    free = domain & high & ~low
+    if not convex and free.bit_count() > max_atoms:
+        return False
     key = (low & domain, high & domain)
     if key in memo:
         return memo[key]
-    inside = [pair for pair, bit in zip(spec.elements, bits) if bit & high]
-    if _overflows(spec, inside):
+    if convex:  # a convex aggregate holds between its ends
+        truth = _aggregates_hold((aggregate,), low) and _aggregates_hold((aggregate,), high)
+    elif _overflows(spec, [pair for pair, bit in zip(spec.elements, bits) if bit & high]):
         truth = False
-    elif not free:
-        truth = _aggregates_hold((aggregate,), low)
     else:
         truth = not _column(free, [(0, 0, 0, 0, (aggregate,))], pattern, fixed=low)
     memo[key] = truth

@@ -414,7 +414,7 @@ def reference_rewrite_str(program: Program, *, minimal_copies: bool = False) -> 
     copied = _copied_atoms(program, minimal_copies)
     _require_fresh(
         atoms_of(program),
-        [true_copy(p) for p in copied] + [guess_copy(p) for p in copied],
+        [true_copy(p).name for p in copied] + [guess_copy(p).name for p in copied],
     )
     rules = []
     for rule in program:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import gzasp
 from gzasp.core import (
+    PARITY_FUNCS,
     AggregateFunc,
     AggregateSpec,
     Atom,
@@ -242,6 +243,24 @@ class TestConstructorContract:
     )
     def test_aggregate_element_errors(self, elements, error):
         assert _raised(lambda: AggregateSpec(SUM, elements, "==", "no bound")) == error
+
+    @pytest.mark.parametrize("func", list(AggregateFunc))
+    def test_aggregate_weights_must_be_integers(self, func):
+        # a weight that is no int is refused for every function, count and
+        # parity too, which drop weights: in input order, each after its
+        # range comparison. A float weight once reached _compare_sum and
+        # raised AttributeError there
+        comparator, bound = (None, None) if func in PARITY_FUNCS else (">=", 2)
+        for elements, error in (
+            (((1.5, A), (1, B)), (ValueError, "bad weight: 1.5")),
+            (((1, A), (2.0, B), ("x", C)), (ValueError, "bad weight: 2.0")),
+            (((1.5, A), (2**63, B)), (ValueError, "bad weight: 1.5")),
+            (((2**63, A), (1.5, B)), _error(OUTSIDE, "weight", 2**63)),
+            (((1e30, A),), _error(OUTSIDE, "weight", 1e30)),
+            ((("x", A), (1.5, B)), _error(COMPARED, "str")),
+        ):
+            assert _raised(lambda: AggregateSpec(func, elements, comparator, bound)) == error
+        assert AggregateSpec(func, ((True, A), (1, B)), comparator, bound).domain == (A, B)
 
     @pytest.mark.parametrize(
         "func, comparator, bound, error",

@@ -409,9 +409,11 @@ class TestStableModels:
         # over top atoms alone, here `:- .`, led each block; 344 and 257
         # before atom classes: `a :- a.` and `a :- not a.` fix a in random
         # seed 86, so `a :- not a, odd{a}, ...` stops before its odd{a}).
-        # The interval checks build 12 and 15, one circuit per distinct
-        # sub-cube in a solve, and leave no minimality column to build one
-        # (before them: 28 and 28); the fixpoint route's
+        # The interval checks build 5 and 2, one circuit per distinct
+        # sub-cube in a solve of an aggregate that no chain makes convex
+        # (12 and 15 while chain-convex ones also got a sub-cube below the
+        # guard), and leave no minimality column to build one (before
+        # them: 28 and 28); the fixpoint route's
         # classification builds 2 and 3 truth tables, for the avg and sum
         # aggregates its chains leave to the table (9 and 23 before them)
         where = ["table"]  # the builder running, innermost last
@@ -433,8 +435,8 @@ class TestStableModels:
         monkeypatch.setattr(semantics, "_holds_between", counted_interval)
         monkeypatch.setattr(semantics, "_aggregate_column", counted)
         for family, expected in (
-            ("random", {"program": 343, "interval": 12, "table": 2}),
-            ("mixed", {"program": 257, "interval": 15, "table": 3}),
+            ("random", {"program": 343, "interval": 5, "table": 2}),
+            ("mixed", {"program": 257, "interval": 2, "table": 3}),
         ):
             built.clear()
             for seed in range(200):

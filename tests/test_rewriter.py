@@ -515,6 +515,20 @@ class TestCheckSizeBounds:
         check_size_bounds(golden_program())
         assert len(calls) == 1
 
+    def test_interns_no_atom(self):
+        # the freshness checks compare names: no copy is built, so none
+        # stays in Atom._interned (100 per call on 50 atoms when they were
+        # built), also where a guess copy's name is taken
+        program = Program(tuple(Rule((Atom(f"interned_probe{i}"),)) for i in range(50)))
+        clash = Program(program.rules + (Rule((Atom("interned_probe0__g"),)),))
+        before = set(Atom._interned)
+        assert check_size_bounds(program).atoms == 50
+        with pytest.raises(PreconditionError) as raised:
+            check_size_bounds(clash)
+        message = "generated atom interned_probe0__g already occurs in the program"
+        assert str(raised.value) == message
+        assert set(Atom._interned) == before
+
     @pytest.mark.parametrize(
         "text",
         [

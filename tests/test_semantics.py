@@ -592,6 +592,73 @@ class TestIntervalTest:
                 outcomes[expected] += 1
         assert min(outcomes.values()) > 50, outcomes
 
+    @staticmethod
+    def chain_convex_specs(rng: random.Random):
+        """(kind, spec): count under every comparator and bound, odd and
+        even, min and max, and sums of one sign under <, <=, >= and >, over
+        up to 5 atoms of gen.POOL. Some are nonconvex along their chain."""
+        funcs = AggregateFunc
+        for size in range(6):
+            domain = gen.POOL[:size]
+            ones = [(1, a) for a in domain]
+            for comparator in COMPARATORS:
+                for bound in range(-1, size + 2):
+                    yield "count", AggregateSpec(funcs.COUNT, ones, comparator, bound)
+            if size:
+                for func in PARITY_FUNCS:
+                    yield func.value, AggregateSpec(func, ones)
+            for _ in range(6):
+                weights = [rng.randint(-4, 4) for _ in domain]
+                for func in (funcs.MIN, funcs.MAX):
+                    if size:
+                        comparator, bound = rng.choice(COMPARATORS), rng.randint(-4, 4)
+                        spec = AggregateSpec(func, zip(weights, domain), comparator, bound)
+                        yield func.value, spec
+                sign = rng.choice((1, -1))
+                signed = [sign * abs(w) for w in weights]
+                comparator, bound = rng.choice(("<", "<=", ">=", ">")), sign * rng.randint(-1, 9)
+                yield "sum", AggregateSpec(funcs.SUM, zip(signed, domain), comparator, bound)
+
+    def test_chain_convex_aggregates_need_no_column(self, monkeypatch):
+        # counted: an aggregate that its chain makes convex is decided by its
+        # truth at both ends, with max_atoms below and above the free-atom
+        # count, and no column is built. Each call compiles afresh, so no
+        # memo entry of an earlier call answers it
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sub-cube column was built")
+
+        monkeypatch.setattr(semantics, "_column", refuse)
+        pattern = cache(semantics._pattern)
+        rng = random.Random("chain-convex intervals")
+        decided: dict = {}
+        for kind, spec in self.chain_convex_specs(rng):
+            truths = semantics._chain(spec)
+            if semantics._chain_class(truths) is AggregateClass.NONCONVEX:
+                continue
+            universe = sorted(set(spec.domain) | {Atom("p")})
+            mask = {atom: 1 << i for i, atom in enumerate(universe)}
+            for _ in range(24 if kind in ("odd", "even") else 4):
+                density = rng.random()
+                high = frozenset(a for a in universe if rng.random() < density)
+                low = frozenset(a for a in sorted(high) if rng.random() < 0.3)
+                expected = all(
+                    eval_aggregate(spec, low | extra) for extra in oracles.subsets(high - low)
+                )
+                free = len((high - low) & set(spec.domain))
+                for max_atoms in (free - 1, free + 1):
+                    result = semantics._holds_between(
+                        self.compiled(spec),
+                        sum(mask[a] for a in low),
+                        sum(mask[a] for a in high),
+                        pattern,
+                        max_atoms,
+                    )
+                    assert result is expected, (spec, low, high, max_atoms)
+                    decided[kind, expected] = decided.get((kind, expected), 0) + 1
+        kinds = ("count", "odd", "even", "min", "max", "sum")
+        counts = [decided.get((kind, truth), 0) for kind in kinds for truth in (True, False)]
+        assert min(counts) >= 16, decided
+
     def test_declines_above_max_atoms(self, monkeypatch):
         # count{a, b, c} != 1 is nonconvex along its chain, and the mixed
         # sum has no chain: each holds on its interval, and declines where
