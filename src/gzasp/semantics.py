@@ -29,17 +29,21 @@ atoms above the lowest _BLOCK_ATOMS fixed to each assignment in turn:
 candidates keep their order, memory holds one block's columns, a query stops
 in the first block that answers it, and an overflow error comes before the
 first block, as one column over all atoms would raise it. The pass that builds
-a column keeps only the supported models, those of Clark's completion, in
-which each true atom has a rule whose body holds and whose head meets the
-model only at that atom. Every stable model under either reduct is one, and
-most models are not. The reduct at a candidate s is the list of rules whose
-body holds at s, each head cut to s, with each kept aggregate under G turned
-into the mask of its domain atoms true at s. _minimal decides its minimality:
-least-model rounds (_least_model) over the rules left with at most one head
-atom prove s minimal, through aggregates only where each holds on every set
-between the atoms derived and s (the interval test: at both ends where its
-chain makes it convex, else one sub-cube column), or stop at a smaller
-model; otherwise s is minimal iff the reduct plus `:- s.` has an empty column.
+a column keeps only the models supported under the reduct: each true atom
+has a rule whose body holds, whose head meets the model only at that atom,
+and whose reduct body does not need it, so a rule supports none of its
+positive atoms and, under G, none of its aggregates' domain atoms (the
+vicious circle principle). These are the models of Clark's completion less
+the self-supported ones, such as {p} of `p :- count{p} >= 0.` under G. Every
+stable model is one, and most models are not. The reduct at a candidate s
+is the list of rules whose body holds at s, each head cut to s, with each
+kept aggregate under G turned into the mask of its domain atoms true at s.
+_minimal decides its minimality: least-model rounds (_least_model) over
+the rules left with at most one head atom prove s minimal, through
+aggregates only where each holds on every set between the atoms derived
+and s (the interval test: at both ends where its chain makes it convex,
+else one sub-cube column), or stop at a smaller model; otherwise s is
+minimal iff the reduct plus `:- s.` has an empty column.
 A coherence test stops at the first stable model; a brave or cautious
 query on p leads the rules with `:- not p.` or `:- p.`, so candidates
 hold, or lack, p. is_stable, is_minimal_model and the G check of the
@@ -571,7 +575,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _column(
-    index: int, rules: list, pattern, supported: bool = False, fixed: int = 0, aliases=None
+    index: int, rules: list, pattern, supported: str | None = None, fixed: int = 0, aliases=None
 ) -> int:
     """The column of compiled rules over the subsets of `index`, with the
     atoms of `fixed` (disjoint from it, the top atoms of an enumerator
@@ -587,16 +591,20 @@ def _column(
     built only behind a prefix that holds on some subset. Rules are added in
     order until the column is empty.
 
-    With `supported`, only the supported models are kept: those in which
-    every true atom has a rule whose body holds and whose head meets the
-    model only at that atom. Every stable model under either reduct is one
-    (a reduct keeps the rules whose body holds; drop an unsupported atom
-    and every kept rule still holds, so the model is not minimal). Each
-    head atom's support, the OR of its head rules' bodies where no other
-    head atom of the rule is true, is kept as the rules are read; one pass
-    after the last rule clears where a true atom lacks it, so the filter
-    never moves the stop or an aggregate's build. An alias needs its own
-    support: its rules never support its representative."""
+    With `supported`, a reduct ("f" or "g"), only the models supported
+    under it are kept: those in which every true atom a has a rule whose
+    body holds, whose head meets the model only at a, and whose reduct body
+    does not need a, as a positive literal or, under G, a domain atom of an
+    aggregate (the vicious circle principle). Every stable model is one:
+    the reduct keeps the rules whose body holds, so drop an atom without
+    such a rule and every kept rule still holds, its head true at another
+    atom or its reduct body false, so the model is not minimal. Each head
+    atom's support, the OR of the bodies of its head rules that may support
+    it where no other head atom of the rule is true, is kept as the rules
+    are read; one pass after the last rule clears where a true atom lacks
+    it, so the filter never moves the stop or an aggregate's build. An
+    alias needs its own support: its rules never support its
+    representative."""
     dimension = index.bit_count()
     full = (1 << (1 << dimension)) - 1
     space = index | fixed
@@ -614,16 +622,20 @@ def _column(
             return read(aliases.get(low, low))
 
     column = full
+    grounding = supported == "g"
     support: dict = {}  # each head atom's support, with `supported`
-    for head, must_true, must_false, _, aggregates in rules:
+    # `needed`: the atoms the rule's reduct body needs true, which it never supports
+    for head, must_true, must_false, needed, aggregates in rules:
         body = full
-        for spec, _, bits, _, true, false in aggregates + _REST:
+        for spec, domain, bits, _, true, false in aggregates + _REST:
             for low in _bits(true & must_true):
                 body &= atom(low)
             for low in _bits(false & must_false):
                 body &= atom(low) ^ full
             if not body or spec is None:
                 break
+            if grounding:
+                needed |= domain
             body &= _aggregate_column(spec, [atom(bit) for bit in bits], full)
         heads = twice = 0  # where some, and where two or more, head atoms hold
         for low in _bits(head & space):
@@ -631,10 +643,10 @@ def _column(
             twice |= heads & holds
             heads |= holds
         column &= (body ^ full) | heads
-        if supported:
+        if supported and body:
             # below a true head atom, "no other head atom holds" is "not twice"
             alone = body & (twice ^ full) if twice else body
-            for low in _bits(head & space):
+            for low in _bits(head & space & ~needed):
                 support[low] = support[low] | alone if low in support else alone
         if not column:
             break
@@ -792,8 +804,8 @@ def _stable_models(
     assignment in turn, and a query on p leads the rules with `:- not p.`
     (brave) or `:- p.` (cautious), then the aggregate-free rules over top
     atoms alone, so a block they rule out reads no low atom. _stable_at
-    checks each supported model there, lowest first, with its aliases set
-    where their representatives are, over all atoms."""
+    checks each model supported under the reduct there, lowest first, with
+    its aliases set where their representatives are, over all atoms."""
     try:
         models = _fixpoint_models(program, grounding)
     except (NotAspMError, DomainTooLargeError, AggregateOverflowError):
@@ -825,9 +837,10 @@ def _stable_models(
     low = (1 << width) - 1
     spanned = low | sum(alias for alias, rep in aliases.items() if rep & low)
     ordered = query + sorted(rules, key=lambda r: bool(r[4] or (r[0] | r[1] | r[2]) & spanned))
+    reduct = "g" if grounding else "f"
     for top in range(0, 1 << dimension, 1 << width):  # the top atoms' assignments, in order
         fixed = top | always
-        column = _column(low, ordered, pattern, True, fixed, aliases)  # supported models
+        column = _column(low, ordered, pattern, reduct, fixed, aliases)  # supported models
         for index in _set_bits(column):
             index |= fixed
             if aliases:  # each alias holds where its representative does

@@ -63,20 +63,30 @@ def naive_is_minimal_model(interp: frozenset, program: Program) -> bool:
     )
 
 
-def naive_supported_models(program: Program) -> list[frozenset]:
-    """The models of program in which every true atom has a rule whose body
-    holds and whose head meets the model only at that atom (the models of
-    Clark's completion), in the order of `subsets`."""
+def naive_supported_models(program: Program, semantics: str) -> list[frozenset]:
+    """The models of program in which every true atom a has a rule whose
+    body holds, whose head meets the model only at a, and whose reduct
+    body under `semantics` ("f" or "g") does not need a: a is no literal of
+    negation depth 0 in it and, under "g", in no aggregate's domain. In
+    the order of `subsets`."""
+
+    def supports(rule: Rule, atom: Atom, interp: frozenset) -> bool:
+        return (
+            rule.head & interp == {atom}
+            and all(satisfies(interp, lit) for lit in rule.body)
+            and AtomLiteral(atom) not in rule.body
+            and not (
+                semantics == "g"
+                and any(
+                    atom in lit.domain for lit in rule.body if isinstance(lit, AggregateSpec)
+                )
+            )
+        )
+
     return [
         interp
         for interp in naive_models(program)
-        if all(
-            any(
-                rule.head & interp == {atom} and all(satisfies(interp, lit) for lit in rule.body)
-                for rule in program
-            )
-            for atom in interp
-        )
+        if all(any(supports(rule, atom, interp) for rule in program) for atom in interp)
     ]
 
 

@@ -242,7 +242,7 @@ class TestIsStable:
         program = parse("".join(f"a{i} | b{i}.\n" for i in range(13)))
         built = []
 
-        def column(index, rules, pattern, supported=False, fixed=0, aliases=None):
+        def column(index, rules, pattern, supported=None, fixed=0, aliases=None):
             if supported:  # the program column: only the last block's top bit
                 return 1 << index if index | fixed == (1 << 26) - 1 else 0
             built.append(index)
@@ -806,8 +806,8 @@ class TestMonotoneRoute:
 
 
 class TestSupportFilter:
-    """The enumerator passes to _stable_at only the supported models, the
-    set bits of the program column built with `supported`."""
+    """The enumerator passes to _stable_at only the models supported under
+    the reduct, the set bits of the program column built with `supported`."""
 
     @pytest.mark.parametrize("family", sorted(gen.FAMILIES))
     def test_candidates_are_the_supported_models(self, family, monkeypatch):
@@ -824,11 +824,11 @@ class TestSupportFilter:
         for _ in range(80):
             program = gen.FAMILIES[family](rng)
             universe = sorted(atoms_of(program))
-            supported = sorted(
-                oracles.naive_supported_models(program),
-                key=lambda model: sum(1 << universe.index(atom) for atom in model),
-            )
             for sem in Semantics:
+                supported = sorted(
+                    oracles.naive_supported_models(program, sem.value),
+                    key=lambda model: sum(1 << universe.index(atom) for atom in model),
+                )
                 del checked[:]
                 list(stable_models(program, sem))
                 assert [semantics._atoms_at(universe, index) for index in checked] == supported
@@ -836,7 +836,8 @@ class TestSupportFilter:
 
     def test_checks_at_supported_models_only(self, monkeypatch):
         # counted, not timed: of the 1,208 models of the programs of
-        # test_most_minimality_checks_build_no_column, 180 are supported
+        # test_most_minimality_checks_build_no_column, 180 are supported by
+        # Clark's completion, and of those 162 under F and 149 under G
         checks = []
         minimal = semantics._minimal
         monkeypatch.setattr(
@@ -847,7 +848,34 @@ class TestSupportFilter:
             del checks[:]
             for program in programs:
                 stable_models(program, sem)
-            assert len(checks) == 180, sem
+            assert len(checks) == {Semantics.F: 162, Semantics.G: 149}[sem]
+
+    def test_a_rule_never_supports_what_its_reduct_body_needs(self, monkeypatch):
+        # counted: in `p :- count{p} >= 0.` the G-reduct body holds p, so no
+        # candidate holding p reaches a check under G, and there is no
+        # stable model; under F the aggregate stays, p supports itself, and
+        # {p, q} and {p, r} are stable. A positive self-loop, `p :- p, not
+        # q.`, supports p under neither reduct. Atoms p, q, r are bits 1, 2, 4
+        checked = []
+        stable_at = semantics._stable_at
+        monkeypatch.setattr(
+            semantics,
+            "_stable_at",
+            lambda rules, index, *args: checked.append(index) or stable_at(rules, index, *args),
+        )
+        choice = "q :- not r.\nr :- not q.\n"
+        for text, sem, candidates in (
+            ("p :- count{p} >= 0.\n" + choice, Semantics.G, []),
+            ("p :- count{p} >= 0.\n" + choice, Semantics.F, [0b011, 0b101]),
+            ("p :- p, not q.\nq :- not p.\n", Semantics.G, [0b010]),
+            ("p :- p, not q.\nq :- not p.\n", Semantics.F, [0b010]),
+        ):
+            del checked[:]
+            program = parse(text)
+            models = stable_models(program, sem)
+            assert checked == candidates, (text, sem)
+            assert set(models) == oracles.naive_stable_models(program, sem.value)
+            assert len(models) == len(candidates)
 
     def test_unsupported_models_reach_no_check(self, monkeypatch):
         # p holds in all 2**21 models; its support needs some a{i}, and
@@ -935,7 +963,7 @@ class TestBlocks:
         built = []
         column = semantics._column
 
-        def counted(index, rules, pattern, supported=False, fixed=0, aliases=None):
+        def counted(index, rules, pattern, supported=None, fixed=0, aliases=None):
             if supported:
                 built.append(fixed)
             return column(index, rules, pattern, supported, fixed, aliases)
@@ -1073,7 +1101,7 @@ class TestBlocks:
             universe, rules, _ = semantics._compile_at(program)
             every = (1 << len(universe)) - 1
             try:
-                semantics._column(every, rules, cache(semantics._pattern), True)
+                semantics._column(every, rules, cache(semantics._pattern), "g")
                 whole = None
             except GzaspError as error:
                 whole = type(error), str(error)
@@ -1104,7 +1132,7 @@ class TestBlocks:
             del checked[:]
             list(stable_models(program, Semantics.F))
             assert [semantics._atoms_at(universe, index) for index in checked] == sorted(
-                oracles.naive_supported_models(program),
+                oracles.naive_supported_models(program, "f"),
                 key=lambda model: sum(1 << universe.index(atom) for atom in model),
             )
 
@@ -1121,7 +1149,7 @@ class TestBlocks:
         built = []  # (fixed, first rule, column, atom columns read) of each block
         column = semantics._column
 
-        def counted(index, rules, pattern, supported=False, fixed=0, aliases=None):
+        def counted(index, rules, pattern, supported=None, fixed=0, aliases=None):
             if not supported:
                 return column(index, rules, pattern, supported, fixed, aliases)
             reads = []
@@ -1130,7 +1158,7 @@ class TestBlocks:
                 reads.append(key)
                 return pattern(*key)
 
-            found = column(index, rules, read, True, fixed, aliases)
+            found = column(index, rules, read, supported, fixed, aliases)
             built.append((fixed, rules[0], found, len(reads)))
             return found
 
@@ -1200,7 +1228,7 @@ class TestAtomClasses:
         built = []
         column = semantics._column
 
-        def counted(index, rules, pattern, supported=False, fixed=0, aliases=None):
+        def counted(index, rules, pattern, supported=None, fixed=0, aliases=None):
             if supported:
                 built.append((index, fixed))
             return column(index, rules, pattern, supported, fixed, aliases)
@@ -1312,7 +1340,7 @@ class TestAtomClasses:
         gc.disable()
         try:
             for index, alias in ((0b101, aliases), (0b111, {})):
-                assert semantics._column(index, rules, cache(semantics._pattern), True, 0, alias)
+                assert semantics._column(index, rules, cache(semantics._pattern), "g", 0, alias)
             assert gc.collect() == 0
         finally:
             gc.enable()

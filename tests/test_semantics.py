@@ -572,7 +572,7 @@ class TestIntervalTest:
                 aggregate = self.compiled(spec)
                 universe = sorted(set(spec.domain) | {Atom("p")})
                 high = frozenset(a for a in universe if rng.random() < 0.7)
-                low = frozenset(a for a in high if rng.random() < 0.4)
+                low = frozenset(a for a in sorted(high) if rng.random() < 0.4)
                 mask = {atom: 1 << i for i, atom in enumerate(universe)}
                 result = semantics._holds_between(
                     aggregate,
