@@ -17,38 +17,38 @@ Over the space of the domain atoms alone it is the packed truth table
 (_table) that aggregate_truth_table reads, and classify_aggregate where
 the truth along one chain of growing subsets (_chain) does not decide.
 
-_stable_models picks the route by the program. In the monotone fragment
-ASP^M the least fixpoint is the only candidate (_fixpoint_models): it is
-the one F-stable model, and G-stable iff it is the least model of its
-G-reduct, so such a program is answered at any size. Any other program is
-enumerated, and refused above the atom guard: the candidates are the set
-bits of the program column, read 64 bits at a time, and _stable_at checks
-each. The column spans one atom per class that every model respects
-(_classes), and is built in blocks of at most 2**_BLOCK_ATOMS subsets, the
-atoms above the lowest _BLOCK_ATOMS fixed to each assignment in turn:
-candidates keep their order, memory holds one block's columns, a query stops
-in the first block that answers it, and an overflow error comes before the
-first block, as one column over all atoms would raise it. The pass that builds
-a column keeps only the models supported under the reduct: each true atom
-has a rule whose body holds, whose head meets the model only at that atom,
-and whose reduct body does not need it, so a rule supports none of its
-positive atoms and, under G, none of its aggregates' domain atoms (the
-vicious circle principle). These are the models of Clark's completion less
-the self-supported ones, such as {p} of `p :- count{p} >= 0.` under G. Every
-stable model is one, and most models are not. The reduct at a candidate s
-is the list of rules whose body holds at s, each head cut to s, with each
-kept aggregate under G turned into the mask of its domain atoms true at s.
-_minimal decides its minimality: least-model rounds (_least_model) over
-the rules left with at most one head atom prove s minimal, through
-aggregates only where each holds on every set between the atoms derived
-and s (the interval test: at both ends where its chain makes it convex,
-else one sub-cube column), or stop at a smaller model; otherwise s is
-minimal iff the reduct plus `:- s.` has an empty column.
-A coherence test stops at the first stable model; a brave or cautious
-query on p leads the rules with `:- not p.` or `:- p.`, so candidates
-hold, or lack, p. is_stable, is_minimal_model and the G check of the
-least fixpoint run the same checks on one candidate. A check, like a
-solve, builds each atom column once: it reads them through cache(_pattern).
+_stable_models picks the route by the program. In the monotone fragment ASP^M
+the least fixpoint is the only candidate (_fixpoint_models): it is the one
+F-stable model, and G-stable iff it is the least model of its G-reduct, so such
+a program is answered at any size. Any other program is enumerated, and refused
+above the atom guard: the candidates are the set bits of the program column,
+read 64 bits at a time, and _stable_at checks each. The column spans one atom
+per class that every model respects (_classes), and is built in blocks of at
+most 2**_BLOCK_ATOMS subsets, the atoms above the lowest _BLOCK_ATOMS fixed to
+each assignment in turn: candidates keep their order, memory holds one block's
+columns, a query stops in the first block that answers it, and an overflow
+error comes before the first block, as one column over all atoms would raise
+it. What a rule's reduct body needs true, its positive atoms and under G its
+aggregates' domain atoms, is one mask per rule, built once per solve
+(_reduct_needs) and read by the support filter and by the stability check. The
+pass that builds a column keeps only the models supported under the reduct:
+each true atom has a rule whose body holds, whose head meets the model only at
+that atom, and whose mask lacks it (the vicious circle principle): Clark's
+completion less the self-supported models, such as {p} of `p :- count{p} >= 0.`
+under G. Every stable model is one, as an atom with no support can be dropped
+with every kept rule still holding; most models are not. The reduct at a
+candidate s is the rules whose body holds at s, each head cut to s and body the
+mask at s, plus its aggregates under F. _minimal decides its minimality:
+least-model rounds (_least_model) over the rules left with at most one head
+atom prove s minimal, through aggregates only where each holds on every set
+between the atoms derived and s (the interval test: at both ends where its
+chain makes it convex, else one sub-cube column), or stop at a smaller model;
+otherwise s is minimal iff the reduct plus `:- s.` has an empty column. A
+coherence test stops at the first stable model; a brave or cautious query on p
+leads the rules with `:- not p.` or `:- p.`, so candidates hold, or lack, p.
+is_stable, is_minimal_model and the G check of the least fixpoint run the same
+checks on one candidate. A check, like a solve, builds each atom column once:
+it reads them through cache(_pattern).
 """
 
 from __future__ import annotations
@@ -276,12 +276,11 @@ def _is_stable(program: Program, interp: Interpretation, grounding: bool) -> boo
     foreign = frozenset(interp) - atoms_of(program)
     if foreign:
         names = ", ".join(sorted(atom.name for atom in foreign))
-        raise PreconditionError(
-            f"interpretation mentions atoms outside the program: {names}"
-        )
+        raise PreconditionError(f"interpretation mentions atoms outside the program: {names}")
     if not satisfies(interp, program):
         return False
     _, rules, index = _compile_at(program, interp)
+    rules = _reduct_needs(rules, grounding)
     return _stable_at(rules, index, grounding, cache(_pattern), DEFAULT_MAX_ATOMS)
 
 
@@ -369,10 +368,15 @@ def _overflows(spec: AggregateSpec, terms: list, taken: tuple = ()) -> bool:
     of `taken`, takes a sum, or avg's bound times the count, out of the 64-bit range."""
     if spec.func not in (AggregateFunc.SUM, AggregateFunc.AVG):
         return False
-    base = sum(w for w, _ in taken)
-    scaled = spec.bound * (len(taken) + len(terms)) if spec.func is AggregateFunc.AVG else 0
-    low = min(scaled, base + sum(w for w, _ in terms if w < 0))
-    high = max(scaled, base + sum(w for w, _ in terms if w > 0))
+    low = high = sum(w for w, _ in taken) if taken else 0
+    for weight, _ in terms:  # one plain pass: _chain runs it on every one-sign sum
+        if weight < 0:
+            low += weight
+        else:
+            high += weight
+    if spec.func is AggregateFunc.AVG:
+        scaled = spec.bound * (len(taken) + len(terms))
+        low, high = min(scaled, low), max(scaled, high)
     return not INT64_MIN <= low <= high <= INT64_MAX
 
 
@@ -446,8 +450,9 @@ def _compile_at(program: Program, interp: Interpretation = frozenset(), order=No
     literals before it in the body); and interp as a candidate, the bitmask
     of its atoms. The memo, shared by equal aggregates, maps the candidate's
     domain bits to its truth there, and None to whether its chain is convex."""
-    universe = order or sorted(atoms_of(program).union(interp), key=operator.attrgetter("name"))
-    bit_of = {atom: 1 << i for i, atom in enumerate(universe)}
+    if order is None:
+        order = sorted(atoms_of(program).union(interp), key=operator.attrgetter("name"))
+    bit_of = {atom: 1 << i for i, atom in enumerate(order)}
     compiled = []
     memos: dict = {}
     for rule in program:
@@ -469,7 +474,23 @@ def _compile_at(program: Program, interp: Interpretation = frozenset(), order=No
             if not lit.negation_depth:
                 positive |= bit
         compiled.append((head, must_true, must_false, positive, tuple(aggregates)))
-    return universe, compiled, sum(bit_of[atom] for atom in interp)
+    return order, compiled, sum(bit_of[atom] for atom in interp)
+
+
+def _reduct_needs(rules: list, grounding: bool) -> list:
+    """The compiled rules, each positive mask widened to what the rule's
+    reduct body needs true: under G (grounding) also its aggregates' domain
+    atoms, whose true ones replace them. At a candidate the mask is the reduct
+    body (_stable_at), and a rule never supports an atom of it (_column)."""
+    widened = []
+    for rule in rules:
+        if grounding and rule[4]:  # any other rule is kept as it is
+            head, true, false, needed, aggregates = rule
+            for aggregate in aggregates:
+                needed |= aggregate[1]
+            rule = head, true, false, needed, aggregates
+        widened.append(rule)
+    return widened
 
 
 def _aggregates_hold(aggregates: tuple, index: int) -> bool:
@@ -556,9 +577,9 @@ def _fixpoint_models(program: Program, grounding: bool) -> list[Interpretation]:
     universe, rules, _ = _compile_at(program)
     # without negation a rule's positive mask is all its atom literals
     fixpoint = _least_model(rules)
-    if grounding and not _stable_at(rules, fixpoint, True, cache(_pattern), DEFAULT_MAX_ATOMS):
-        return []
-    return [_atoms_at(universe, fixpoint)]
+    rules = _reduct_needs(rules, grounding)
+    stable = not grounding or _stable_at(rules, fixpoint, True, cache(_pattern), DEFAULT_MAX_ATOMS)
+    return [_atoms_at(universe, fixpoint)] if stable else []
 
 
 # the step after a body's aggregates: masks of -1, which the rule's own
@@ -575,7 +596,7 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _column(
-    index: int, rules: list, pattern, supported: str | None = None, fixed: int = 0, aliases=None
+    index: int, rules: list, pattern, supported: bool = False, fixed: int = 0, aliases=None
 ) -> int:
     """The column of compiled rules over the subsets of `index`, with the
     atoms of `fixed` (disjoint from it, the top atoms of an enumerator
@@ -591,20 +612,12 @@ def _column(
     built only behind a prefix that holds on some subset. Rules are added in
     order until the column is empty.
 
-    With `supported`, a reduct ("f" or "g"), only the models supported
-    under it are kept: those in which every true atom a has a rule whose
-    body holds, whose head meets the model only at a, and whose reduct body
-    does not need a, as a positive literal or, under G, a domain atom of an
-    aggregate (the vicious circle principle). Every stable model is one:
-    the reduct keeps the rules whose body holds, so drop an atom without
-    such a rule and every kept rule still holds, its head true at another
-    atom or its reduct body false, so the model is not minimal. Each head
-    atom's support, the OR of the bodies of its head rules that may support
-    it where no other head atom of the rule is true, is kept as the rules
-    are read; one pass after the last rule clears where a true atom lacks
-    it, so the filter never moves the stop or an aggregate's build. An
-    alias needs its own support: its rules never support its
-    representative."""
+    With `supported`, only the supported models are kept: a rule supports
+    each head atom outside its fourth mask (_reduct_needs) where its body
+    holds and no other head atom of it is true. Each atom's support, the OR
+    of those bodies, is kept as the rules are read; one pass after the last
+    rule clears where a true atom lacks it, so the filter never moves the
+    stop or an aggregate's build. An alias needs support of its own."""
     dimension = index.bit_count()
     full = (1 << (1 << dimension)) - 1
     space = index | fixed
@@ -622,20 +635,16 @@ def _column(
             return read(aliases.get(low, low))
 
     column = full
-    grounding = supported == "g"
     support: dict = {}  # each head atom's support, with `supported`
-    # `needed`: the atoms the rule's reduct body needs true, which it never supports
     for head, must_true, must_false, needed, aggregates in rules:
         body = full
-        for spec, domain, bits, _, true, false in aggregates + _REST:
+        for spec, _, bits, _, true, false in aggregates + _REST:
             for low in _bits(true & must_true):
                 body &= atom(low)
             for low in _bits(false & must_false):
                 body &= atom(low) ^ full
             if not body or spec is None:
                 break
-            if grounding:
-                needed |= domain
             body &= _aggregate_column(spec, [atom(bit) for bit in bits], full)
         heads = twice = 0  # where some, and where two or more, head atoms hold
         for low in _bits(head & space):
@@ -695,24 +704,16 @@ def _minimal(index: int, rules: list[tuple], pattern, max_atoms: int) -> bool:
 
 def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern, max_atoms: int) -> bool:
     """Whether the candidate `index`, a model of the compiled rules, is a
-    minimal model of its reduct there. The reduct is compiled rules whose
-    bodies are their positive atoms and, under F, their aggregates; under G
-    (grounding) each aggregate is replaced by its domain atoms true at the
-    candidate. Each head is cut to the candidate: a subset of it satisfies
-    a rule iff it satisfies the rule with the head atoms outside it left
-    out."""
+    minimal model of its reduct there: each rule whose body holds, its head
+    cut to `index` (a subset satisfies it iff it satisfies the cut rule), its
+    body the fourth mask (_reduct_needs) there plus, under F, its aggregates."""
     kept = []
-    for head, must_true, must_false, positive, aggregates in rules:
-        if index & must_true != must_true or index & must_false:
-            continue
-        if aggregates:
-            if not _aggregates_hold(aggregates, index):
-                continue
-            if grounding:
-                for _, domain, _, _, _, _ in aggregates:
-                    positive |= domain & index
-                aggregates = ()
-        kept.append((head & index, positive, 0, positive, aggregates))
+    for head, must_true, must_false, needed, aggregates in rules:
+        if index & must_true == must_true and not index & must_false and (
+            not aggregates or _aggregates_hold(aggregates, index)
+        ):
+            needed &= index
+            kept.append((head & index, needed, 0, needed, () if grounding else aggregates))
     return _minimal(index, kept, pattern, max_atoms)
 
 
@@ -813,12 +814,12 @@ def _stable_models(
     else:
         yield from (model for model in models if atom is None or (atom in model) == holds)
         return
-    size = len(atoms_of(program))  # refuse before compiling a huge program
+    size = len(atoms := atoms_of(program))  # refuse before compiling a huge program
     if size > max_atoms:
         raise TooManyAtomsError(
             f"program has {size} atoms; the enumeration guard allows {max_atoms}"
         )
-    universe, rules, _ = _compile_at(program)
+    universe, rules, _ = _compile_at(program, order=sorted(atoms, key=operator.attrgetter("name")))
     # atom columns by (position, dimension), for the blocks and the subspaces
     # of the minimality checks; freed with the generator when the solve ends
     pattern = cache(_pattern)
@@ -828,6 +829,7 @@ def _stable_models(
         order = sorted(range(size), key=lambda i: 2 if 1 << i in aliases else always >> i & 1)
         universe, rules, _ = _compile_at(program, order=[universe[i] for i in order])
         aliases, always = _classes(rules)  # the same classes, at their new positions
+    rules = _reduct_needs(rules, grounding)
     dimension = size - len(aliases) - always.bit_count()
     width = min(dimension, _BLOCK_ATOMS)  # the low representatives, a block's space
     queried = 1 << universe.index(atom) if atom in universe else 0
@@ -837,10 +839,9 @@ def _stable_models(
     low = (1 << width) - 1
     spanned = low | sum(alias for alias, rep in aliases.items() if rep & low)
     ordered = query + sorted(rules, key=lambda r: bool(r[4] or (r[0] | r[1] | r[2]) & spanned))
-    reduct = "g" if grounding else "f"
     for top in range(0, 1 << dimension, 1 << width):  # the top atoms' assignments, in order
         fixed = top | always
-        column = _column(low, ordered, pattern, reduct, fixed, aliases)  # supported models
+        column = _column(low, ordered, pattern, True, fixed, aliases)  # supported models
         for index in _set_bits(column):
             index |= fixed
             if aliases:  # each alias holds where its representative does
@@ -876,19 +877,18 @@ def _chain(spec: AggregateSpec) -> list[bool] | None:
     along real supersets. A one-sign sum under an inequality is true on an
     up-set or a down-set, so its two ends decide it."""
     func, bound, compare = spec.func, spec.bound, _COMPARE.get(spec.comparator)
-    weights = [w for w, _ in spec.elements]
     if func is AggregateFunc.COUNT:
-        return [compare(k, bound) for k in range(len(weights) + 1)]
+        return [compare(k, bound) for k in range(len(spec.elements) + 1)]
     if func in PARITY_FUNCS:
-        return [k % 2 == (func is AggregateFunc.ODD) for k in range(len(weights) + 1)]
+        return [k % 2 == (func is AggregateFunc.ODD) for k in range(len(spec.elements) + 1)]
+    weights = [w for w, _ in spec.elements]
     if func in (AggregateFunc.MIN, AggregateFunc.MAX):  # false on no selection
         ordered = sorted(set(weights), reverse=func is AggregateFunc.MIN)
         return [False, *(compare(w, bound) for w in ordered)]
     if func is AggregateFunc.SUM and spec.comparator not in ("=", "!="):
-        total = sum(weights)  # with one sign, the extremes are 0 and the total
         one_sign = not min(weights, default=0) < 0 < max(weights, default=0)
-        if one_sign and INT64_MIN <= total <= INT64_MAX:
-            return [compare(0, bound), compare(total, bound)]
+        if one_sign and not _overflows(spec, spec.elements):  # extremes 0 and the total
+            return [compare(0, bound), compare(sum(weights), bound)]
     return None
 
 

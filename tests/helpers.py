@@ -39,7 +39,7 @@ def minimality_columns(monkeypatch, where: list | None = None) -> list:
     stack = [None] if where is None else where
     column = semantics._column
 
-    def recorded(index, rules, pattern, supported=None, fixed=0, aliases=None):
+    def recorded(index, rules, pattern, supported=False, fixed=0, aliases=None):
         minimality = bool(rules) and rules[0] == (0, index, 0, index, ())
         if minimality:
             built.append(index)
@@ -63,7 +63,7 @@ def program_blocks(monkeypatch, blocks: list | None = None) -> list:
     blocks = [] if blocks is None else blocks
     column = semantics._column
 
-    def recorded(index, rules, pattern, supported=None, fixed=0, aliases=None):
+    def recorded(index, rules, pattern, supported=False, fixed=0, aliases=None):
         if not supported:
             return column(index, rules, pattern, supported, fixed, aliases)
         reads = []

@@ -396,6 +396,7 @@ class TestStableModels:
                 universe, rules, _ = semantics._compile_at(program)
                 pattern = cache(semantics._pattern)
                 models = column((1 << len(universe)) - 1, rules, pattern)
+                rules = semantics._reduct_needs(rules, sem is Semantics.G)
                 for index in semantics._set_bits(models):
                     semantics._stable_at(
                         rules, index, sem is Semantics.G, pattern, semantics.DEFAULT_MAX_ATOMS
@@ -877,6 +878,36 @@ class TestSupportFilter:
             assert set(models) == oracles.naive_stable_models(program, sem.value)
             assert len(models) == len(candidates)
 
+    def test_reduct_needs_is_one_mask_per_rule(self):
+        # the golden program's atoms a, b, c are bits 1, 2, 4: under G
+        # `b | c :- count{a, b} >= 1.` needs a and b, what its reduct puts in
+        # place of the count; `a :- not not a.` has no aggregate and is kept
+        # as it is, as every rule is under F
+        _, rules, _ = semantics._compile_at(golden_program())
+        widened = semantics._reduct_needs(rules, True)
+        assert widened[0] is rules[0]
+        assert widened[1][3] == 0b011 and rules[1][3] == 0
+        assert widened[1][:3] == rules[1][:3] and widened[1][4] == rules[1][4]
+        assert semantics._reduct_needs(rules, False) == rules
+
+    def test_one_atom_walk_per_enumerated_solve(self, monkeypatch):
+        # counted: the guard's atom set is the one the compile orders, so an
+        # enumerated solve walks the program's atoms once (twice when the
+        # compile walked them again), also where atom classes recompile it
+        monkeypatch.setattr(semantics, "_fixpoint_models", _no_fixpoint)
+        walks = []
+        atoms_of_ = semantics.atoms_of
+        monkeypatch.setattr(
+            semantics, "atoms_of", lambda program: walks.append(1) or atoms_of_(program)
+        )
+        rng = random.Random("one walk")
+        programs = [parse(":- a, not b. :- b, not a. a :- not not a.")]
+        programs += [gen.FAMILIES[family](rng) for family in sorted(gen.FAMILIES) * 10]
+        for program, sem in itertools.product(programs, Semantics):
+            del walks[:]
+            stable_models(program, sem)
+            assert len(walks) == 1, (program, sem)
+
     def test_unsupported_models_reach_no_check(self, monkeypatch):
         # p holds in all 2**21 models; its support needs some a{i}, and
         # while p holds no a{i} is supported (a1..a20 are in no head)
@@ -1100,8 +1131,9 @@ class TestBlocks:
             program = _flagged_program(rng)
             universe, rules, _ = semantics._compile_at(program)
             every = (1 << len(universe)) - 1
+            rules = semantics._reduct_needs(rules, True)
             try:
-                semantics._column(every, rules, cache(semantics._pattern), "g")
+                semantics._column(every, rules, cache(semantics._pattern), True)
                 whole = None
             except GzaspError as error:
                 whole = type(error), str(error)
@@ -1336,11 +1368,12 @@ class TestAtomClasses:
         _, rules, _ = semantics._compile_at(program)
         aliases, always = semantics._classes(rules)
         assert aliases == {0b010: 0b001}
+        rules = semantics._reduct_needs(rules, True)
         gc.collect()
         gc.disable()
         try:
             for index, alias in ((0b101, aliases), (0b111, {})):
-                assert semantics._column(index, rules, cache(semantics._pattern), "g", 0, alias)
+                assert semantics._column(index, rules, cache(semantics._pattern), True, 0, alias)
             assert gc.collect() == 0
         finally:
             gc.enable()
