@@ -22,20 +22,24 @@ the least fixpoint is the only candidate (_fixpoint_models): it is the one
 F-stable model, and G-stable iff it is the least model of its G-reduct, so such
 a program is answered at any size. Any other program is enumerated, and refused
 above the atom guard: the candidates are the set bits of the program column,
-read 64 bits at a time, and _stable_at checks each. The column spans one atom
-per class that every model respects (_classes), and is built in blocks of at
-most 2**_BLOCK_ATOMS subsets, the atoms above the lowest _BLOCK_ATOMS fixed to
-each assignment in turn: candidates keep their order, memory holds one block's
-columns, a query stops in the first block that answers it, and an overflow
-error comes before the first block, as one column over all atoms would raise
-it. What a rule's reduct body needs true, its positive atoms and under G its
-aggregates' domain atoms, is one mask per rule, built once per solve
-(_reduct_needs) and read by the support filter and by the stability check. The
-pass that builds a column keeps only the models supported under the reduct:
-each true atom has a rule whose body holds, whose head meets the model only at
-that atom, and whose mask lacks it (the vicious circle principle): Clark's
-completion less the self-supported models, such as {p} of `p :- count{p} >= 0.`
-under G. Every stable model is one, as an atom with no support can be dropped
+read 64 bits at a time, and _stable_at checks each until a model is found. A
+query stops there, so from then on a block with at least _CROSSOVER candidates
+left checks them together (_accepted): _stable_at's least-model rounds run on
+all of them at once, one bit per candidate in each atom's column, and
+_stable_at checks, in order, only those the rounds do not reach. The column
+spans one atom per class that every model respects (_classes), and is built in
+blocks of at most 2**_BLOCK_ATOMS subsets, the atoms above the lowest
+_BLOCK_ATOMS fixed to each assignment in turn: candidates keep their order,
+memory holds one block's columns, a query stops in the first block that
+answers it, and an overflow error comes before the first block, as one column
+over all atoms would raise it. What a rule's reduct body needs true, its
+positive atoms and under G its aggregates' domain atoms, is one mask per rule,
+built once per solve (_reduct_needs) and read by the support filter and by the
+stability check. The pass that builds a column keeps only the models supported
+under the reduct: each true atom has a rule whose body holds, whose head meets
+the model only at that atom, and whose mask lacks it (the vicious circle
+principle): Clark's completion less the self-supported models, such as {p} of
+`p :- count{p} >= 0.` under G. Every stable model is one, as an atom with no support can be dropped
 with every kept rule still holding; most models are not. The reduct at a
 candidate s is the rules whose body holds at s, each head cut to s and body the
 mask at s, plus its aggregates under F. _minimal decides its minimality:
@@ -57,6 +61,7 @@ import operator
 import sys
 from enum import Enum
 from functools import cache, reduce
+from itertools import islice
 from typing import Iterator
 
 from .core import (
@@ -88,6 +93,11 @@ DEFAULT_MAX_ATOMS = 24
 
 # the most atoms one enumerator block spans: a column of 2**18 bits, 32 KiB
 _BLOCK_ATOMS = 18
+
+# the fewest candidates left in a block that _accepted checks together, at
+# most _CHUNK at a time: below it one _stable_at per candidate is faster
+_CROSSOVER = 16
+_CHUNK = 1 << 12
 
 _COMPARE = {
     "<": operator.lt,
@@ -273,13 +283,13 @@ def is_minimal_model(interp: Interpretation, program: Program) -> bool:
 def _is_stable(program: Program, interp: Interpretation, grounding: bool) -> bool:
     """reasoner.is_stable under G (grounding) or F: interp must mention only
     the program's atoms, model the program and pass _stable_at."""
-    foreign = frozenset(interp) - atoms_of(program)
-    if foreign:
+    atoms = atoms_of(program)
+    if foreign := frozenset(interp) - atoms:
         names = ", ".join(sorted(atom.name for atom in foreign))
         raise PreconditionError(f"interpretation mentions atoms outside the program: {names}")
     if not satisfies(interp, program):
         return False
-    _, rules, index = _compile_at(program, interp)
+    _, rules, index = _compile_at(program, interp, sorted(atoms, key=operator.attrgetter("name")))
     rules = _reduct_needs(rules, grounding)
     return _stable_at(rules, index, grounding, cache(_pattern), DEFAULT_MAX_ATOMS)
 
@@ -321,6 +331,10 @@ def _pattern(position: int, dimension: int) -> int:
     return pattern
 
 
+# the aggregate functions whose value can leave the 64-bit range
+_SUMS = (AggregateFunc.SUM, AggregateFunc.AVG)
+
+
 def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int:
     """The aggregate's column over a space, from the columns of its domain
     atoms there in domain order (0 for an atom outside the space). Where the
@@ -329,7 +343,7 @@ def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int
     would count as optional, where they are flagged (see _raise_overflow)."""
     func, bound = spec.func, spec.bound
     terms = [(w, column) for (w, _), column in zip(spec.elements, columns) if column]
-    if func is AggregateFunc.SUM or func is AggregateFunc.AVG:  # the kinds that overflow
+    if func in _SUMS:
         _first_overflow(spec, [pair for pair, column in zip(spec.elements, columns) if column])
     if func in PARITY_FUNCS:
         odd = reduce(operator.xor, (column for _, column in terms), 0)
@@ -366,7 +380,7 @@ def _aggregate_column(spec: AggregateSpec, columns: list[int], full: int) -> int
 def _overflows(spec: AggregateSpec, terms: list, taken: tuple = ()) -> bool:
     """The extremes test: whether a selection of `terms`, (weight, ...) pairs, with all
     of `taken`, takes a sum, or avg's bound times the count, out of the 64-bit range."""
-    if spec.func not in (AggregateFunc.SUM, AggregateFunc.AVG):
+    if spec.func not in _SUMS:
         return False
     low = high = sum(w for w, _ in taken) if taken else 0
     for weight, _ in terms:  # one plain pass: _chain runs it on every one-sign sum
@@ -543,11 +557,7 @@ def _holds_between(aggregate: tuple, low: int, high: int, pattern, max_atoms: in
     atoms in high can overflow, and otherwise whether `:- aggregate.` has
     an empty column over the free atoms with low fixed true."""
     spec, domain, bits, memo, _, _ = aggregate
-    convex = memo.get(None)  # whether its chain makes it convex
-    if convex is None:
-        truths = _chain(spec)
-        convex = truths is not None and _chain_class(truths) is not AggregateClass.NONCONVEX
-        memo[None] = convex
+    convex = _convex(aggregate)
     free = domain & high & ~low
     if not convex and free.bit_count() > max_atoms:
         return False
@@ -562,6 +572,16 @@ def _holds_between(aggregate: tuple, low: int, high: int, pattern, max_atoms: in
         truth = not _column(free, [(0, 0, 0, 0, (aggregate,))], pattern, fixed=low)
     memo[key] = truth
     return truth
+
+
+def _convex(aggregate: tuple) -> bool:
+    """Whether a compiled aggregate's chain (_chain) makes it convex,
+    memoised under None."""
+    memo = aggregate[3]
+    if None not in memo:
+        truths = _chain(aggregate[0])
+        memo[None] = truths is not None and _chain_class(truths) is not AggregateClass.NONCONVEX
+    return memo[None]
 
 
 def _atoms_at(universe: list, index: int) -> Interpretation:
@@ -717,6 +737,71 @@ def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern, max_ato
     return _minimal(index, kept, pattern, max_atoms)
 
 
+def _accepted(rules: list[tuple], batch: list[int], grounding: bool) -> int:
+    """The candidates of `batch`, models of the compiled rules, that the
+    least-model rounds of _stable_at prove stable, as bit i for batch[i]:
+    the rounds run on all of them at once, over one column per atom with
+    bit i where batch[i] holds it. A rule fires at a candidate where its
+    literals and then its aggregates hold there, exactly one of its head
+    atoms is true, and its fourth mask (_reduct_needs) is derived. Under F
+    each aggregate must also be convex along its chain and hold at the
+    derived set, the interval test at its two ends (implied where it holds
+    on no atoms), so a rule with another never fires. A candidate whose
+    true atoms are all derived is accepted: exactly _minimal's first branch
+    under G, and a sound part of it under F. Each aggregate is read, as
+    _stable_at reads it, where its rule's body holds at the candidate."""
+    size = max(batch).bit_length()  # transposed as text: row i is batch[-1 - i]
+    rows = "".join([format(index, f"0{size}b") for index in reversed(batch)])
+    holds = {1 << j: int(rows[size - 1 - j :: size], 2) for j in range(size)}  # atom columns
+    fires = []  # per head atom: [atom, mask, where, aggregates, rising, domains, unread]
+    for head, must_true, must_false, needed, aggregates in rules:
+        if not head or not grounding and not all(map(_convex, aggregates)):
+            continue
+        body = (1 << len(batch)) - 1  # where its literals hold
+        for low in _bits(must_true):
+            body &= holds.get(low, 0)
+        for low in _bits(must_false):
+            body &= ~holds.get(low, 0)
+        if not body:
+            continue
+        heads = twice = 0  # where some, and where two or more, head atoms hold
+        for low in _bits(head):
+            twice |= heads & holds.get(low, 0)
+            heads |= holds.get(low, 0)
+        # under F the aggregates that need the derived set, those false on no atoms
+        rising = () if grounding else [a for a in aggregates if not _aggregates_hold((a,), 0)]
+        domains = reduce(operator.or_, (a[1] for a in rising), 0)
+        for low in _bits(head):
+            if where := body & ~twice & holds.get(low, 0):
+                fires.append([low, needed, where, aggregates, rising, domains, where])
+    derived: dict = {}  # each atom's column where the rounds derived it
+    grown = True
+    while grown:
+        grown = False
+        for fire in fires:
+            low, needed, where, aggregates, rising, domains, unread = fire
+            ready = where & ~derived.get(low, 0)
+            if not ready:
+                continue
+            for bit in _bits(needed):
+                ready &= derived.get(bit, 0) | ~holds.get(bit, 0)
+            if not ready:
+                continue
+            for one in _bits(ready & unread if aggregates else 0):  # once, where it would fire
+                fire[6] ^= one
+                if not _aggregates_hold(aggregates, batch[one.bit_length() - 1]):
+                    fire[2] ^= one  # not in the candidate's reduct
+                    ready ^= one
+            for one in _bits(ready if domains else 0):
+                at = sum(bit for bit in _bits(domains) if derived.get(bit, 0) & one)
+                if not _aggregates_hold(rising, at):
+                    ready ^= one
+            if ready:
+                derived[low] = derived.get(low, 0) | ready
+                grown = True
+    return ~reduce(operator.or_, (c & ~derived.get(a, 0) for a, c in holds.items()), 0)
+
+
 def _set_bits(column: int) -> Iterator[int]:
     """Indices of the set bits of a column, lowest first. The column is
     copied once into native 64-bit words, so a set bit costs a few word
@@ -806,7 +891,9 @@ def _stable_models(
     (brave) or `:- p.` (cautious), then the aggregate-free rules over top
     atoms alone, so a block they rule out reads no low atom. _stable_at
     checks each model supported under the reduct there, lowest first, with
-    its aliases set where their representatives are, over all atoms."""
+    its aliases set where their representatives are, over all atoms; after
+    the first model, only those _accepted does not accept, where a block
+    has at least _CROSSOVER left."""
     try:
         models = _fixpoint_models(program, grounding)
     except (NotAspMError, DomainTooLargeError, AggregateOverflowError):
@@ -839,15 +926,28 @@ def _stable_models(
     low = (1 << width) - 1
     spanned = low | sum(alias for alias, rep in aliases.items() if rep & low)
     ordered = query + sorted(rules, key=lambda r: bool(r[4] or (r[0] | r[1] | r[2]) & spanned))
+    found = False  # a query stops at its first model, so after one the solve enumerates all
     for top in range(0, 1 << dimension, 1 << width):  # the top atoms' assignments, in order
         fixed = top | always
         column = _column(low, ordered, pattern, True, fixed, aliases)  # supported models
-        for index in _set_bits(column):
-            index |= fixed
-            if aliases:  # each alias holds where its representative does
-                index |= sum(alias for alias, rep in aliases.items() if index & rep)
+        candidates, left = (index | fixed for index in _set_bits(column)), column.bit_count()
+        if aliases:  # each alias holds where its representative does
+            candidates = (i | sum(a for a, rep in aliases.items() if i & rep) for i in candidates)
+        for index in () if found and left >= _CROSSOVER else candidates:  # one at a time
+            left -= 1
             if _stable_at(rules, index, grounding, pattern, max_atoms):
+                found = True
                 yield _atoms_at(universe, index)
+                if left >= _CROSSOVER:
+                    break
+        while left:  # the rest together, _CHUNK at a time
+            batch = list(islice(candidates, _CHUNK))
+            left -= len(batch)
+            accepted = _accepted(rules, batch, grounding)
+            for index in batch:
+                if accepted & 1 or _stable_at(rules, index, grounding, pattern, max_atoms):
+                    yield _atoms_at(universe, index)
+                accepted >>= 1
 
 
 def classify_aggregate(spec: AggregateSpec) -> AggregateClass:

@@ -98,6 +98,12 @@ def without_classes(monkeypatch) -> None:
     monkeypatch.setattr(semantics, "_classes", lambda rules: ({}, 0))
 
 
+# values of semantics._CROSSOVER: after a solve's first model every block
+# checks its candidates together, and none does (a block holds at most
+# 2**_BLOCK_ATOMS candidates)
+CROSSOVERS = (1, (1 << semantics._BLOCK_ATOMS) + 1)
+
+
 def golden_program() -> Program:
     agg = AggregateSpec(AggregateFunc.COUNT, ((1, A), (1, B)), ">=", 1)
     return Program(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -31,6 +32,7 @@ from gzasp.parser import render
 import gen
 import oracles
 from helpers import (
+    CROSSOVERS,
     GOLDEN_REW_TEXT,
     GOLDEN_STR_TEXT,
     GOLDEN_TEXT,
@@ -602,7 +604,9 @@ class TestParserFuzz:
 class TestOracleDifferential:
     """Generated programs through every solving command, answers checked
     against the naive oracles. Every run exits 0, 1 or 2, and an error is
-    one diagnostic line, never a traceback or an internal error."""
+    one diagnostic line, never a traceback or an internal error. Each
+    command runs with every block's candidates checked together after the
+    first model, and with none checked together (CROSSOVERS)."""
 
     PROGRAMS = 50  # per family
     WEIGHTED = 120
@@ -620,17 +624,19 @@ class TestOracleDifferential:
         return models, shown
 
     @pytest.mark.parametrize("family", sorted(gen.FAMILIES))
-    def test_models_and_queries_match_the_oracles(self, family, tmp_path, capsys):
+    def test_models_and_queries_match_the_oracles(self, family, tmp_path, capsys, monkeypatch):
         rng = random.Random(f"cli differential {family}")
         path = tmp_path / "program.lp"
 
         def run(argv: list, expected_out: str, expected_code: int) -> None:
-            code = main([argv[0], str(path), *argv[1:]])
-            out, err = capsys.readouterr()
-            assert code in (0, 1, 2), (argv, text)
-            assert "Traceback" not in err and "error: internal" not in err, (argv, err)
-            # these programs are within every guard, so each run is answered
-            assert (code, out, err) == (expected_code, expected_out, ""), (argv, text)
+            for crossover in CROSSOVERS:
+                monkeypatch.setattr(semantics, "_CROSSOVER", crossover)
+                code = main([argv[0], str(path), *argv[1:]])
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2), (argv, text)
+                assert "Traceback" not in err and "error: internal" not in err, (argv, err)
+                # these programs are within every guard, so each run is answered
+                assert (code, out, err) == (expected_code, expected_out, ""), (argv, text)
 
         for _ in range(self.PROGRAMS):
             program = gen.FAMILIES[family](rng)
@@ -652,7 +658,7 @@ class TestOracleDifferential:
                     shown = "true\n" if answer else "false\n"
                     run(["query", "--semantics", sem, *argv], shown, 0 if answer else 1)
 
-    def test_weighted_aggregates_match_the_oracles(self, tmp_path, capsys):
+    def test_weighted_aggregates_match_the_oracles(self, tmp_path, capsys, monkeypatch):
         # one aggregate literal, its weights and bound at the 64-bit edge among
         # them: where the oracle overflows every run refuses with one error
         # line. The engine may also refuse where the oracle answers, since its
@@ -682,7 +688,8 @@ class TestOracleDifferential:
                 vias = ("direct", "rew", "str") if sem == "g" else ("direct",)
                 runs = [(["models", "--semantics", sem, "--via", via], shown) for via in vias]
                 runs.append((["query", "--semantics", sem, "--mode", "coherent"], coherent))
-                for argv, expected in runs:
+                for (argv, expected), crossover in itertools.product(runs, CROSSOVERS):
+                    monkeypatch.setattr(semantics, "_CROSSOVER", crossover)
                     code = main([argv[0], str(path), *argv[1:]])
                     out, err = capsys.readouterr()
                     assert code in (0, 1, 2), (argv, text)
@@ -698,12 +705,14 @@ class TestOracleDifferential:
 
 
 class TestBlockDifferential:
-    """The enumerator's blocks and atom classes change no byte: with blocks
-    of 2**2 and 2**4 subsets, and with no atom classes, every solving
-    command gives the exit code, stdout and stderr it gives with one block
-    (_BLOCK_ATOMS exceeds every program here) and its classes, on every
-    generated family and on aggregates with weights at the 64-bit edge,
-    whose overflow errors must name the same subset."""
+    """The enumerator's blocks, atom classes and batched checks change no
+    byte: with blocks of 2**2 and 2**4 subsets, with no atom classes, and
+    with every block's candidates checked together after the first model or
+    none (CROSSOVERS), every solving command gives the exit code, stdout
+    and stderr it gives with one block (_BLOCK_ATOMS exceeds every program
+    here), its classes and the default crossover, on every generated family
+    and on aggregates with weights at the 64-bit edge, whose overflow errors
+    must name the same subset."""
 
     PROGRAMS = 40  # per family
     WEIGHTED = 60
@@ -712,9 +721,10 @@ class TestBlockDifferential:
     def outputs(argv: list, capsys, monkeypatch, blocks: dict | None = None) -> list:
         """(code, stdout, stderr) of one command under one block, then
         under blocks of 2**4 and 2**2 subsets, first with atom classes and
-        then without. Given `blocks`, each block built is appended to
-        blocks[True] with classes and to blocks[False] without, as
-        helpers.program_blocks records it."""
+        then without, then under one block and blocks of 2**2 at each of
+        CROSSOVERS. Given `blocks`, each block built in the first six runs
+        is appended to blocks[True] with classes and to blocks[False]
+        without, as helpers.program_blocks records it."""
         seen = []
         one = semantics._BLOCK_ATOMS
         for classes in (True, False):
@@ -727,6 +737,12 @@ class TestBlockDifferential:
                 code = main(argv)
                 seen.append((code, *capsys.readouterr()))
             monkeypatch.undo()  # one block and the classes again
+        for crossover, block in itertools.product(CROSSOVERS, (one, 2)):
+            monkeypatch.setattr(semantics, "_CROSSOVER", crossover)
+            monkeypatch.setattr(semantics, "_BLOCK_ATOMS", block)
+            code = main(argv)
+            seen.append((code, *capsys.readouterr()))
+        monkeypatch.undo()
         return seen
 
     # per family, a floor on the blocks stopped at a top-decided rule, with
@@ -768,7 +784,7 @@ class TestBlockDifferential:
                     counted = None if "--atom" in argv else blocks
                     first, *blocked = self.outputs(argv, capsys, monkeypatch, counted)
                     assert first[0] in (0, 1) and first[2] == "", (argv, first)
-                    assert blocked == [first] * 5, argv
+                    assert blocked == [first] * 9, argv
         for classes, built in blocks.items():
             assert not any(found or reads for _, decided, found, reads in built if decided), classes
         assert sum(decided for _, decided, _, _ in blocks[False]) > self.TOP_DECIDED[family]
@@ -802,7 +818,7 @@ class TestBlockDifferential:
         refused = 0
         for argv in self.weighted_runs(tmp_path / "program.lp"):
             first, *blocked = self.outputs(argv, capsys, monkeypatch)
-            assert blocked == [first] * 5, argv
+            assert blocked == [first] * 9, argv
             refused += first[0] == 2
         assert refused > 20
 

@@ -57,6 +57,7 @@ from gzasp.semantics import aggregate_truth_table
 import gen
 import oracles
 from helpers import (
+    CROSSOVERS,
     GOLDEN_F_STABLE,
     GOLDEN_G_STABLE,
     GOLDEN_REW_F_STABLE,
@@ -125,6 +126,20 @@ class TestIsStable:
     def test_rejects_foreign_atoms(self):
         with pytest.raises(PreconditionError):
             is_stable(golden_program(), frozenset({Atom("d")}), Semantics.G)
+
+    def test_one_atom_walk(self, monkeypatch):
+        # counted: the atom set of the foreign-atom check is the one the
+        # compile orders, so a check walks the program's atoms once
+        walks = []
+        atoms_of_ = semantics.atoms_of
+        monkeypatch.setattr(
+            semantics, "atoms_of", lambda program: walks.append(1) or atoms_of_(program)
+        )
+        program = parse("a :- not b. b :- not a. c :- count{a, b} >= 1.")
+        for sem in Semantics:
+            del walks[:]
+            assert is_stable(program, atoms("ac"), sem)
+            assert len(walks) == 1, sem
 
     def test_builds_no_reduct_program(self, monkeypatch):
         def refuse(*args):
@@ -1417,6 +1432,117 @@ class TestAtomClasses:
                     candidates = len(checked)
                     assert solve_via_rewriting(program, method) == direct
                     assert len(checked) == 2 * candidates > 0, method
+
+
+def _checked(monkeypatch) -> list:
+    """Patch semantics._stable_at for the rest of the test to append each
+    candidate it checks to the returned list, and to check it as before."""
+    checked: list = []
+    stable_at = semantics._stable_at
+    monkeypatch.setattr(
+        semantics,
+        "_stable_at",
+        lambda rules, index, *args: checked.append(index) or stable_at(rules, index, *args),
+    )
+    return checked
+
+
+class TestBatch:
+    """After a solve's first model, a block with at least _CROSSOVER
+    candidates left runs the least-model rounds on all of them at once
+    (_accepted), and _stable_at checks only those the rounds do not reach."""
+
+    # a free choice over x0..x5; with x0, a and b need each other, so their
+    # reduct's Horn rules derive neither and a minimality column decides
+    CHOICE = "".join(f"x{i} :- not not x{i}.\n" for i in range(6))
+    CHOICE += "a | b :- x0.\na :- b, x0.\nb :- a, x0.\n"
+
+    def test_only_the_candidates_the_rounds_leave_are_checked(self, monkeypatch):
+        # counted: 64 candidates in one block, all stable. The empty one is
+        # checked alone and found; the 63 left are checked together, and the
+        # rounds reach each one without x0
+        checked = _checked(monkeypatch)
+        program = parse(self.CHOICE)
+        x0 = Atom("x0")
+        for sem in Semantics:
+            del checked[:]
+            models = stable_models(program, sem)
+            assert set(models) == oracles.naive_stable_models(program, sem.value)
+            assert len(models) == 64
+            assert len(checked) == 1 + sum(x0 in model for model in models) == 33, sem
+            monkeypatch.setattr(semantics, "_CROSSOVER", CROSSOVERS[1])
+            del checked[:]
+            assert list(stable_models(program, sem)) == list(models)
+            assert len(checked) == 64
+            monkeypatch.undo()
+            checked = _checked(monkeypatch)
+
+    @pytest.mark.parametrize("query", ["coherent", "brave", "cautious"])
+    def test_queries_check_what_they_checked_one_at_a_time(self, query, monkeypatch):
+        # counted: a query stops at its first model, so no candidate is
+        # checked together and the checks are the same with the batch on
+        # and off
+        checked = _checked(monkeypatch)
+        rng = random.Random(f"batched {query}")
+        programs = [parse(self.CHOICE)]
+        programs += [gen.FAMILIES[family](rng) for family in sorted(gen.FAMILIES) * 8]
+        for program, sem in itertools.product(programs, Semantics):
+            atom = rng.choice(sorted(atoms_of(program)) or [Atom("x0")])
+            ask = {
+                "coherent": lambda: check_coherence(program, sem),
+                "brave": lambda: brave(program, atom, sem),
+                "cautious": lambda: cautious(program, atom, sem),
+            }[query]
+            seen = []
+            for crossover in CROSSOVERS:
+                monkeypatch.setattr(semantics, "_CROSSOVER", crossover)
+                del checked[:]
+                seen.append((ask(), list(checked)))
+            assert seen[0] == seen[1], (program, sem)
+
+    def test_f_needs_each_aggregate_at_the_derived_set(self, monkeypatch):
+        # the F-reduct at {p, q, r} keeps `p :- sum{1 : p, 1 : q} >= 1.`, true
+        # there but false on the empty set derived before p: the rounds
+        # reach neither {p, q, r} nor {p, q, s}, and _stable_at refutes both.
+        # Read at the candidate alone, the sum would let the rounds accept
+        # them. Atoms p, q, r, s are bits 1, 2, 4, 8
+        monkeypatch.setattr(semantics, "_CROSSOVER", 1)
+        checked = _checked(monkeypatch)
+        program = parse("p :- sum{1 : p, 1 : q} >= 1. q :- p. r :- not s. s :- not r.")
+        models = list(stable_models(program, Semantics.F))
+        assert models == [atoms("r"), atoms("s")]
+        assert set(models) == oracles.naive_stable_models(program, "f")
+        assert checked == [0b0100, 0b0111, 0b1011]
+        _, rules, _ = semantics._compile_at(program)
+        assert semantics._accepted(rules, [0b0111, 0b1000, 0b1011], False) & 0b111 == 0b010
+
+    def test_a_rule_fires_only_in_the_reduct(self, monkeypatch):
+        # at {p, q, s} the count is false, so neither reduct keeps its rule,
+        # and p and s support only each other: the rounds derive q alone and
+        # _stable_at refutes the candidate. Were the count's rule fired there,
+        # it would derive p and then s. Atoms p, q, s are bits 1, 2, 4
+        monkeypatch.setattr(semantics, "_CROSSOVER", 1)
+        checked = _checked(monkeypatch)
+        program = parse("q :- not not q. p :- s. s :- p. p :- count{q} <= 0.")
+        for sem in Semantics:
+            del checked[:]
+            assert list(stable_models(program, sem)) == [atoms("q"), atoms("ps")]
+            assert checked == [0b010, 0b111], sem
+
+    def test_a_nonconvex_aggregate_never_fires_under_f(self, monkeypatch):
+        # `count{q, r} != 1` is true, false, true along its chain. Under G it
+        # is replaced by its true atoms, which the rounds derive, so they
+        # accept {p, q, r}; under F it stays, and _stable_at checks that
+        # candidate. Atoms p, q, r are bits 1, 2, 4
+        monkeypatch.setattr(semantics, "_CROSSOVER", 1)
+        checked = _checked(monkeypatch)
+        program = parse("q :- not not q. r :- not not r. p :- count{q, r} != 1.")
+        for sem, candidates in ((Semantics.G, [0b001]), (Semantics.F, [0b001, 0b111])):
+            del checked[:]
+            models = stable_models(program, sem)
+            assert set(models) == oracles.naive_stable_models(program, sem.value)
+            assert set(models) == {atoms("p"), atoms("q"), atoms("r"), atoms("pqr")}
+            assert checked == candidates, sem
 
 
 class TestCautiousBrave:
