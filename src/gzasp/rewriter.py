@@ -134,9 +134,9 @@ def _aggregate_domain_atoms(rule: Rule) -> set[Atom]:
     return seen
 
 
-def _copied_atoms(program: Program, minimal_copies: bool) -> list[Atom]:
+def _copied_atoms(program: Program, atoms: frozenset, minimal_copies: bool) -> list[Atom]:
     if not minimal_copies:
-        return sorted(atoms_of(program))
+        return sorted(atoms)
     seen = set()
     for rule in program:
         seen.update(_aggregate_domain_atoms(rule))
@@ -161,8 +161,9 @@ def rewrite_rew(program: Program, *, minimal_copies: bool = False) -> Program:
     With minimal_copies, copy rules are emitted only for atoms that occur
     in some aggregate domain instead of for the whole atom set.
     """
-    copied = _copied_atoms(program, minimal_copies)
-    _require_fresh(atoms_of(program), (p.name + _TRUE for p in copied))
+    atoms = atoms_of(program)
+    copied = _copied_atoms(program, atoms, minimal_copies)
+    _require_fresh(atoms, (p.name + _TRUE for p in copied))
     rules = [Rule(rule.head, rule.body + _padding(rule)) for rule in program]
     for p in copied:
         rules += _copy_rules(p)
@@ -184,8 +185,9 @@ def rewrite_str(program: Program, *, minimal_copies: bool = False) -> Program:
     guessed freely, and two constraints force the guess to mirror p. The
     result never evaluates an aggregate over atoms it helps to derive.
     """
-    copied = _copied_atoms(program, minimal_copies)
-    _require_fresh(atoms_of(program), (p.name + s for s in (_TRUE, _GUESS) for p in copied))
+    atoms = atoms_of(program)
+    copied = _copied_atoms(program, atoms, minimal_copies)
+    _require_fresh(atoms, (p.name + s for s in (_TRUE, _GUESS) for p in copied))
     rules = [
         Rule(rule.head, tuple(map(_guessed, rule.body)) + _padding(rule)) for rule in program
     ]

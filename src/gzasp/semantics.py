@@ -24,13 +24,13 @@ a program is answered at any size. Any other program is enumerated, and refused
 above the atom guard: the candidates are the set bits of the program column,
 read 64 bits at a time, and _stable_at checks each until a model is found. A
 query stops there, so from then on a block with at least _CROSSOVER candidates
-left checks them together (_accepted): _stable_at's least-model rounds run on
-all of them at once, one bit per candidate in each atom's column, and
-_stable_at checks, in order, only those the rounds do not reach. The column
-spans one atom per class that every model respects (_classes), and is built in
-blocks of at most 2**_BLOCK_ATOMS subsets, the atoms above the lowest
-_BLOCK_ATOMS fixed to each assignment in turn: candidates keep their order,
-memory holds one block's columns, a query stops in the first block that
+left checks them together (_accepted): _minimal's least-model rounds, interval
+test included, run on all of them at once, one bit per candidate in each atom's
+column, and _stable_at checks, in order, only those the rounds do not reach.
+The column spans one atom per class that every model respects (_classes), and
+is built in blocks of at most 2**_BLOCK_ATOMS subsets, the atoms above the
+lowest _BLOCK_ATOMS fixed to each assignment in turn: candidates keep their
+order, memory holds one block's columns, a query stops in the first block that
 answers it, and an overflow error comes before the first block, as one column
 over all atoms would raise it. What a rule's reduct body needs true, its
 positive atoms and under G its aggregates' domain atoms, is one mask per rule,
@@ -737,25 +737,24 @@ def _stable_at(rules: list[tuple], index: int, grounding: bool, pattern, max_ato
     return _minimal(index, kept, pattern, max_atoms)
 
 
-def _accepted(rules: list[tuple], batch: list[int], grounding: bool) -> int:
-    """The candidates of `batch`, models of the compiled rules, that the
-    least-model rounds of _stable_at prove stable, as bit i for batch[i]:
-    the rounds run on all of them at once, over one column per atom with
-    bit i where batch[i] holds it. A rule fires at a candidate where its
-    literals and then its aggregates hold there, exactly one of its head
-    atoms is true, and its fourth mask (_reduct_needs) is derived. Under F
-    each aggregate must also be convex along its chain and hold at the
-    derived set, the interval test at its two ends (implied where it holds
-    on no atoms), so a rule with another never fires. A candidate whose
-    true atoms are all derived is accepted: exactly _minimal's first branch
-    under G, and a sound part of it under F. Each aggregate is read, as
-    _stable_at reads it, where its rule's body holds at the candidate."""
+def _accepted(rules: list, batch: list[int], grounding: bool, pattern, max_atoms: int) -> int:
+    """The candidates of `batch`, models of the compiled rules, that
+    _minimal's least-model rounds prove stable, as bit i for batch[i]: the
+    rounds of all of them at once, over one column per atom with bit i where
+    batch[i] holds it. A rule fires at a candidate where its literals and
+    then its aggregates hold there, exactly one of its head atoms is true,
+    its fourth mask (_reduct_needs) is derived and, under F, each aggregate
+    passes the interval test from the derived set (_holds_between), implied
+    where its chain makes it convex and it holds on no atoms. A candidate
+    whose true atoms are all derived is accepted, as by _minimal's first
+    branch. Each aggregate is read, as _stable_at reads it, where its rule's
+    body holds at the candidate."""
     size = max(batch).bit_length()  # transposed as text: row i is batch[-1 - i]
     rows = "".join([format(index, f"0{size}b") for index in reversed(batch)])
     holds = {1 << j: int(rows[size - 1 - j :: size], 2) for j in range(size)}  # atom columns
     fires = []  # per head atom: [atom, mask, where, aggregates, rising, domains, unread]
     for head, must_true, must_false, needed, aggregates in rules:
-        if not head or not grounding and not all(map(_convex, aggregates)):
+        if not head:
             continue
         body = (1 << len(batch)) - 1  # where its literals hold
         for low in _bits(must_true):
@@ -768,8 +767,10 @@ def _accepted(rules: list[tuple], batch: list[int], grounding: bool) -> int:
         for low in _bits(head):
             twice |= heads & holds.get(low, 0)
             heads |= holds.get(low, 0)
-        # under F the aggregates that need the derived set, those false on no atoms
-        rising = () if grounding else [a for a in aggregates if not _aggregates_hold((a,), 0)]
+        # under F the aggregates whose interval test needs the derived set
+        rising = () if grounding else [
+            a for a in aggregates if not (_convex(a) and _aggregates_hold((a,), 0))
+        ]
         domains = reduce(operator.or_, (a[1] for a in rising), 0)
         for low in _bits(head):
             if where := body & ~twice & holds.get(low, 0):
@@ -794,7 +795,8 @@ def _accepted(rules: list[tuple], batch: list[int], grounding: bool) -> int:
                     ready ^= one
             for one in _bits(ready if domains else 0):
                 at = sum(bit for bit in _bits(domains) if derived.get(bit, 0) & one)
-                if not _aggregates_hold(rising, at):
+                index = batch[one.bit_length() - 1]
+                if not all(_holds_between(a, at, index, pattern, max_atoms) for a in rising):
                     ready ^= one
             if ready:
                 derived[low] = derived.get(low, 0) | ready
@@ -889,11 +891,11 @@ def _stable_models(
     one, the atoms true throughout and the top m - k are fixed to each
     assignment in turn, and a query on p leads the rules with `:- not p.`
     (brave) or `:- p.` (cautious), then the aggregate-free rules over top
-    atoms alone, so a block they rule out reads no low atom. _stable_at
-    checks each model supported under the reduct there, lowest first, with
-    its aliases set where their representatives are, over all atoms; after
-    the first model, only those _accepted does not accept, where a block
-    has at least _CROSSOVER left."""
+    atoms alone, so a block they rule out reads no low atom. One loop checks
+    each model supported under the reduct there, lowest first, with its
+    aliases set where their representatives are, over all atoms: _stable_at
+    one at a time, and after the first model, while a block has at least
+    _CROSSOVER left, only those that _accepted, _CHUNK at a time, leaves."""
     try:
         models = _fixpoint_models(program, grounding)
     except (NotAspMError, DomainTooLargeError, AggregateOverflowError):
@@ -933,19 +935,14 @@ def _stable_models(
         candidates, left = (index | fixed for index in _set_bits(column)), column.bit_count()
         if aliases:  # each alias holds where its representative does
             candidates = (i | sum(a for a, rep in aliases.items() if i & rep) for i in candidates)
-        for index in () if found and left >= _CROSSOVER else candidates:  # one at a time
-            left -= 1
-            if _stable_at(rules, index, grounding, pattern, max_atoms):
-                found = True
-                yield _atoms_at(universe, index)
-                if left >= _CROSSOVER:
-                    break
-        while left:  # the rest together, _CHUNK at a time
-            batch = list(islice(candidates, _CHUNK))
+        while left:  # one at a time, or after the first model _CHUNK at a time
+            together = found and left >= _CROSSOVER
+            batch = list(islice(candidates, _CHUNK if together else 1))
             left -= len(batch)
-            accepted = _accepted(rules, batch, grounding)
+            accepted = _accepted(rules, batch, grounding, pattern, max_atoms) if together else 0
             for index in batch:
                 if accepted & 1 or _stable_at(rules, index, grounding, pattern, max_atoms):
+                    found = True
                     yield _atoms_at(universe, index)
                 accepted >>= 1
 

@@ -421,7 +421,7 @@ def reference_rewrite_str(program: Program, *, minimal_copies: bool = False) -> 
     rules itself. gzasp.rewriter.rewrite_str builds them through the helpers
     it shares with rew; the differential test checks that the output is the
     same."""
-    copied = _copied_atoms(program, minimal_copies)
+    copied = _copied_atoms(program, atoms_of(program), minimal_copies)
     _require_fresh(
         atoms_of(program),
         [true_copy(p).name for p in copied] + [guess_copy(p).name for p in copied],

@@ -30,7 +30,7 @@ from gzasp.core import (
     Rule,
     atoms_of,
 )
-from gzasp import reasoner, semantics
+from gzasp import reasoner, rewriter, semantics
 from gzasp.errors import (
     AggregateOverflowError,
     DomainTooLargeError,
@@ -1447,6 +1447,13 @@ def _checked(monkeypatch) -> list:
     return checked
 
 
+def _half_chosen(program: Program) -> Program:
+    """The program plus a free choice, `a :- not not a.`, over every other
+    atom in name order: more models, so more candidates after the first."""
+    chosen = sorted(atoms_of(program))[::2]
+    return Program(program.rules + tuple(Rule({a}, (AtomLiteral(a, 2),)) for a in chosen))
+
+
 class TestBatch:
     """After a solve's first model, a block with at least _CROSSOVER
     candidates left runs the least-model rounds on all of them at once
@@ -1514,7 +1521,10 @@ class TestBatch:
         assert set(models) == oracles.naive_stable_models(program, "f")
         assert checked == [0b0100, 0b0111, 0b1011]
         _, rules, _ = semantics._compile_at(program)
-        assert semantics._accepted(rules, [0b0111, 0b1000, 0b1011], False) & 0b111 == 0b010
+        batch = [0b0111, 0b1000, 0b1011]
+        pattern, max_atoms = cache(semantics._pattern), semantics.DEFAULT_MAX_ATOMS
+        accepted = semantics._accepted(rules, batch, False, pattern, max_atoms)
+        assert accepted & 0b111 == 0b010
 
     def test_a_rule_fires_only_in_the_reduct(self, monkeypatch):
         # at {p, q, s} the count is false, so neither reduct keeps its rule,
@@ -1529,20 +1539,98 @@ class TestBatch:
             assert list(stable_models(program, sem)) == [atoms("q"), atoms("ps")]
             assert checked == [0b010, 0b111], sem
 
-    def test_a_nonconvex_aggregate_never_fires_under_f(self, monkeypatch):
+    def test_a_nonconvex_aggregate_fires_where_it_holds_between(self, monkeypatch):
         # `count{q, r} != 1` is true, false, true along its chain. Under G it
-        # is replaced by its true atoms, which the rounds derive, so they
-        # accept {p, q, r}; under F it stays, and _stable_at checks that
-        # candidate. Atoms p, q, r are bits 1, 2, 4
+        # is replaced by its true atoms, under F it holds on the one set
+        # between {q, r}, derived first, and {p, q, r}: the rounds accept
+        # that candidate under both. Atoms p, q, r are bits 1, 2, 4
         monkeypatch.setattr(semantics, "_CROSSOVER", 1)
         checked = _checked(monkeypatch)
         program = parse("q :- not not q. r :- not not r. p :- count{q, r} != 1.")
-        for sem, candidates in ((Semantics.G, [0b001]), (Semantics.F, [0b001, 0b111])):
+        for sem in Semantics:
             del checked[:]
             models = stable_models(program, sem)
             assert set(models) == oracles.naive_stable_models(program, sem.value)
             assert set(models) == {atoms("p"), atoms("q"), atoms("r"), atoms("pqr")}
-            assert checked == candidates, sem
+            assert checked == [0b001], sem
+
+    def test_a_gap_in_the_interval_leaves_the_candidate_to_stable_at(self, monkeypatch):
+        # at {p, q, r} only r is derived before p's rule: under G the count
+        # is q and r, and q needs p; under F it is false at {r}, between
+        # {r} and {p, q, r}. The rounds leave the candidate, and _stable_at
+        # refutes it. Atoms p, q, r are bits 1, 2, 4
+        monkeypatch.setattr(semantics, "_CROSSOVER", 1)
+        checked = _checked(monkeypatch)
+        program = parse("r :- not not r. p :- count{q, r} != 1. q :- p.")
+        for sem in Semantics:
+            del checked[:]
+            models = list(stable_models(program, sem))
+            assert set(models) == oracles.naive_stable_models(program, sem.value)
+            assert models == [atoms("r")]
+            assert checked == [0b100, 0b111], sem
+
+    def test_the_batch_accepts_what_the_rounds_prove(self, monkeypatch):
+        # every batch candidate is accepted iff _minimal's least-model branch
+        # proves it minimal: _stable_at holds there with no minimality
+        # column built. Counted over both reducts, on the nonconvex and
+        # derived-set programs above and on every family, each program also
+        # with a free choice over every other atom, enumerated for more
+        # candidates (the monotone ones too)
+        monkeypatch.setattr(semantics, "_CROSSOVER", 1)
+        monkeypatch.setattr(semantics, "_fixpoint_models", _no_fixpoint)
+        built = minimality_columns(monkeypatch)
+        accepted, stable_at = semantics._accepted, semantics._stable_at
+        seen = {True: 0, False: 0}
+        pattern, max_atoms = cache(semantics._pattern), semantics.DEFAULT_MAX_ATOMS
+
+        def compared(rules, batch, grounding, *rest):
+            found = accepted(rules, batch, grounding, *rest)
+            for i, index in enumerate(batch):
+                before = len(built)
+                stable = stable_at(rules, index, grounding, pattern, max_atoms)
+                proved = stable and len(built) == before
+                assert bool(found >> i & 1) == proved, (program, sem, index)
+                seen[proved] += 1
+            return found
+
+        monkeypatch.setattr(semantics, "_accepted", compared)
+        rng = random.Random("accepted")
+        programs = [
+            parse("q :- not not q. r :- not not r. p :- count{q, r} != 1."),
+            parse("r :- not not r. p :- count{q, r} != 1. q :- p."),
+            parse("p :- sum{1 : p, 1 : q} >= 1. q :- p. r :- not s. s :- not r."),
+        ]
+        for family in sorted(gen.FAMILIES) * 150:
+            program = gen.FAMILIES[family](rng)
+            programs += [program, _half_chosen(program)]
+        for program, sem in itertools.product(programs, Semantics):
+            list(stable_models(program, sem))
+        assert seen[True] > 1500 and seen[False] > 50, seen
+
+    def test_a_block_split_into_chunks_gives_the_same_models(self, monkeypatch):
+        # counted: with _CHUNK = 3 a block with more than three candidates
+        # left after the first model is checked in several batches (83 of
+        # three, 42 of them in the choice program), and the models, in
+        # order, are those checked in one batch
+        rng = random.Random("chunks")
+        programs = [parse(self.CHOICE)]
+        programs += [_half_chosen(gen.FAMILIES[f](rng)) for f in sorted(gen.FAMILIES) * 20]
+        monkeypatch.setattr(semantics, "_CROSSOVER", 1)
+        accepted = semantics._accepted
+        sizes: list = []
+        monkeypatch.setattr(
+            semantics,
+            "_accepted",
+            lambda rules, batch, *args: sizes.append(len(batch)) or accepted(rules, batch, *args),
+        )
+        for program, sem in itertools.product(programs, Semantics):
+            whole = list(stable_models(program, sem))
+            assert set(whole) == oracles.naive_stable_models(program, sem.value)
+            monkeypatch.setattr(semantics, "_CHUNK", 3)
+            assert list(stable_models(program, sem)) == whole, (program, sem)
+            monkeypatch.setattr(semantics, "_CHUNK", 1 << 12)
+        assert max(sizes) == 63  # the choice program's block in one batch
+        assert sizes.count(3) == 83
 
 
 class TestCautiousBrave:
@@ -1837,6 +1925,20 @@ class TestSolveViaRewriting:
         rewritten = rewriting(program, minimal_copies=True)
         projected = [model & atoms_of(program) for model in stable_models(rewritten, Semantics.F)]
         assert ModelSet(projected) == stable_models(program, Semantics.G)
+
+    @pytest.mark.parametrize("method", ["rew", "str"])
+    def test_three_atom_walks_per_solve(self, method, monkeypatch):
+        # counted: the rewriting walks the input's atoms once, for its copies
+        # and its freshness check (twice when each walked them), the
+        # projection once more, and the enumeration the rewritten program's
+        expected = stable_models(golden_program(), Semantics.G)
+        walks = []
+        for module in (reasoner, rewriter, semantics):
+            monkeypatch.setattr(
+                module, "atoms_of", lambda program: walks.append(1) or atoms_of(program)
+            )
+        assert solve_via_rewriting(golden_program(), method) == expected
+        assert len(walks) == 3
 
     @pytest.mark.parametrize("method", ["rew", "str"])
     def test_empty_program(self, method):
