@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from collections import defaultdict
 from enum import Enum
 from functools import cache, reduce
 from itertools import islice
@@ -509,13 +510,15 @@ def _reduct_needs(rules: list, grounding: bool) -> list:
 
 def _aggregates_hold(aggregates: tuple, index: int) -> bool:
     """Whether every aggregate holds at the atom set `index`, evaluated in
-    body order up to the first false one. Each aggregate reached sits behind
-    a body prefix true at a candidate, a model of the rules before it, so
-    the enumerator's _raise_overflow (the fixpoint route's classification)
-    already raised if any subset of its domain overflows: nothing here
-    raises, and stopping at the first stable model never skips an error
-    that full enumeration would raise. is_stable and is_minimal_model run
-    no such check first."""
+    body order up to the first false one: at a candidate (_stable_at), at
+    atoms derived below it (_minimal, _holds_between), and at the empty set,
+    where no sum leaves the range (_accepted). Each aggregate read at a
+    candidate or below it sits behind a body prefix true at the candidate,
+    a model of the rules before it, so the enumerator's _raise_overflow (the
+    fixpoint route's classification) already raised if any subset of its
+    domain overflows: nothing here raises, and stopping at the first stable
+    model never skips an error that full enumeration would raise. is_stable
+    and is_minimal_model run no such check first."""
     for spec, domain, bits, memo, _, _ in aggregates:
         key = index & domain
         truth = memo.get(key)
@@ -615,6 +618,33 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _body(rule: tuple, atom, full: int) -> tuple[int, int, int]:
+    """(body, heads, twice): where a compiled rule's body holds, and where some
+    and two or more of its head atoms do, with atom(low) the column of the atom
+    at bit `low` in a space whose all-ones column is `full`. The body is built
+    in body order, each aggregate by its circuit, and stops at the first prefix
+    false everywhere, so an aggregate's column, and its overflow check, is built
+    only behind a prefix that holds somewhere; then no head atom is read."""
+    head, must_true, must_false, _, aggregates = rule
+    body = full
+    for spec, _, bits, _, true, false in aggregates + _REST:
+        for low in _bits(true & must_true):
+            body &= atom(low)
+        for low in _bits(false & must_false):
+            body &= atom(low) ^ full
+        if not body:
+            return 0, 0, 0
+        if spec is None:
+            break
+        body &= _aggregate_column(spec, [atom(bit) for bit in bits], full)
+    heads = twice = 0
+    for low in _bits(head):
+        holds = atom(low)
+        twice |= heads & holds
+        heads |= holds
+    return body, heads, twice
+
+
 def _column(
     index: int, rules: list, pattern, supported: bool = False, fixed: int = 0, aliases=None
 ) -> int:
@@ -625,12 +655,8 @@ def _column(
     every rule. Every atom column is atom(low): `full` in `fixed`,
     `pattern`'s (position, dimension) column inside `index`, its
     representative's for an atom of `aliases` (a map of atom bits, from
-    _classes), 0 elsewhere.
-
-    Each body is built in body order and stops at the first prefix that is
-    false everywhere, so an aggregate's column, and its overflow check, is
-    built only behind a prefix that holds on some subset. Rules are added in
-    order until the column is empty.
+    _classes), 0 elsewhere. Each rule's body and heads are _body's, and
+    rules are added in order until the column is empty.
 
     With `supported`, only the supported models are kept: a rule supports
     each head atom outside its fourth mask (_reduct_needs) where its body
@@ -656,26 +682,15 @@ def _column(
 
     column = full
     support: dict = {}  # each head atom's support, with `supported`
-    for head, must_true, must_false, needed, aggregates in rules:
-        body = full
-        for spec, _, bits, _, true, false in aggregates + _REST:
-            for low in _bits(true & must_true):
-                body &= atom(low)
-            for low in _bits(false & must_false):
-                body &= atom(low) ^ full
-            if not body or spec is None:
-                break
-            body &= _aggregate_column(spec, [atom(bit) for bit in bits], full)
-        heads = twice = 0  # where some, and where two or more, head atoms hold
-        for low in _bits(head & space):
-            holds = atom(low)
-            twice |= heads & holds
-            heads |= holds
+    for rule in rules:
+        body, heads, twice = _body(rule, atom, full)
+        if not body:
+            continue
         column &= (body ^ full) | heads
-        if supported and body:
+        if supported:
             # below a true head atom, "no other head atom holds" is "not twice"
             alone = body & (twice ^ full) if twice else body
-            for low in _bits(head & space & ~needed):
+            for low in _bits(rule[0] & space & ~rule[3]):
                 support[low] = support[low] | alone if low in support else alone
         if not column:
             break
@@ -741,67 +756,52 @@ def _accepted(rules: list, batch: list[int], grounding: bool, pattern, max_atoms
     """The candidates of `batch`, models of the compiled rules, that
     _minimal's least-model rounds prove stable, as bit i for batch[i]: the
     rounds of all of them at once, over one column per atom with bit i where
-    batch[i] holds it. A rule fires at a candidate where its literals and
-    then its aggregates hold there, exactly one of its head atoms is true,
-    its fourth mask (_reduct_needs) is derived and, under F, each aggregate
-    passes the interval test from the derived set (_holds_between), implied
-    where its chain makes it convex and it holds on no atoms. A candidate
-    whose true atoms are all derived is accepted, as by _minimal's first
-    branch. Each aggregate is read, as _stable_at reads it, where its rule's
-    body holds at the candidate."""
+    batch[i] holds it. A rule fires at a candidate where its body holds
+    there, built over the batch as a block column builds it (_body), exactly
+    one of its head atoms is true, its fourth mask (_reduct_needs) is
+    derived and, under F, each aggregate passes the interval test from the
+    derived set (_holds_between), implied where its chain makes it convex
+    and it holds on no atoms. A candidate whose true atoms are all derived
+    is accepted, as by _minimal's first branch. No aggregate column built
+    here raises: its body prefix holds at a candidate, a model of every
+    rule, so _raise_overflow raised before the first block at any aggregate
+    that the extremes test flags there."""
     size = max(batch).bit_length()  # transposed as text: row i is batch[-1 - i]
     rows = "".join([format(index, f"0{size}b") for index in reversed(batch)])
-    holds = {1 << j: int(rows[size - 1 - j :: size], 2) for j in range(size)}  # atom columns
-    fires = []  # per head atom: [atom, mask, where, aggregates, rising, domains, unread]
-    for head, must_true, must_false, needed, aggregates in rules:
-        if not head:
-            continue
-        body = (1 << len(batch)) - 1  # where its literals hold
-        for low in _bits(must_true):
-            body &= holds.get(low, 0)
-        for low in _bits(must_false):
-            body &= ~holds.get(low, 0)
+    holds = defaultdict(int, {1 << j: int(rows[size - 1 - j :: size], 2) for j in range(size)})
+    read, full = holds.__getitem__, (1 << len(batch)) - 1
+    fires = []  # per head atom: (atom, mask, where, rising, domains)
+    for rule in rules:
+        body, _, twice = _body(rule, read, full) if rule[0] else (0, 0, 0)
         if not body:
             continue
-        heads = twice = 0  # where some, and where two or more, head atoms hold
-        for low in _bits(head):
-            twice |= heads & holds.get(low, 0)
-            heads |= holds.get(low, 0)
         # under F the aggregates whose interval test needs the derived set
         rising = () if grounding else [
-            a for a in aggregates if not (_convex(a) and _aggregates_hold((a,), 0))
+            a for a in rule[4] if not (_convex(a) and _aggregates_hold((a,), 0))
         ]
         domains = reduce(operator.or_, (a[1] for a in rising), 0)
-        for low in _bits(head):
-            if where := body & ~twice & holds.get(low, 0):
-                fires.append([low, needed, where, aggregates, rising, domains, where])
-    derived: dict = {}  # each atom's column where the rounds derived it
+        for low in _bits(rule[0]):
+            if where := body & ~twice & holds[low]:
+                fires.append((low, rule[3], where, rising, domains))
+    derived = defaultdict(int)  # each atom's column where the rounds derived it
     grown = True
     while grown:
         grown = False
-        for fire in fires:
-            low, needed, where, aggregates, rising, domains, unread = fire
-            ready = where & ~derived.get(low, 0)
+        for low, needed, where, rising, domains in fires:
+            ready = where & ~derived[low]
             if not ready:
                 continue
             for bit in _bits(needed):
-                ready &= derived.get(bit, 0) | ~holds.get(bit, 0)
-            if not ready:
-                continue
-            for one in _bits(ready & unread if aggregates else 0):  # once, where it would fire
-                fire[6] ^= one
-                if not _aggregates_hold(aggregates, batch[one.bit_length() - 1]):
-                    fire[2] ^= one  # not in the candidate's reduct
-                    ready ^= one
+                ready &= derived[bit] | ~holds[bit]
             for one in _bits(ready if domains else 0):
-                at = sum(bit for bit in _bits(domains) if derived.get(bit, 0) & one)
+                at = sum(bit for bit in _bits(domains) if derived[bit] & one)
                 index = batch[one.bit_length() - 1]
                 if not all(_holds_between(a, at, index, pattern, max_atoms) for a in rising):
                     ready ^= one
             if ready:
-                derived[low] = derived.get(low, 0) | ready
+                derived[low] |= ready
                 grown = True
-    return ~reduce(operator.or_, (c & ~derived.get(a, 0) for a, c in holds.items()), 0)
+    return ~reduce(operator.or_, (c & ~derived[a] for a, c in holds.items()), 0)
 
 
 def _set_bits(column: int) -> Iterator[int]:

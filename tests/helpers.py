@@ -15,7 +15,7 @@ import operator
 from functools import reduce
 
 from gzasp import semantics
-from gzasp.core import AggregateFunc, AggregateSpec, Atom, AtomLiteral, Program, Rule
+from gzasp.core import AggregateFunc, AggregateSpec, Atom, AtomLiteral, Program, Rule, atoms_of
 
 A = Atom("a")
 B = Atom("b")
@@ -102,6 +102,13 @@ def without_classes(monkeypatch) -> None:
 # checks its candidates together, and none does (a block holds at most
 # 2**_BLOCK_ATOMS candidates)
 CROSSOVERS = (1, (1 << semantics._BLOCK_ATOMS) + 1)
+
+
+def half_chosen(program: Program) -> Program:
+    """The program plus a free choice, `a :- not not a.`, over every other
+    atom in name order: more models, so more candidates after the first."""
+    chosen = sorted(atoms_of(program))[::2]
+    return Program(program.rules + tuple(Rule({a}, (AtomLiteral(a, 2),)) for a in chosen))
 
 
 def golden_program() -> Program:

@@ -36,6 +36,7 @@ from helpers import (
     GOLDEN_REW_TEXT,
     GOLDEN_STR_TEXT,
     GOLDEN_TEXT,
+    half_chosen,
     program_blocks,
     without_classes,
 )
@@ -658,24 +659,30 @@ class TestOracleDifferential:
                     shown = "true\n" if answer else "false\n"
                     run(["query", "--semantics", sem, *argv], shown, 0 if answer else 1)
 
-    def test_weighted_aggregates_match_the_oracles(self, tmp_path, capsys, monkeypatch):
-        # one aggregate literal, its weights and bound at the 64-bit edge among
-        # them: where the oracle overflows every run refuses with one error
-        # line. The engine may also refuse where the oracle answers, since its
-        # column builds an aggregate behind any body prefix that holds on some
-        # subset; a refusal is exit 2, never an answer
+    @classmethod
+    def weighted_programs(cls) -> Iterator[Program]:
+        """The weighted corpus: programs with one aggregate literal whose
+        weights and bound lie at the 64-bit edge."""
         rng = random.Random("cli differential weighted")
-        path = tmp_path / "program.lp"
         pool = gen.POOL[:5]
-        overflowing = answered = 0
-        for _ in range(self.WEIGHTED):
+        for _ in range(cls.WEIGHTED):
             program = gen.random_program(rng, pool=pool, max_rules=6)
             func, comparator = rng.choice(gen.AGGREGATE_CASES)
             body = [gen.random_weighted_aggregate(rng, func, comparator, pool, max_dom=4)]
             if rng.random() < 0.5:
                 body.insert(rng.randint(0, 1), AtomLiteral(rng.choice(pool), rng.randint(0, 2)))
             rule = Rule(frozenset({rng.choice(pool)}), tuple(body))
-            program = Program(program.rules + (rule,))
+            yield Program(program.rules + (rule,))
+
+    def test_weighted_aggregates_match_the_oracles(self, tmp_path, capsys, monkeypatch):
+        # one aggregate literal, its weights and bound at the 64-bit edge among
+        # them: where the oracle overflows every run refuses with one error
+        # line. The engine may also refuse where the oracle answers, since its
+        # column builds an aggregate behind any body prefix that holds on some
+        # subset; a refusal is exit 2, never an answer
+        path = tmp_path / "program.lp"
+        overflowing = answered = 0
+        for program in self.weighted_programs():
             text = render(program)
             path.write_text(text)
             for sem in ("g", "f"):
@@ -702,6 +709,50 @@ class TestOracleDifferential:
                     assert (code, out, err) == (0 if models else 1, expected, ""), (argv, text)
                     answered += 1
         assert overflowing > 10 and answered > 500
+
+    def test_weighted_aggregates_checked_together(self, tmp_path, capsys, monkeypatch):
+        # counted: the weighted corpus with a free choice over every other
+        # atom (helpers.half_chosen) hands _accepted 492 candidates in 173
+        # batches, and 16 of its 240 solves raise an overflow error. Each
+        # solve prints the same models, or the same one error line, with
+        # every block's candidates checked together and with none, and no
+        # overflow error leaves _accepted: an aggregate whose sum can leave
+        # the range is built there only behind a body prefix that holds at
+        # a candidate, where the pass before the first block has raised
+        path = tmp_path / "program.lp"
+        accepted = semantics._accepted
+        batches: list = []  # each batch's size
+        leaked: list = []  # each overflow error raised inside _accepted
+
+        def wrapped(rules, batch, *args):
+            batches.append(len(batch))
+            try:
+                return accepted(rules, batch, *args)
+            except AggregateOverflowError as error:
+                leaked.append(error)
+                raise
+
+        monkeypatch.setattr(semantics, "_accepted", wrapped)
+        refused = 0
+        for program in map(half_chosen, self.weighted_programs()):
+            path.write_text(text := render(program))
+            for sem in ("g", "f"):
+                seen = []
+                for crossover in CROSSOVERS:
+                    monkeypatch.setattr(semantics, "_CROSSOVER", crossover)
+                    code = main(["models", str(path), "--semantics", sem])
+                    seen.append((code, *capsys.readouterr()))
+                assert seen[0] == seen[1], (sem, text)
+                code, out, err = seen[0]
+                if code == 2:
+                    assert out == "" and err.startswith("error: ") and "64-bit" in err, err
+                    refused += 1
+                else:
+                    assert (code, out, err) == (
+                        0 if out else 1, self.oracle_models(program, sem)[1], ""
+                    ), (sem, text)
+        assert not leaked
+        assert sum(batches) > 400 and len(batches) > 150 and refused > 10
 
 
 class TestBlockDifferential:

@@ -64,6 +64,7 @@ from helpers import (
     GOLDEN_STR_F_STABLE,
     atoms,
     golden_program,
+    half_chosen,
     minimality_columns,
     program_blocks,
     without_classes,
@@ -1447,13 +1448,6 @@ def _checked(monkeypatch) -> list:
     return checked
 
 
-def _half_chosen(program: Program) -> Program:
-    """The program plus a free choice, `a :- not not a.`, over every other
-    atom in name order: more models, so more candidates after the first."""
-    chosen = sorted(atoms_of(program))[::2]
-    return Program(program.rules + tuple(Rule({a}, (AtomLiteral(a, 2),)) for a in chosen))
-
-
 class TestBatch:
     """After a solve's first model, a block with at least _CROSSOVER
     candidates left runs the least-model rounds on all of them at once
@@ -1602,10 +1596,43 @@ class TestBatch:
         ]
         for family in sorted(gen.FAMILIES) * 150:
             program = gen.FAMILIES[family](rng)
-            programs += [program, _half_chosen(program)]
+            programs += [program, half_chosen(program)]
         for program, sem in itertools.product(programs, Semantics):
             list(stable_models(program, sem))
         assert seen[True] > 1500 and seen[False] > 50, seen
+
+    def test_an_aggregate_is_built_only_behind_a_prefix_that_holds(self, monkeypatch):
+        # counted: the batch builds a rule's body as a block column does, so
+        # its count is built once per batch behind x0, true at some batch
+        # candidate, and never behind y, which no rule derives: a block
+        # column builds it where y holds, but y is false at every candidate
+        monkeypatch.setattr(semantics, "_CROSSOVER", 1)
+        aggregate_column, accepted = semantics._aggregate_column, semantics._accepted
+        built: list = []  # the aggregates _accepted builds
+        batching = []
+
+        def recorded(spec, columns, full):
+            if batching:
+                built.append(spec)
+            return aggregate_column(spec, columns, full)
+
+        def batched(*args):
+            batching.append(True)
+            try:
+                return accepted(*args)
+            finally:
+                batching.pop()
+
+        monkeypatch.setattr(semantics, "_aggregate_column", recorded)
+        monkeypatch.setattr(semantics, "_accepted", batched)
+        choice = "".join(f"x{i} :- not not x{i}.\n" for i in range(6))
+        for lead, builds in (("x0", 1), ("y", 0)):
+            program = parse(choice + f"p :- {lead}, count{{x1, x2}} >= 1.\n")
+            for sem in Semantics:
+                del built[:]
+                models = stable_models(program, sem)
+                assert set(models) == oracles.naive_stable_models(program, sem.value)
+                assert len(models) == 64 and len(built) == builds, (lead, sem)
 
     def test_a_block_split_into_chunks_gives_the_same_models(self, monkeypatch):
         # counted: with _CHUNK = 3 a block with more than three candidates
@@ -1614,7 +1641,7 @@ class TestBatch:
         # order, are those checked in one batch
         rng = random.Random("chunks")
         programs = [parse(self.CHOICE)]
-        programs += [_half_chosen(gen.FAMILIES[f](rng)) for f in sorted(gen.FAMILIES) * 20]
+        programs += [half_chosen(gen.FAMILIES[f](rng)) for f in sorted(gen.FAMILIES) * 20]
         monkeypatch.setattr(semantics, "_CROSSOVER", 1)
         accepted = semantics._accepted
         sizes: list = []
